@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .refmodel import (
+    BOS_ID,
     TinyLM,
     Tokenizer,
     grad_logit_wrt_embeddings,
@@ -105,22 +106,31 @@ def occlusion_importance(
     in p(response[m] | Z_m) when that token is removed; the sequence really
     shortens (pass substitute_id to swap in a mask token instead). Rows for
     response tokens at or past position m are 0: they are not in Z_m.
+
+    The model reads only the last W tokens, so removing a token before that
+    window leaves the window as it was and scores exactly 0, while removing
+    one inside it pulls the window back by one token. A column therefore
+    has at most W + 1 distinct windows, and only those are scored.
     """
     if not response:
         raise ValueError("response is empty")
     n_prompt, n_out = len(prompt), len(response)
     values = np.zeros((n_prompt + n_out, n_out))
     for m in range(n_out):
-        target = response[m]
         context = list(prompt) + list(response[:m])
-        variants: list[Sequence[int]] = [context]
-        for q in range(len(context)):
+        n = len(context)
+        first = max(n - model.window, 0)  # first position inside the window
+        variants = [context[first:]]
+        for q in range(first, n):
             if substitute_id is None:
-                variants.append(context[:q] + context[q + 1 :])
+                variants.append(context[max(first - 1, 0) : q] + context[q + 1 :])
             else:
-                variants.append(context[:q] + [substitute_id] + context[q + 1 :])
-        probs = model.batch_probs(variants, target)
-        values[: len(context), m] = probs[0] - probs[1:]
+                variants.append(context[first:q] + [substitute_id] + context[q + 1 :])
+        # an empty context reads as <bos>; equal variants are scored once
+        distinct: dict[tuple[int, ...], int] = {}
+        rows = [distinct.setdefault(tuple(v) or (BOS_ID,), len(distinct)) for v in variants]
+        probs = model.batch_probs(list(distinct), response[m])
+        values[first:n, m] = probs[rows[0]] - probs[rows[1:]]
     spans = list(prompt_spans) + [None] * n_out if prompt_spans is not None else None
     infos = _token_infos(list(prompt) + list(response), tokenizer, spans)
     return ImportanceMatrix(
@@ -218,22 +228,31 @@ def aggregate_to_words(
     """
     if display_divisor <= 0:
         raise ValueError("display_divisor must be positive")
-    row_best = scores.scores.max(axis=1) if scores.scores.size else np.zeros(len(scores.input_tokens), dtype=np.int64)
+    n_rows = len(scores.input_tokens)
+    row_best = scores.scores.max(axis=1).tolist() if scores.scores.size else [0] * n_rows
+    tokens = scores.input_tokens
+    # one merge over the tokens by start offset: a word collects the tokens
+    # that start inside it and end by its end
+    order = sorted((tok.start, i) for i, tok in enumerate(tokens) if tok.start is not None)
+    cursor = 0
     words: list[WordAttribution] = []
     for m in re.finditer(r"\S+", narrative):
         w_start, w_end = m.span()
-        rows = tuple(
-            i
-            for i, tok in enumerate(scores.input_tokens)
-            if tok.start is not None and tok.start >= w_start and tok.end <= w_end
-        )
-        raw = max((int(row_best[i]) for i in rows), default=0)
+        while cursor < len(order) and order[cursor][0] < w_start:
+            cursor += 1
+        rows = []
+        while cursor < len(order) and order[cursor][0] <= w_end:
+            i = order[cursor][1]
+            if tokens[i].end <= w_end:
+                rows.append(i)
+            cursor += 1
+        rows.sort()
         words.append(
             WordAttribution(
                 word=m.group(0),
                 char_span=(w_start, w_end),
-                score=raw / display_divisor,
-                contributing_token_ids=rows,
+                score=max([row_best[i] for i in rows], default=0) / display_divisor,
+                contributing_token_ids=tuple(rows),
             )
         )
     return words

@@ -202,16 +202,36 @@ class TinyLM:
     def distribution(self, context: Sequence[int]) -> np.ndarray:
         return self.distribution_given_window(self.embeddings[self._window_ids(context)])
 
+    def _windows(self, contexts: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+        """Window ids of each context, left-aligned and padded with BOS, and
+        the mask of the slots that hold a context token."""
+        ids = np.full((len(contexts), self.window), BOS_ID, dtype=np.intp)
+        real = np.zeros(ids.shape, dtype=bool)
+        for i, context in enumerate(contexts):
+            window = self._window_ids(context)
+            ids[i, : len(window)] = window
+            real[i, : len(window)] = True
+        return ids, real
+
+    def _pool(self, ids: np.ndarray, real: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hidden vectors of many windows from one gather, with the per-row
+        slot weights (0 on padding) and gathered embeddings they came from."""
+        weights = np.where(real, self.position_weights, 0.0)
+        embs = self.embeddings[ids]
+        return np.matmul(weights[:, None, :], embs)[:, 0], weights, embs
+
+    def _softmax_rows(self, hidden: np.ndarray) -> np.ndarray:
+        probs = hidden @ self.output_weights
+        probs += self.output_bias
+        probs -= probs.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
+        return probs
+
     def batch_probs(self, contexts: Sequence[Sequence[int]], target: int) -> np.ndarray:
         """p(target | context) for many contexts in one output matmul."""
-        hidden = np.empty((len(contexts), self.dim))
-        for i, context in enumerate(contexts):
-            ids = self._window_ids(context)
-            hidden[i] = self.position_weights[: len(ids)] @ self.embeddings[ids]
-        logits = hidden @ self.output_weights + self.output_bias
-        logits -= logits.max(axis=1, keepdims=True)
-        exp = np.exp(logits)
-        return exp[:, target] / exp.sum(axis=1)
+        hidden, _, _ = self._pool(*self._windows(contexts))
+        return self._softmax_rows(hidden)[:, target]
 
     def prob_given_window(self, window_embs: np.ndarray, target: int) -> float:
         return float(self.distribution_given_window(window_embs)[target])
@@ -294,25 +314,61 @@ def grad_logit_wrt_embeddings(
     return grads
 
 
-def _corpus_nll(model: TinyLM, examples: Sequence[TrainingExample]) -> float:
-    total = 0.0
-    count = 0
-    for ex in examples:
-        for j, masked_in in enumerate(ex.loss_mask):
-            if not masked_in:
-                continue
-            p = prob(model, ex.tokens[:j], ex.tokens[j])
-            total -= np.log(max(p, 1e-300))
-            count += 1
-    return total / count if count else 0.0
+@dataclass(frozen=True)
+class _LossPositions:
+    """Every loss position of a list of examples, laid out for batched passes.
+
+    Row r holds the window before a loss position (`TinyLM._windows`
+    layout) and the token to predict there. Rows run in example order;
+    example i owns rows spans[i][0]:spans[i][1].
+    """
+
+    ids: np.ndarray
+    real: np.ndarray
+    targets: np.ndarray
+    spans: list[tuple[int, int]]
+
+    @classmethod
+    def of(cls, model: TinyLM, examples: Sequence[TrainingExample]) -> "_LossPositions":
+        contexts: list[Sequence[int]] = []
+        targets: list[int] = []
+        spans = []
+        for ex in examples:
+            start = len(targets)
+            for j in np.flatnonzero(ex.loss_mask):
+                contexts.append(ex.tokens[:j])
+                targets.append(ex.tokens[j])
+            spans.append((start, len(targets)))
+        ids, real = model._windows(contexts)
+        return cls(ids, real, np.array(targets, dtype=np.intp), spans)
+
+
+# loss positions per forward pass in _corpus_nll; bounds the gathered
+# windows and the logits to a few MB whatever the corpus size
+_NLL_CHUNK = 1024
+
+
+def _corpus_nll(model: TinyLM, positions: _LossPositions) -> float:
+    """Mean NLL over all loss positions, one forward pass per chunk of them."""
+    nll = []
+    for lo in range(0, len(positions.targets), _NLL_CHUNK):
+        chunk = slice(lo, lo + _NLL_CHUNK)
+        hidden, _, _ = model._pool(positions.ids[chunk], positions.real[chunk])
+        probs = model._softmax_rows(hidden)
+        p = probs[np.arange(len(probs)), positions.targets[chunk]]
+        nll.append(-np.log(np.maximum(p, 1e-300)))
+    return float(np.concatenate(nll).mean()) if nll else 0.0
 
 
 def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfig) -> TinyLM:
     """SGD on the masked next-token NLL; deterministic for a given seed.
 
-    One parameter update per example, accumulating over its unmasked
-    positions. Masked (False) positions contribute nothing, so an
-    all-masked example leaves the parameters untouched.
+    One parameter update per example, from the gradients summed over its
+    unmasked positions, which are computed together as batched matmuls.
+    Windows, targets and the embedding rows each example reads are fixed
+    before the first epoch, and an update writes only those rows. Masked
+    (False) positions contribute nothing, so an all-masked example leaves
+    the parameters untouched.
     """
     for ex in examples:
         if any(t < 0 or t >= model.vocab_size for t in ex.tokens):
@@ -321,40 +377,40 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
     m = model.copy()
     m.loss_history = []
     rng = np.random.default_rng(config.seed)
-    v, d, w = m.vocab_size, m.dim, m.window
+    lr, d = config.lr, m.dim
+    positions = _LossPositions.of(m, examples)
+    steps = []
+    for lo, hi in positions.spans:
+        # the embedding row of every slot, in (position, slot) order
+        rows, inverse = np.unique(positions.ids[lo:hi].ravel(), return_inverse=True)
+        steps.append((slice(lo, hi), rows, inverse * d))
+    columns = np.arange(d)
+    grad_u = np.empty_like(m.output_weights)  # reused: a fresh d x V array per step costs page faults
 
     for epoch in range(config.epochs):
         for idx in rng.permutation(len(examples)):
-            ex = examples[idx]
-            grad_e = np.zeros((v, d))
-            grad_a = np.zeros(w)
-            grad_u = np.zeros((d, v))
-            grad_c = np.zeros(v)
-            touched = False
-            for j, masked_in in enumerate(ex.loss_mask):
-                if not masked_in:
-                    continue
-                touched = True
-                ids = m._window_ids(ex.tokens[:j])
-                k = len(ids)
-                embs = m.embeddings[ids]
-                hidden = m.position_weights[:k] @ embs
-                p = m.distribution_given_window(embs)
-                dz = p.copy()
-                dz[ex.tokens[j]] -= 1.0  # dNLL/dlogits = p - onehot
-                grad_c += dz
-                grad_u += np.outer(hidden, dz)
-                dh = m.output_weights @ dz
-                grad_a[:k] += embs @ dh
-                for slot, tok in enumerate(ids):
-                    grad_e[tok] += m.position_weights[slot] * dh
-            if not touched:
+            span, rows, offsets = steps[idx]
+            if not len(rows):
                 continue
-            m.embeddings -= config.lr * grad_e
-            m.position_weights -= config.lr * grad_a
-            m.output_weights -= config.lr * grad_u
-            m.output_bias -= config.lr * grad_c
-        nll = _corpus_nll(m, examples)
+            targets, real = positions.targets[span], positions.real[span]
+            hidden, weights, embs = m._pool(positions.ids[span], real)
+            dz = m._softmax_rows(hidden)
+            dz[np.arange(len(targets)), targets] -= 1.0  # dNLL/dlogits = p - onehot
+            dh = dz @ m.output_weights.T
+            grad_a = (np.matmul(embs, dh[:, :, None])[:, :, 0] * real).sum(axis=0)
+            # a_slot * dh summed onto each slot's row; bincount adds in slot
+            # order, as a per-slot loop would, and padding slots add zeros
+            slot_grads = weights[:, :, None] * dh[:, None, :]
+            grad_rows = np.bincount(
+                (offsets[:, None] + columns).ravel(), slot_grads.ravel(), len(rows) * d
+            )
+            m.embeddings[rows] -= lr * grad_rows.reshape(len(rows), d)
+            m.position_weights -= lr * grad_a
+            np.dot(hidden.T, dz, out=grad_u)
+            grad_u *= lr
+            m.output_weights -= grad_u
+            m.output_bias -= lr * dz.sum(axis=0)
+        nll = _corpus_nll(m, positions)
         if not np.isfinite(nll):
             raise TrainingDivergedError(epoch)
         m.loss_history.append(nll)

@@ -19,7 +19,8 @@ from crashlens.attribution import (
     strip_annotations,
     taylor_importance,
 )
-from crashlens.refmodel import TinyLM, Tokenizer
+from crashlens.refmodel import BOS_ID, TinyLM, Tokenizer
+from oracles import aggregate_to_words_quadratic, occlusion_loop
 
 
 def small_model(vocab: int = 10, dim: int = 4, window: int = 8, seed: int = 0) -> TinyLM:
@@ -86,6 +87,24 @@ def test_occlusion_substitute_swaps_instead_of_deleting():
 
     assert masked.values[1, 0] == pytest.approx(p([1, 2, 3], 4) - p([1, 0, 3], 4), abs=1e-15)
     assert not np.allclose(deleted.values, masked.values)
+
+
+def test_occlusion_matches_loop_oracle():
+    rng = np.random.default_rng(41)
+    for trial in range(30):
+        vocab, window = int(rng.integers(5, 20)), int(rng.integers(1, 9))
+        model = small_model(vocab=vocab, dim=4, window=window, seed=trial)
+        # prompts shorter than, equal to and longer than the window, and empty
+        prompt = [int(t) for t in rng.integers(0, vocab, size=int(rng.integers(0, 3 * window)))]
+        response = [int(t) for t in rng.integers(0, vocab, size=int(rng.integers(1, 4)))]
+        for substitute_id in (None, 0):
+            ours = occlusion_importance(model, prompt, response, substitute_id=substitute_id).values
+            oracle = occlusion_loop(model, prompt, response, substitute_id=substitute_id)
+            # probabilities <= 1 from batched vs single-row matmuls: a few ulps apart
+            assert np.allclose(ours, oracle, rtol=0, atol=1e-14)
+            for m in range(len(response)):
+                before_window = max(len(prompt) + m - window, 0)
+                assert not ours[:before_window, m].any()
 
 
 def test_occlusion_rejects_empty_response():
@@ -181,6 +200,30 @@ def test_aggregate_to_words_takes_row_max_per_word():
     assert words[1].score == pytest.approx(50 / 20)
     assert words[0].char_span == (0, 5)
     assert words[0].contributing_token_ids == (0, 1)
+
+
+def test_aggregate_to_words_matches_quadratic_oracle():
+    tok = Tokenizer.from_pieces(["al", "##pha", "##p", "be", "##ta", "beta", "g", "##am", "##ma", "x"])
+    rng = np.random.default_rng(43)
+    words = ["alpha", "beta", "betata", "gamma", "qqq", "x", "alphap", "zz"]
+    for _ in range(40):
+        text = " ".join(rng.choice(words, size=int(rng.integers(1, 12))))
+        spans = tok.encode_with_spans(text)
+        infos = [TokenInfo(text="<bos>", token_id=BOS_ID)]  # no span
+        infos += [TokenInfo(text=tok.tokens[t], token_id=t, start=s, end=e) for t, s, e in spans]
+        if rng.random() < 0.5:
+            # a span that crosses a word boundary belongs to no word
+            infos.append(TokenInfo(text="x", token_id=1, start=0, end=len(text) + 1))
+        infos.append(TokenInfo(text="<label>", token_id=3))  # response token, no span
+        values = rng.normal(size=(len(infos), 2))
+        matrix = ImportanceMatrix(
+            values=values,
+            input_tokens=infos,
+            output_tokens=[TokenInfo(text="y", token_id=1), TokenInfo(text="z", token_id=2)],
+            method="occlusion",
+        )
+        scores = normalize_scores(matrix)
+        assert aggregate_to_words(scores, text, 20.0) == aggregate_to_words_quadratic(scores, text, 20.0)
 
 
 def test_annotation_round_trip():

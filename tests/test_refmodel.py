@@ -20,6 +20,7 @@ from crashlens.refmodel import (
     train,
 )
 from crashlens.schema import Severity
+from oracles import train_loop
 
 
 def fd_gradient(model: TinyLM, context: list[int], target: int, step: float = 1e-4):
@@ -118,6 +119,54 @@ def test_training_memorizes_toy_patterns():
     assert int(np.argmax(trained.distribution([0, 7, 8]))) == 11
     # the input model is untouched; training returns a copy
     assert not np.array_equal(model.embeddings, trained.embeddings)
+
+
+def _random_examples(rng, n, vocab, window, label_only):
+    """Examples around the window length; label-only or with random loss masks."""
+    examples = []
+    for _ in range(n):
+        length = int(rng.integers(2, 2 * window + 3))
+        tokens = [BOS_ID] + [int(t) for t in rng.integers(1, vocab, size=length - 1)]
+        if label_only:
+            mask = [False] * (length - 1) + [True]
+        else:
+            # position 0 (empty context, read as <bos>) can carry loss too
+            mask = [bool(b) for b in rng.random(length) < 0.6]
+        examples.append(TrainingExample(tokens=tuple(tokens), loss_mask=tuple(mask)))
+    return examples
+
+
+def _params(model: TinyLM):
+    return (model.embeddings, model.position_weights, model.output_weights, model.output_bias)
+
+
+def test_train_matches_loop_oracle_exactly_on_label_only_masks():
+    rng = np.random.default_rng(31)
+    for trial in range(4):
+        vocab, window = int(rng.integers(6, 30)), int(rng.integers(2, 10))
+        examples = _random_examples(rng, 12, vocab, window, label_only=True)
+        model = TinyLM.init(vocab, dim=5, window=window, seed=trial)
+        config = TrainConfig(lr=0.2, epochs=4, seed=trial)
+        ours, oracle = train(model, examples, config), train_loop(model, examples, config)
+        for a, b in zip(_params(ours), _params(oracle)):
+            assert np.array_equal(a, b)
+        # the per-epoch NLL is summed in another order
+        assert np.allclose(ours.loss_history, oracle.loss_history, rtol=1e-12, atol=0)
+
+
+def test_train_matches_loop_oracle_on_multi_position_masks():
+    rng = np.random.default_rng(32)
+    for trial in range(4):
+        vocab, window = int(rng.integers(6, 30)), int(rng.integers(2, 10))
+        examples = _random_examples(rng, 10, vocab, window, label_only=False)
+        examples.append(TrainingExample(tokens=(0, 1, 1, 1), loss_mask=(False,) * 4))
+        model = TinyLM.init(vocab, dim=5, window=window, seed=trial)
+        config = TrainConfig(lr=0.1, epochs=5, seed=trial)
+        ours, oracle = train(model, examples, config), train_loop(model, examples, config)
+        # batched sums over positions round differently from the per-position loop
+        for a, b in zip(_params(ours), _params(oracle)):
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
+        assert np.allclose(ours.loss_history, oracle.loss_history, rtol=1e-12, atol=0)
 
 
 def test_all_masked_examples_leave_parameters_untouched():
