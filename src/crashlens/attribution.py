@@ -9,7 +9,6 @@ integers in (b, L], then folded up to word level for display.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -176,10 +175,11 @@ def taylor_importance(
 def normalize_scores(
     matrix: ImportanceMatrix, cfg: NormalizationConfig = NormalizationConfig()
 ) -> ScoreMatrix:
-    """Per-column rescale: ceil(L * I / colmax) where that exceeds b, else 0.
+    """Per-column rescale: ceil(L * (I / colmax)) where that exceeds b, else 0.
 
     The column max is signed; a column whose max is <= 0 has no positively
-    influential token and normalizes to all zeros.
+    influential token and normalizes to all zeros. Dividing first makes the
+    column's own maximum exactly 1, so it scores exactly L.
     """
     values = matrix.values
     scores = np.zeros(values.shape, dtype=np.int64)
@@ -188,7 +188,7 @@ def normalize_scores(
         colmax = column.max() if column.size else 0.0
         if colmax <= 0.0:
             continue
-        scaled = np.ceil((cfg.L * column) / colmax)
+        scaled = np.ceil(cfg.L * (column / colmax))
         keep = scaled > cfg.b
         scores[keep, m] = scaled[keep].astype(np.int64)
     return ScoreMatrix(
@@ -198,22 +198,6 @@ def normalize_scores(
         L=cfg.L,
         b=cfg.b,
     )
-
-
-def normalize_scores_bruteforce(values, L: int = 100, b: int = 1) -> list[list[int]]:
-    """Scalar per-element re-implementation used as a test oracle."""
-    n = len(values)
-    m = len(values[0]) if n else 0
-    out = [[0] * m for _ in range(n)]
-    for col in range(m):
-        colmax = max(values[row][col] for row in range(n))
-        if colmax <= 0.0:
-            continue
-        for row in range(n):
-            scaled = math.ceil((L * values[row][col]) / colmax)
-            if scaled > b:
-                out[row][col] = scaled
-    return out
 
 
 def aggregate_to_words(

@@ -3,11 +3,13 @@
 Each function is the straightforward per-position / per-element version of
 a library routine: `train_loop` and `corpus_nll_loop` for `refmodel.train`,
 `occlusion_loop` for `attribution.occlusion_importance`,
-and `aggregate_to_words_quadratic` for `attribution.aggregate_to_words`.
+`aggregate_to_words_quadratic` for `attribution.aggregate_to_words` and
+`normalize_scores_bruteforce` for `attribution.normalize_scores`.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Optional, Sequence
 
@@ -121,3 +123,19 @@ def aggregate_to_words_quadratic(
             )
         )
     return words
+
+
+def normalize_scores_bruteforce(values, L: int = 100, b: int = 1) -> list[list[int]]:
+    """Scalar per-element ceil(L * (v / colmax)), kept where it exceeds b."""
+    n = len(values)
+    m = len(values[0]) if n else 0
+    out = [[0] * m for _ in range(n)]
+    for col in range(m):
+        colmax = max(values[row][col] for row in range(n))
+        if colmax <= 0.0:
+            continue
+        for row in range(n):
+            scaled = math.ceil(L * (values[row][col] / colmax))
+            if scaled > b:
+                out[row][col] = scaled
+    return out

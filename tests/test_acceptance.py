@@ -22,7 +22,6 @@ from conftest import corpus_path, run_cli
 from crashlens.analytics import AspectCategory, cooccurrence, graph_from_json, graph_to_json, validate_sankey
 from crashlens.attribution import (
     normalize_scores,
-    normalize_scores_bruteforce,
     occlusion_importance,
     taylor_importance,
 )
@@ -49,6 +48,7 @@ from crashlens.schema import (
     stratified_downsample,
 )
 from crashlens.synth import random_tables, severity_cases
+from oracles import normalize_scores_bruteforce
 from test_attribution import synthetic_matrix
 from test_refmodel import fd_gradient
 

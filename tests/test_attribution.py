@@ -12,7 +12,6 @@ from crashlens.attribution import (
     annotate_narrative,
     attribution_record,
     normalize_scores,
-    normalize_scores_bruteforce,
     occlusion_importance,
     parse_annotated,
     positive_words,
@@ -20,7 +19,7 @@ from crashlens.attribution import (
     taylor_importance,
 )
 from crashlens.refmodel import BOS_ID, TinyLM, Tokenizer
-from oracles import aggregate_to_words_quadratic, occlusion_loop
+from oracles import aggregate_to_words_quadratic, normalize_scores_bruteforce, occlusion_loop
 
 
 def small_model(vocab: int = 10, dim: int = 4, window: int = 8, seed: int = 0) -> TinyLM:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import corpus_path, python_cli, run_cli
@@ -118,6 +119,26 @@ def test_attribute_both_methods_cover_all_cases(pipeline):
         assert len(records) == 50
         assert all(r["method"] == method for r in records)
         assert all(r["L"] == 100 and r["b"] == 1 for r in records)
+
+
+def test_attribution_columns_peak_at_exactly_L(pipeline):
+    from crashlens import attribution, narrator, refmodel
+
+    d, _ = pipeline
+    model = refmodel.TinyLM.load(d / "model.json")
+    tokenizer = refmodel.Tokenizer.load(d / "tok.json")
+    columns = 0
+    for pair in narrator.read_pairs(d / "narratives.jsonl"):
+        prompt = [refmodel.BOS_ID] + tokenizer.encode(pair.descriptive)
+        label, _ = refmodel.classify(model, tokenizer, pair.descriptive)
+        response = [tokenizer.label_id(label)]
+        for importance in (attribution.occlusion_importance, attribution.taylor_importance):
+            matrix = importance(model, prompt, response)
+            scores = attribution.normalize_scores(matrix).scores
+            for m in np.flatnonzero(matrix.values.max(axis=0) > 0):
+                assert scores[:, m].max() == 100, (pair.caseno, importance.__name__)
+                columns += 1
+    assert columns >= 50
 
 
 def test_analyze_emits_all_categories(pipeline):
