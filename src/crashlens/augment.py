@@ -171,10 +171,10 @@ class HttpChatClient:
             raise ConnectionError(f"server error {resp.status_code}")
         if resp.status_code >= 400:
             raise UnavailableError(f"request rejected: {resp.status_code} {resp.text[:200]}")
-        body = resp.json()
         try:
-            return body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            # a body that is not JSON raises ValueError, as a retry would too
+            return resp.json()["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise UnavailableError(f"malformed completion payload: {exc}") from exc
 
 

@@ -217,6 +217,10 @@ def cmd_attribute(args: argparse.Namespace, get: Callable[[str], object]) -> int
             raise CliError(f"caseno {args.caseno!r} not found in narratives")
     model = refmodel.TinyLM.load(args.model)
     tokenizer = refmodel.Tokenizer.load(args.tokenizer)
+    if model.vocab_size != tokenizer.size:
+        raise refmodel.RefModelError(
+            f"model vocabulary has {model.vocab_size} tokens but the tokenizer has {tokenizer.size}"
+        )
     cfg = attribution.NormalizationConfig(L=int(get("L")), b=int(get("b")))
     divisor = float(get("display_divisor"))
     records = []

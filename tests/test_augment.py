@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import pytest
+import requests
 
 from crashlens.augment import (
     AugmentationConfig,
     ConstraintKind,
     EmptyCompletionError,
+    HttpChatClient,
     StubChatClient,
     UnavailableError,
     augment,
@@ -180,6 +182,34 @@ def test_transport_exhaustion_raises_for_single_call():
     cfg = AugmentationConfig(max_retries=1, backoff_base=0.0)
     with pytest.raises(UnavailableError):
         augment(ORIGINAL, FlakyClient(failures=10), cfg)
+
+
+class HtmlSession:
+    """Stands in for requests.Session: every POST gets HTTP 200 with an HTML body."""
+
+    def __init__(self):
+        self.posts = 0
+
+    def post(self, url, json, headers, timeout):
+        self.posts += 1
+        resp = requests.Response()
+        resp.status_code = 200
+        resp._content = b"<html>busy</html>"
+        return resp
+
+
+def test_non_json_reply_falls_back_without_retrying(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("crashlens.augment.time.sleep", sleeps.append)
+    session = HtmlSession()
+    client = HttpChatClient(endpoint="http://localhost:9/v1/chat/completions", session=session)
+    cfg = AugmentationConfig(max_retries=3, backoff_base=0.5)
+    results = augment_batch([ORIGINAL, ORIGINAL], client, cfg)
+    assert session.posts == 2
+    assert sleeps == []
+    for text, report in results:
+        assert text == ORIGINAL
+        assert "UnavailableError: malformed completion payload" in report.error
 
 
 def test_empty_completion_rejected():

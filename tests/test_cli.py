@@ -279,3 +279,40 @@ def test_ingest_balance_applies_downsampling(tmp_path):
         json.loads(line)["crash"]["severity"] for line in out.read_text().splitlines()
     ]
     assert labels.count("NoApparentOrMinor") == labels.count("SeriousOrFatal")
+
+
+def test_attribute_rejects_tokenizer_of_another_vocabulary(pipeline, tmp_path):
+    d, _ = pipeline
+    few = tmp_path / "few.jsonl"
+    few.write_text("".join((d / "narratives.jsonl").read_text().splitlines(keepends=True)[:5]))
+    code, out = run_cli(
+        [
+            "train-ref",
+            "--narratives", str(few),
+            "--out-model", str(tmp_path / "model.json"),
+            "--out-tokenizer", str(tmp_path / "tok.json"),
+            "--epochs", "1",
+        ]
+    )
+    assert code == 0
+    small_vocab = json.loads(out)["vocab"]
+    proc = subprocess.run(
+        python_cli(
+            "attribute",
+            "--narratives", str(d / "narratives.jsonl"),
+            "--model", str(tmp_path / "model.json"),
+            "--tokenizer", str(d / "tok.json"),
+            "--method", "occlusion",
+            "--out", str(tmp_path / "attr.jsonl"),
+        ),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    err = json.loads(lines[0])
+    assert err["error"] == "RefModelError"
+    full_vocab = len(json.loads((d / "tok.json").read_text())["tokens"])
+    assert str(small_vocab) in err["detail"] and str(full_vocab) in err["detail"]
+    assert not (tmp_path / "attr.jsonl").exists()
