@@ -2,8 +2,8 @@
 
 Two routes to the same question ("how much did token n matter for output
 m"): exact occlusion, which literally deletes the token and re-runs the
-model, and a first-order Taylor approximation using one gradient pass per
-output position. Raw importances are normalized per output column to
+model on each distinct window that leaves, and a first-order Taylor
+approximation using one gradient pass per output position. Raw importances are normalized per output column to
 integers in (b, L], then folded up to word level for display.
 """
 

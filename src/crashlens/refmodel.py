@@ -4,6 +4,8 @@ The model embeds the last `window` context tokens, mixes them with learned
 per-slot weights, and maps the pooled vector through a linear-softmax head.
 Everything is float64 numpy with closed-form gradients, so attribution math
 downstream can be checked against finite differences to tight tolerances.
+Training and batch scoring run many windows at once as batched matmuls;
+the single-context functions below are the readable reference for them.
 """
 
 from __future__ import annotations

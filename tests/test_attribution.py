@@ -211,8 +211,9 @@ def test_aggregate_to_words_matches_quadratic_oracle():
         infos = [TokenInfo(text="<bos>", token_id=BOS_ID)]  # no span
         infos += [TokenInfo(text=tok.tokens[t], token_id=t, start=s, end=e) for t, s, e in spans]
         if rng.random() < 0.5:
-            # a span that crosses a word boundary belongs to no word
-            infos.append(TokenInfo(text="x", token_id=1, start=0, end=len(text) + 1))
+            # a span one past its word's end belongs to no word
+            _, start, end = spans[int(rng.integers(len(spans)))]
+            infos.append(TokenInfo(text="x", token_id=1, start=start, end=end + 1))
         infos.append(TokenInfo(text="<label>", token_id=3))  # response token, no span
         values = rng.normal(size=(len(infos), 2))
         matrix = ImportanceMatrix(
