@@ -3,8 +3,9 @@
 Two routes to the same question ("how much did token n matter for output
 m"): exact occlusion, which literally deletes the token and re-runs the
 model on each distinct window that leaves, and a first-order Taylor
-approximation using one gradient pass per output position. Raw importances are normalized per output column to
-integers in (b, L], then folded up to word level for display.
+approximation using one gradient pass per output position. Raw importances
+are normalized per output column to integers in (b, L], then folded up to
+word level for display.
 """
 
 from __future__ import annotations
@@ -212,9 +213,8 @@ def aggregate_to_words(
     """
     if display_divisor <= 0:
         raise ValueError("display_divisor must be positive")
-    n_rows = len(scores.input_tokens)
-    row_best = scores.scores.max(axis=1).tolist() if scores.scores.size else [0] * n_rows
     tokens = scores.input_tokens
+    row_best = scores.scores.max(axis=1).tolist() if scores.scores.size else [0] * len(tokens)
     # one merge over the tokens by start offset: a word collects the tokens
     # that start inside it and end by its end
     order = sorted((tok.start, i) for i, tok in enumerate(tokens) if tok.start is not None)

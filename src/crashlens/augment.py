@@ -172,7 +172,7 @@ class HttpChatClient:
         if resp.status_code >= 400:
             raise UnavailableError(f"request rejected: {resp.status_code} {resp.text[:200]}")
         try:
-            # a body that is not JSON raises ValueError, as a retry would too
+            # a body that is not JSON raises ValueError; a retry would get the same body
             return resp.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise UnavailableError(f"malformed completion payload: {exc}") from exc

@@ -204,24 +204,6 @@ class TinyLM:
     def distribution(self, context: Sequence[int]) -> np.ndarray:
         return self.distribution_given_window(self.embeddings[self._window_ids(context)])
 
-    def _windows(self, contexts: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-        """Window ids of each context, left-aligned and padded with BOS, and
-        the mask of the slots that hold a context token."""
-        ids = np.full((len(contexts), self.window), BOS_ID, dtype=np.intp)
-        real = np.zeros(ids.shape, dtype=bool)
-        for i, context in enumerate(contexts):
-            window = self._window_ids(context)
-            ids[i, : len(window)] = window
-            real[i, : len(window)] = True
-        return ids, real
-
-    def _pool(self, ids: np.ndarray, real: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Hidden vectors of many windows from one gather, with the per-row
-        slot weights (0 on padding) and gathered embeddings they came from."""
-        weights = np.where(real, self.position_weights, 0.0)
-        embs = self.embeddings[ids]
-        return np.matmul(weights[:, None, :], embs)[:, 0], weights, embs
-
     def _softmax_rows(self, hidden: np.ndarray) -> np.ndarray:
         probs = hidden @ self.output_weights
         probs += self.output_bias
@@ -231,8 +213,15 @@ class TinyLM:
         return probs
 
     def batch_probs(self, contexts: Sequence[Sequence[int]], target: int) -> np.ndarray:
-        """p(target | context) for many contexts in one output matmul."""
-        hidden, _, _ = self._pool(*self._windows(contexts))
+        """p(target | context) for many contexts: one gather, one output matmul."""
+        # windows left-aligned in a BOS-padded array; padding slots weigh 0
+        ids = np.full((len(contexts), self.window), BOS_ID, dtype=np.intp)
+        weights = np.zeros(ids.shape)
+        for i, context in enumerate(contexts):
+            window = self._window_ids(context)
+            ids[i, : len(window)] = window
+            weights[i, : len(window)] = self.position_weights[: len(window)]
+        hidden = np.matmul(weights[:, None, :], self.embeddings[ids])[:, 0]
         return self._softmax_rows(hidden)[:, target]
 
     def prob_given_window(self, window_embs: np.ndarray, target: int) -> float:
@@ -317,58 +306,72 @@ def grad_logit_wrt_embeddings(
 
 
 @dataclass(frozen=True)
-class _LossPositions:
-    """Every loss position of a list of examples, laid out for batched passes.
+class _Example:
+    """An example's loss positions, laid out over the run of tokens that
+    their windows read.
 
-    Row r holds the window before a loss position (`TinyLM._windows`
-    layout) and the token to predict there. Rows run in example order;
-    example i owns rows spans[i][0]:spans[i][1].
+    slots[i, p] is the window slot through which loss position p reads run
+    token i, or W (weight 0) where p does not read it. A position with an
+    empty context reads <bos>, appended as the last run token.
     """
 
-    ids: np.ndarray
-    real: np.ndarray
+    run: np.ndarray  # vocabulary id of each run token
+    slots: np.ndarray  # len(run) x positions
     targets: np.ndarray
-    spans: list[tuple[int, int]]
+    rows: np.ndarray  # the distinct ids of run, the embedding rows a step updates
+    offsets: np.ndarray  # dim * (index into rows) of each run token
 
     @classmethod
-    def of(cls, model: TinyLM, examples: Sequence[TrainingExample]) -> "_LossPositions":
-        contexts: list[Sequence[int]] = []
-        targets: list[int] = []
-        spans = []
-        for ex in examples:
-            start = len(targets)
-            for j in np.flatnonzero(ex.loss_mask):
-                contexts.append(ex.tokens[:j])
-                targets.append(ex.tokens[j])
-            spans.append((start, len(targets)))
-        ids, real = model._windows(contexts)
-        return cls(ids, real, np.array(targets, dtype=np.intp), spans)
+    def of(cls, ex: TrainingExample, window: int, dim: int) -> Optional["_Example"]:
+        j = np.flatnonzero(ex.loss_mask)
+        if not len(j):
+            return None
+        k = np.minimum(j, window)  # window length, 0 for an empty context
+        lo, hi = int((j - k).min()), int(j.max())
+        slot = np.arange(lo, hi)[:, None] - (j - k)
+        slots = np.where((slot >= 0) & (slot < k), slot, window)
+        run = np.asarray(ex.tokens[lo:hi], dtype=np.intp)
+        if k.min() == 0:
+            run = np.append(run, BOS_ID)
+            slots = np.vstack([slots, np.where(k == 0, 0, window)])
+        rows, inverse = np.unique(run, return_inverse=True)
+        targets = np.asarray(ex.tokens, dtype=np.intp)[j]
+        return cls(run, slots, targets, rows, inverse * dim)
+
+    def pool(self, model: TinyLM) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hidden vectors of the loss positions, with the slot weights
+        (run x positions) and run embeddings they came from."""
+        weights = np.append(model.position_weights, 0.0)[self.slots]
+        embs = model.embeddings[self.run]
+        return weights.T @ embs, weights, embs
 
 
-# loss positions per forward pass in _corpus_nll; bounds the gathered
-# windows and the logits to a few MB whatever the corpus size
+# loss positions per output matmul in _corpus_nll; bounds the logits to a
+# few MB whatever the corpus size
 _NLL_CHUNK = 1024
 
 
-def _corpus_nll(model: TinyLM, positions: _LossPositions) -> float:
-    """Mean NLL over all loss positions, one forward pass per chunk of them."""
+def _corpus_nll(model: TinyLM, examples: Sequence[_Example]) -> float:
+    """Mean NLL over all loss positions, one output matmul per chunk of them."""
+    if not examples:
+        return 0.0
+    hidden = np.concatenate([ex.pool(model)[0] for ex in examples])
+    targets = np.concatenate([ex.targets for ex in examples])
     nll = []
-    for lo in range(0, len(positions.targets), _NLL_CHUNK):
-        chunk = slice(lo, lo + _NLL_CHUNK)
-        hidden, _, _ = model._pool(positions.ids[chunk], positions.real[chunk])
-        probs = model._softmax_rows(hidden)
-        p = probs[np.arange(len(probs)), positions.targets[chunk]]
+    for lo in range(0, len(targets), _NLL_CHUNK):
+        probs = model._softmax_rows(hidden[lo : lo + _NLL_CHUNK])
+        p = probs[np.arange(len(probs)), targets[lo : lo + _NLL_CHUNK]]
         nll.append(-np.log(np.maximum(p, 1e-300)))
-    return float(np.concatenate(nll).mean()) if nll else 0.0
+    return float(np.concatenate(nll).mean())
 
 
 def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfig) -> TinyLM:
     """SGD on the masked next-token NLL; deterministic for a given seed.
 
     One parameter update per example, from the gradients summed over its
-    unmasked positions, which are computed together as batched matmuls.
-    Windows, targets and the embedding rows each example reads are fixed
-    before the first epoch, and an update writes only those rows. Masked
+    unmasked positions, which are computed together as matmuls over the
+    run of tokens their windows read. That layout is fixed before the first
+    epoch, and an update writes only the embedding rows of the run. Masked
     (False) positions contribute nothing, so an all-masked example leaves
     the parameters untouched.
     """
@@ -379,40 +382,36 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
     m = model.copy()
     m.loss_history = []
     rng = np.random.default_rng(config.seed)
-    lr, d = config.lr, m.dim
-    positions = _LossPositions.of(m, examples)
-    steps = []
-    for lo, hi in positions.spans:
-        # the embedding row of every slot, in (position, slot) order
-        rows, inverse = np.unique(positions.ids[lo:hi].ravel(), return_inverse=True)
-        steps.append((slice(lo, hi), rows, inverse * d))
+    lr, d, w = config.lr, m.dim, m.window
+    layouts = [_Example.of(ex, w, d) for ex in examples]
+    scored = [ex for ex in layouts if ex is not None]
     columns = np.arange(d)
     grad_u = np.empty_like(m.output_weights)  # reused: a fresh d x V array per step costs page faults
 
     for epoch in range(config.epochs):
         for idx in rng.permutation(len(examples)):
-            span, rows, offsets = steps[idx]
-            if not len(rows):
+            ex = layouts[idx]
+            if ex is None:
                 continue
-            targets, real = positions.targets[span], positions.real[span]
-            hidden, weights, embs = m._pool(positions.ids[span], real)
+            hidden, weights, embs = ex.pool(m)
             dz = m._softmax_rows(hidden)
-            dz[np.arange(len(targets)), targets] -= 1.0  # dNLL/dlogits = p - onehot
+            dz[np.arange(len(ex.targets)), ex.targets] -= 1.0  # dNLL/dlogits = p - onehot
             dh = dz @ m.output_weights.T
-            grad_a = (np.matmul(embs, dh[:, :, None])[:, :, 0] * real).sum(axis=0)
-            # a_slot * dh summed onto each slot's row; bincount adds in slot
-            # order, as a per-slot loop would, and padding slots add zeros
-            slot_grads = weights[:, :, None] * dh[:, None, :]
+            # dNLL/da_s: e_i . dh_p summed over the (i, p) read through slot s
+            grad_a = np.bincount(ex.slots.ravel(), (embs @ dh.T).ravel(), w + 1)[:w]
+            # dNLL/de of each run token, summed onto its embedding row in run
+            # order (for a single position, the order of its slots)
+            grad_run = weights @ dh
             grad_rows = np.bincount(
-                (offsets[:, None] + columns).ravel(), slot_grads.ravel(), len(rows) * d
+                (ex.offsets[:, None] + columns).ravel(), grad_run.ravel(), len(ex.rows) * d
             )
-            m.embeddings[rows] -= lr * grad_rows.reshape(len(rows), d)
+            m.embeddings[ex.rows] -= lr * grad_rows.reshape(len(ex.rows), d)
             m.position_weights -= lr * grad_a
             np.dot(hidden.T, dz, out=grad_u)
             grad_u *= lr
             m.output_weights -= grad_u
             m.output_bias -= lr * dz.sum(axis=0)
-        nll = _corpus_nll(m, positions)
+        nll = _corpus_nll(m, scored)
         if not np.isfinite(nll):
             raise TrainingDivergedError(epoch)
         m.loss_history.append(nll)
