@@ -7,8 +7,9 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from crashlens.narrator import load_lexicon, load_templates, normalize, render
+from crashlens.narrator import load_lexicon, load_templates, normalize, pair_to_dict, render
 from crashlens.schema import Severity, integrate, load_tables, stratified_downsample
+from crashlens.util import atomic_write_jsonl
 
 OUT = Path(__file__).parent / "out"
 
@@ -50,9 +51,7 @@ def main() -> None:
 
     OUT.mkdir(exist_ok=True)
     out = OUT / "narratives.jsonl"
-    from crashlens.narrator import write_pairs
-
-    write_pairs(pairs, out)
+    atomic_write_jsonl(out, [pair_to_dict(p) for p in pairs])
     print(f"wrote {len(pairs)} narrative pairs to {out}")
 
 

@@ -253,22 +253,18 @@ def summarize_factors(
     category_lexicon: Optional[Mapping[AspectCategory, Sequence[str]]] = None,
     temperature: float = 0.0,
 ) -> FactorSummary:
-    """LLM factor summary with one repair retry, then rule-based fallback."""
+    """LLM factor summary with one repair request; falls back to the rules
+    when the reply cannot be repaired or the client is unavailable."""
+    user = annotated
     try:
-        completion = client.send(prompt_template, annotated, temperature)
-    except (ConnectionError, TimeoutError, OSError) as exc:
-        raise UnavailableError(str(exc)) from exc
-    for attempt in range(2):
-        try:
-            return _parse_factor_payload(completion, caseno)
-        except (ValueError, KeyError, TypeError, IndexError):
-            if attempt == 0:
-                try:
-                    completion = client.send(
-                        prompt_template, f"{annotated}\n\n{_REPAIR_PROMPT}", temperature
-                    )
-                except (ConnectionError, TimeoutError, OSError) as exc:
-                    raise UnavailableError(str(exc)) from exc
+        for _ in range(2):
+            completion = client.send(prompt_template, user, temperature)
+            try:
+                return _parse_factor_payload(completion, caseno)
+            except (ValueError, KeyError, TypeError, IndexError):
+                user = f"{annotated}\n\n{_REPAIR_PROMPT}"
+    except UnavailableError:
+        pass
     _, words = parse_annotated(annotated)
     return rule_based_factors(words, category_lexicon, caseno=caseno)
 

@@ -15,9 +15,12 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol, Sequence, TypeVar
 
 import requests
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 DEFAULT_SYSTEM_PROMPT = (
     "You are a professional editor specializing in rewriting traffic accident "
@@ -90,23 +93,23 @@ class AugmentationConfig:
     system_prompt: str = DEFAULT_SYSTEM_PROMPT
     temperature: float = 0.1
     constraints: tuple[PreservationConstraint, ...] = DEFAULT_CONSTRAINTS
-    batch_size: int = 4
-    model_name: str = "gpt-4o"
-    endpoint: str = ""
-    max_retries: int = 3
-    backoff_base: float = 0.5
 
     def __post_init__(self):
         if not 0.0 <= self.temperature <= 2.0:
             raise ValueError(f"temperature {self.temperature} outside [0, 2]")
         if not self.constraints:
             raise ValueError("constraints must be non-empty")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
 
 
 class ChatClient(Protocol):
+    """`send` returns the completion or raises UnavailableError."""
+
     def send(self, system: str, user: str, temperature: float) -> str: ...
+
+
+# HttpChatClient's transport retries: attempts, sleeping BACKOFF_BASE_S * 2**k between them
+MAX_ATTEMPTS = 4
+BACKOFF_BASE_S = 0.5
 
 
 class StubChatClient:
@@ -133,7 +136,12 @@ class StubChatClient:
 
 
 class HttpChatClient:
-    """Minimal chat-completion client (system/user roles, temperature)."""
+    """Minimal chat-completion client (system/user roles, temperature).
+
+    Transport failures and 5xx replies are retried MAX_ATTEMPTS times in all;
+    a 4xx reply or a malformed body fails at once, since a retry would get
+    the same answer.
+    """
 
     def __init__(
         self,
@@ -163,19 +171,25 @@ class HttpChatClient:
                 {"role": "user", "content": user},
             ],
         }
-        try:
-            resp = self.session.post(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise ConnectionError(str(exc)) from exc
-        if resp.status_code >= 500:
-            raise ConnectionError(f"server error {resp.status_code}")
-        if resp.status_code >= 400:
-            raise UnavailableError(f"request rejected: {resp.status_code} {resp.text[:200]}")
-        try:
-            # a body that is not JSON raises ValueError; a retry would get the same body
-            return resp.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise UnavailableError(f"malformed completion payload: {exc}") from exc
+        failure = ""
+        for attempt in range(MAX_ATTEMPTS):
+            if attempt:
+                time.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
+            try:
+                resp = self.session.post(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
+            except OSError as exc:  # every requests exception is an OSError
+                failure = f"{type(exc).__name__}: {exc}"
+                continue
+            if resp.status_code >= 500:
+                failure = f"server error {resp.status_code}"
+                continue
+            if resp.status_code >= 400:
+                raise UnavailableError(f"request rejected: {resp.status_code} {resp.text[:200]}")
+            try:
+                return resp.json()["choices"][0]["message"]["content"]
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                raise UnavailableError(f"malformed completion payload: {exc}") from exc
+        raise UnavailableError(f"transport failed after {MAX_ATTEMPTS} attempts: {failure}")
 
 
 def build_system_prompt(cfg: AugmentationConfig) -> str:
@@ -185,25 +199,13 @@ def build_system_prompt(cfg: AugmentationConfig) -> str:
 
 
 def augment(narrative: str, client: ChatClient, cfg: AugmentationConfig) -> str:
-    """One constrained rewrite; retries transient transport failures."""
+    """One constrained rewrite; UnavailableError from the client passes through."""
     if not narrative.strip():
         raise ValueError("narrative is empty")
-    system = build_system_prompt(cfg)
-    last_exc: Optional[Exception] = None
-    for attempt in range(cfg.max_retries + 1):
-        try:
-            completion = client.send(system, narrative, cfg.temperature)
-        except UnavailableError:
-            raise
-        except (ConnectionError, TimeoutError, OSError) as exc:
-            last_exc = exc
-            if attempt < cfg.max_retries and cfg.backoff_base > 0:
-                time.sleep(cfg.backoff_base * (2**attempt))
-            continue
-        if not completion or not completion.strip():
-            raise EmptyCompletionError("model returned an empty completion")
-        return completion
-    raise UnavailableError(f"transport failed after {cfg.max_retries + 1} attempts: {last_exc}")
+    completion = client.send(build_system_prompt(cfg), narrative, cfg.temperature)
+    if not completion or not completion.strip():
+        raise EmptyCompletionError("model returned an empty completion")
+    return completion
 
 
 @dataclass
@@ -353,6 +355,15 @@ def verify_preservation(
     return ConstraintReport(results)
 
 
+def bounded_map(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1) -> list[R]:
+    """`[fn(x) for x in items]` on at most `jobs` threads, in input order."""
+    workers = max(1, min(jobs, len(items)))
+    if workers == 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def augment_batch(
     narratives: Sequence[str],
     client: ChatClient,
@@ -374,8 +385,4 @@ def augment_batch(
         report = verify_preservation(narrative, completion, cfg.constraints)
         return (completion, report) if report.passed else (narrative, report)
 
-    workers = max(1, min(jobs, len(narratives) or 1))
-    if workers == 1:
-        return [one(n) for n in narratives]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, narratives))
+    return bounded_map(one, narratives, jobs)

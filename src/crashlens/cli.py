@@ -25,6 +25,7 @@ from .augment import (
     HttpChatClient,
     StubChatClient,
     augment_batch,
+    bounded_map,
 )
 from .util import atomic_write_json, atomic_write_jsonl
 
@@ -148,9 +149,7 @@ def cmd_narrate(args: argparse.Namespace, get: Callable[[str], object]) -> int:
 
 def cmd_augment(args: argparse.Namespace, get: Callable[[str], object]) -> int:
     pairs = narrator.read_pairs(args.narratives)
-    cfg = AugmentationConfig(
-        temperature=float(get("temperature")), endpoint=str(get("endpoint") or "")
-    )
+    cfg = AugmentationConfig(temperature=float(get("temperature")))
     client = _chat_client(get)
     results = augment_batch(
         [p.descriptive for p in pairs], client, cfg, jobs=int(get("jobs") or 1)
@@ -255,23 +254,25 @@ def cmd_analyze(args: argparse.Namespace, get: Callable[[str], object]) -> int:
     rules = analytics.load_grouping_rules(get("grouping_rules"))
     lexicon = analytics.load_category_lexicon(get("category_lexicon"))
     client = None if get("offline") else _chat_client(get)
+
+    def summarize(rec: dict) -> analytics.FactorSummary:
+        if client is None:
+            _, words = attribution.parse_annotated(rec["annotated"])
+            return analytics.rule_based_factors(words, lexicon, caseno=rec["caseno"])
+        return analytics.summarize_factors(
+            rec["annotated"], client, caseno=rec["caseno"], category_lexicon=lexicon
+        )
+
+    summaries = bounded_map(summarize, records, int(get("jobs") or 1))
     out_records = []
     per_case_grouped = []
-    for rec in records:
-        annotated, caseno = rec["annotated"], rec["caseno"]
-        if client is None:
-            _, words = attribution.parse_annotated(annotated)
-            summary = analytics.rule_based_factors(words, lexicon, caseno=caseno)
-        else:
-            summary = analytics.summarize_factors(
-                annotated, client, caseno=caseno, category_lexicon=lexicon
-            )
+    for rec, summary in zip(records, summaries):
         top = analytics.extract_top_factors(summary, k=int(get("top_k")))
         grouped = analytics.semantic_group(top, rules)
         per_case_grouped.append(grouped)
         out_records.append(
             {
-                "caseno": caseno,
+                "caseno": rec["caseno"],
                 "source": summary.source,
                 "categories": {
                     cat.value: {
@@ -351,7 +352,11 @@ def cmd_eval(args: argparse.Namespace, get: Callable[[str], object]) -> int:
         raise CliError("no narratives left to evaluate")
     client = _chat_client(get)
     predictions, golds = evaluation.run_evaluation(
-        eval_pairs, strategy, client, temperature=float(get("temperature"))
+        eval_pairs,
+        strategy,
+        client,
+        temperature=float(get("temperature")),
+        jobs=int(get("jobs") or 1),
     )
     report = evaluation.compute_metrics(predictions, golds)
     atomic_write_jsonl(

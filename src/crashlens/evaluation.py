@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .augment import ChatClient, UnavailableError
+from .augment import ChatClient, UnavailableError, bounded_map
 from .narrator import NarrativePair
 from .schema import Severity
 
@@ -260,21 +260,21 @@ def run_evaluation(
     strategy: PromptStrategy,
     client: ChatClient,
     temperature: float = 0.0,
+    jobs: int = 1,
 ) -> tuple[list[Prediction], list[Severity]]:
-    predictions = []
-    golds = []
-    for pair in pairs:
+    """One prediction per pair, in order; an unavailable client costs only
+    that case, which is recorded as an empty completion (a failed parse)."""
+
+    def predict(pair: NarrativePair) -> Prediction:
         system, user = build_prompt(strategy, pair.descriptive)
         try:
             completion = client.send(system, user, temperature)
-        except (ConnectionError, TimeoutError, OSError) as exc:
-            raise UnavailableError(str(exc)) from exc
+        except UnavailableError:
+            completion = ""
         label, status = parse_label(completion, strategy.kind)
-        predictions.append(
-            Prediction(caseno=pair.caseno, raw_output=completion, label=label, parse_status=status)
-        )
-        golds.append(pair.label)
-    return predictions, golds
+        return Prediction(caseno=pair.caseno, raw_output=completion, label=label, parse_status=status)
+
+    return bounded_map(predict, pairs, jobs), [pair.label for pair in pairs]
 
 
 @dataclass(frozen=True)

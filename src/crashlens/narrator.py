@@ -387,13 +387,6 @@ def pair_to_dict(pair: NarrativePair) -> dict:
     }
 
 
-def write_pairs(pairs: Sequence[NarrativePair], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            fh.write(json.dumps(pair_to_dict(pair), ensure_ascii=False))
-            fh.write("\n")
-
-
 def read_pairs(path: str | Path) -> list[NarrativePair]:
     pairs = []
     with open(path, encoding="utf-8") as fh:

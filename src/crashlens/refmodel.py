@@ -425,20 +425,14 @@ class DecodeTrace:
 
 
 def classify(model: TinyLM, tokenizer: Tokenizer, narrative: str) -> tuple[Severity, DecodeTrace]:
-    """Greedy constrained decode: pick the label sequence with higher log-prob.
-
-    Ties go to the minor-injury label, flagged in the trace.
+    """Constrained decode: pick the label token with the higher log-prob,
+    both scored from one forward pass. Ties go to the minor-injury label,
+    flagged in the trace.
     """
-    context = [BOS_ID] + tokenizer.encode(narrative)
-    scores: dict[Severity, float] = {}
-    for sev in Severity:
-        seq = [tokenizer.label_id(sev)]
-        logp = 0.0
-        running = list(context)
-        for tok in seq:
-            logp += float(np.log(max(prob(model, running, tok), 1e-300)))
-            running.append(tok)
-        scores[sev] = logp
+    dist = model.distribution([BOS_ID] + tokenizer.encode(narrative))
+    scores = {
+        sev: float(np.log(max(float(dist[tokenizer.label_id(sev)]), 1e-300))) for sev in Severity
+    }
     tie = scores[Severity.MINOR] == scores[Severity.SEVERE]
     winner = Severity.MINOR if scores[Severity.MINOR] >= scores[Severity.SEVERE] else Severity.SEVERE
     return winner, DecodeTrace(log_scores=scores, tie=tie)

@@ -607,14 +607,6 @@ def case_from_dict(d: dict) -> CrashCase:
     return CrashCase(crash=crash, segment=segment, units=units)
 
 
-def serialize_cases(cases: Sequence[CrashCase], path: str | Path) -> None:
-    """Write one JSON object per line, UTF-8, stable key order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for case in cases:
-            fh.write(json.dumps(case_to_dict(case), ensure_ascii=False))
-            fh.write("\n")
-
-
 def deserialize_cases(path: str | Path) -> list[CrashCase]:
     cases = []
     with open(path, encoding="utf-8") as fh:

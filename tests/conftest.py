@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+import threading
 from importlib import resources
 from pathlib import Path
 
@@ -69,6 +70,28 @@ def run_cli(args: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(buf):
         code = main(args)
     return code, buf.getvalue()
+
+
+class OverlapProbe:
+    """Chat client wrapper that tells whether two requests were ever in flight
+    at once: the first request waits up to 5 s for a second one to start."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.overlapped = False
+        self._second = threading.Event()
+        self._lock = threading.Lock()
+        self._calls = 0
+
+    def send(self, system: str, user: str, temperature: float) -> str:
+        with self._lock:
+            self._calls += 1
+            nth = self._calls
+        if nth == 1:
+            self.overlapped = self._second.wait(timeout=5.0)
+        elif nth == 2:
+            self._second.set()
+        return self.inner.send(system, user, temperature)
 
 
 def python_cli(*args: str) -> list[str]:

@@ -396,9 +396,21 @@ def test_summarize_factors_repair_can_succeed():
     assert summary.source == "llm"
 
 
-def test_summarize_factors_transport_error_raises():
-    with pytest.raises(UnavailableError):
-        summarize_factors("x[1.00]", ScriptedClient([ConnectionError("down")]))
+def test_summarize_factors_unavailable_client_falls_back_to_rules():
+    annotated = "the dusk[3.00] crash"
+    client = ScriptedClient([UnavailableError("transport failed after 4 attempts")])
+    summary = summarize_factors(annotated, client)
+    assert client.calls == 1
+    assert summary.source == "rules"
+    env = summary.categories[AspectCategory.ENVIRONMENTAL].terms
+    assert [t.term for t in env] == ["dusk"]
+
+
+def test_summarize_factors_unavailable_repair_falls_back_to_rules():
+    client = ScriptedClient(["not json", UnavailableError("down")])
+    summary = summarize_factors("the dusk[3.00] crash", client)
+    assert client.calls == 2
+    assert summary.source == "rules"
 
 
 def test_category_lexicon_loads_all_aspects():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 import requests
 
@@ -148,63 +150,102 @@ def test_batch_parallel_matches_serial(pairs):
     assert [t for t, _ in serial] == [t for t, _ in parallel]
 
 
-class FlakyClient:
-    """Fails with a transport error n times, then echoes."""
-
-    def __init__(self, failures: int):
-        self.failures = failures
-        self.calls = 0
-
-    def send(self, system: str, user: str, temperature: float) -> str:
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise ConnectionError("boom")
-        return user
+ENDPOINT = "http://localhost:9/v1/chat/completions"
 
 
-def test_transport_retry_then_success():
-    cfg = AugmentationConfig(max_retries=3, backoff_base=0.0)
-    client = FlakyClient(failures=2)
-    assert augment(ORIGINAL, client, cfg) == ORIGINAL
-    assert client.calls == 3
+def _reply(status: int, body: bytes) -> requests.Response:
+    resp = requests.Response()
+    resp.status_code = status
+    resp._content = body
+    return resp
 
 
-def test_transport_exhaustion_is_flagged_not_raised_in_batch():
-    cfg = AugmentationConfig(max_retries=1, backoff_base=0.0)
-    results = augment_batch([ORIGINAL], FlakyClient(failures=10), cfg)
-    text, report = results[0]
-    assert text == ORIGINAL
-    assert report.error is not None
-    assert "UnavailableError" in report.error
+def _completion(text: str) -> requests.Response:
+    return _reply(200, json.dumps({"choices": [{"message": {"content": text}}]}).encode())
 
 
-def test_transport_exhaustion_raises_for_single_call():
-    cfg = AugmentationConfig(max_retries=1, backoff_base=0.0)
-    with pytest.raises(UnavailableError):
-        augment(ORIGINAL, FlakyClient(failures=10), cfg)
+class ScriptedSession:
+    """Stands in for requests.Session. Each POST takes the next scripted outcome
+    (a response, or an exception to raise), then `rest` for every later POST;
+    without `rest` it answers by echoing the user turn."""
 
-
-class HtmlSession:
-    """Stands in for requests.Session: every POST gets HTTP 200 with an HTML body."""
-
-    def __init__(self):
+    def __init__(self, outcomes=(), rest=None):
+        self.outcomes = list(outcomes)
+        self.rest = rest
         self.posts = 0
 
     def post(self, url, json, headers, timeout):
         self.posts += 1
-        resp = requests.Response()
-        resp.status_code = 200
-        resp._content = b"<html>busy</html>"
-        return resp
+        outcome = self.outcomes.pop(0) if self.outcomes else self.rest
+        if outcome is None:
+            return _completion(json["messages"][1]["content"])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
 
-def test_non_json_reply_falls_back_without_retrying(monkeypatch):
-    sleeps = []
-    monkeypatch.setattr("crashlens.augment.time.sleep", sleeps.append)
-    session = HtmlSession()
-    client = HttpChatClient(endpoint="http://localhost:9/v1/chat/completions", session=session)
-    cfg = AugmentationConfig(max_retries=3, backoff_base=0.5)
-    results = augment_batch([ORIGINAL, ORIGINAL], client, cfg)
+def html_session() -> ScriptedSession:
+    return ScriptedSession(rest=_reply(200, b"<html>busy</html>"))
+
+
+def down_session() -> ScriptedSession:
+    return ScriptedSession(rest=requests.ConnectionError("connection refused"))
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    slept = []
+    monkeypatch.setattr("crashlens.augment.time.sleep", slept.append)
+    return slept
+
+
+def test_transport_retry_then_success(sleeps):
+    session = ScriptedSession([requests.ConnectionError("boom"), _reply(503, b"busy")])
+    client = HttpChatClient(endpoint=ENDPOINT, session=session)
+    assert client.send("system", ORIGINAL, 0.0) == ORIGINAL
+    assert session.posts == 3
+    assert sleeps == [0.5, 1.0]
+
+
+def test_client_gives_up_after_four_attempts(sleeps):
+    session = down_session()
+    client = HttpChatClient(endpoint=ENDPOINT, session=session)
+    with pytest.raises(UnavailableError, match="after 4 attempts"):
+        client.send("system", ORIGINAL, 0.0)
+    assert session.posts == 4
+    assert sleeps == [0.5, 1.0, 2.0]
+
+
+def test_client_rejected_request_is_not_retried(sleeps):
+    session = ScriptedSession([_reply(400, b"bad request")])
+    client = HttpChatClient(endpoint=ENDPOINT, session=session)
+    with pytest.raises(UnavailableError, match="request rejected: 400"):
+        client.send("system", ORIGINAL, 0.0)
+    assert session.posts == 1
+    assert sleeps == []
+
+
+def test_transport_exhaustion_is_flagged_not_raised_in_batch(sleeps):
+    session = down_session()
+    client = HttpChatClient(endpoint=ENDPOINT, session=session)
+    results = augment_batch([ORIGINAL], client, AugmentationConfig())
+    text, report = results[0]
+    assert text == ORIGINAL
+    assert report.error is not None
+    assert "UnavailableError" in report.error
+    assert session.posts == 4
+
+
+def test_transport_exhaustion_raises_for_single_call(sleeps):
+    client = HttpChatClient(endpoint=ENDPOINT, session=down_session())
+    with pytest.raises(UnavailableError):
+        augment(ORIGINAL, client, AugmentationConfig())
+
+
+def test_non_json_reply_falls_back_without_retrying(sleeps):
+    session = html_session()
+    client = HttpChatClient(endpoint=ENDPOINT, session=session)
+    results = augment_batch([ORIGINAL, ORIGINAL], client, AugmentationConfig())
     assert session.posts == 2
     assert sleeps == []
     for text, report in results:

@@ -316,3 +316,81 @@ def test_attribute_rejects_tokenizer_of_another_vocabulary(pipeline, tmp_path):
     full_vocab = len(json.loads((d / "tok.json").read_text())["tokens"])
     assert str(small_vocab) in err["detail"] and str(full_vocab) in err["detail"]
     assert not (tmp_path / "attr.jsonl").exists()
+
+
+def _factor_reply(user: str) -> str:
+    """A pure function of the request: unavailable for some records, prose
+    (so the repair request runs) for others, else a factor JSON."""
+    from crashlens.analytics import AspectCategory
+    from crashlens.attribution import parse_annotated
+    from crashlens.augment import UnavailableError
+
+    if len(user) % 11 == 0:
+        raise UnavailableError("transport failed after 4 attempts")
+    if len(user) % 3 == 0:
+        return "Here are the factors you asked for."
+    _, words = parse_annotated(user.split("\n\n")[0])
+    doc = {cat.value: {"summary": cat.value, "terms": []} for cat in AspectCategory}
+    doc["behavioral"]["terms"] = [[w.word, w.score] for w in sorted(words, key=lambda w: -w.score)[:3]]
+    return json.dumps(doc)
+
+
+def test_analyze_jobs_match_serial_and_fall_back_per_record(pipeline, tmp_path, monkeypatch):
+    from conftest import OverlapProbe
+    from crashlens import cli
+    from crashlens.augment import StubChatClient
+
+    d, _ = pipeline
+    probes = []
+
+    def client(get):
+        probes.append(OverlapProbe(StubChatClient(transform=_factor_reply)))
+        return probes[-1]
+
+    monkeypatch.setattr(cli, "_chat_client", client)
+    outputs = []
+    for jobs in ("1", "4"):
+        out, graph = tmp_path / f"factors{jobs}.jsonl", tmp_path / f"graph{jobs}.json"
+        code, _ = run_cli(
+            [
+                "analyze", "--jobs", jobs,
+                "--attributions", str(d / "attr_occ.jsonl"),
+                "--out", str(out),
+                "--graph-out", str(graph),
+            ]
+        )
+        assert code == 0
+        outputs.append((out.read_bytes(), graph.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert probes[1].overlapped
+    records = [json.loads(line) for line in outputs[0][0].decode().splitlines()]
+    assert len(records) == len((d / "attr_occ.jsonl").read_text().splitlines())
+    assert {r["source"] for r in records} == {"llm", "rules"}
+
+
+def test_eval_unavailable_case_costs_only_that_case(pipeline, tmp_path, monkeypatch):
+    from crashlens import cli, narrator
+    from crashlens.augment import StubChatClient, UnavailableError
+
+    d, _ = pipeline
+    pairs = narrator.read_pairs(d / "narratives.jsonl")
+    down = pairs[3]
+
+    def answer(user: str) -> str:
+        if user.endswith(down.descriptive):
+            raise UnavailableError("transport failed after 4 attempts")
+        return "Serious injury or fatal"
+
+    monkeypatch.setattr(cli, "_chat_client", lambda get: StubChatClient(transform=answer))
+    out = tmp_path / "pred.jsonl"
+    code, summary = run_cli(
+        ["eval", "--narratives", str(d / "narratives.jsonl"), "--strategy", "zs", "--out", str(out)]
+    )
+    assert code == 0
+    assert json.loads(summary)["cases"] == len(pairs)
+    preds = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [p["caseno"] for p in preds] == [p.caseno for p in pairs]
+    failed = [p for p in preds if p["parse_status"] == "failed"]
+    assert failed == [
+        {"caseno": down.caseno, "raw_output": "", "label": None, "parse_status": "failed"}
+    ]

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import OverlapProbe
+from crashlens.augment import StubChatClient, UnavailableError
 from crashlens.evaluation import (
     SFT_QUESTION,
     SFT_SYSTEM_PROMPT,
@@ -264,6 +266,41 @@ def test_run_evaluation_collects_predictions_and_golds():
     assert report.total == 3
     assert report.n_failed_parses == 1
     assert report.accuracy == pytest.approx(2 / 3)
+
+
+def test_run_evaluation_unavailable_case_costs_only_that_case():
+    def answer(user: str) -> str:
+        if user.endswith("crash two"):
+            raise UnavailableError("transport failed after 4 attempts")
+        return "Serious injury or fatal"
+
+    predictions, golds = run_evaluation(
+        _pairs(), PromptStrategy(StrategyKind.ZERO_SHOT), StubChatClient(transform=answer)
+    )
+    assert [p.caseno for p in predictions] == ["A", "B", "C"]
+    assert predictions[1].raw_output == ""
+    assert predictions[1].label is None
+    assert predictions[1].parse_status is ParseStatus.FAILED
+    assert predictions[2].label is SEVERE
+    report = compute_metrics(predictions, golds)
+    assert report.n_failed_parses == 1
+    assert report.accuracy == pytest.approx(1 / 3)
+
+
+def test_run_evaluation_parallel_matches_serial(pairs):
+    def answer(user: str) -> str:
+        # a pure function of the request, including a few unavailable cases
+        if len(user) % 7 == 0:
+            raise UnavailableError("down")
+        return "Serious injury or fatal" if len(user) % 2 else "no apparent injury, I think"
+
+    strategy = PromptStrategy(StrategyKind.CHAIN_OF_THOUGHT)
+    serial = run_evaluation(pairs, strategy, StubChatClient(transform=answer), jobs=1)
+    probe = OverlapProbe(StubChatClient(transform=answer))
+    parallel = run_evaluation(pairs, strategy, probe, jobs=4)
+    assert parallel == serial
+    assert probe.overlapped
+    assert {p.parse_status for p in serial[0]} == set(ParseStatus)
 
 
 # --- SFT records ---

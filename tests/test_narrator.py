@@ -16,11 +16,12 @@ from crashlens.narrator import (
     load_lexicon,
     load_templates,
     normalize,
+    pair_to_dict,
     read_pairs,
     render,
-    write_pairs,
 )
 from crashlens.schema import Severity
+from crashlens.util import atomic_write_jsonl
 
 SHOWCASE_OPENING = (
     "On June 29, 2022, at 8:00 PM, a traffic accident occurred on "
@@ -159,7 +160,7 @@ def test_ordinal_and_article():
 
 def test_pairs_round_trip(tmp_path, pairs):
     path = tmp_path / "pairs.jsonl"
-    write_pairs(pairs, path)
+    atomic_write_jsonl(path, [pair_to_dict(p) for p in pairs])
     assert read_pairs(path) == pairs
 
 

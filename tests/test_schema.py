@@ -19,10 +19,10 @@ from crashlens.schema import (
     integrate,
     link_segment,
     load_tables,
-    serialize_cases,
     stratified_downsample,
 )
 from crashlens.synth import random_tables, severity_cases
+from crashlens.util import atomic_write_jsonl
 
 
 def _segment(route: str, lo: float, hi: float) -> RoadSegment:
@@ -248,7 +248,7 @@ def test_downsample_rejects_impossible_ratio():
 
 def test_case_serialization_round_trip(cases, tmp_path):
     path = tmp_path / "cases.jsonl"
-    serialize_cases(cases, path)
+    atomic_write_jsonl(path, [case_to_dict(c) for c in cases])
     back = deserialize_cases(path)
     assert back == cases
 
@@ -260,7 +260,7 @@ def test_case_dict_round_trip(cases):
 
 def test_deserialize_reports_bad_line(tmp_path, cases):
     path = tmp_path / "cases.jsonl"
-    serialize_cases(cases[:2], path)
+    atomic_write_jsonl(path, [case_to_dict(c) for c in cases[:2]])
     with path.open("a") as fh:
         fh.write('{"not": "a case"}\n')
     with pytest.raises(ParseError) as err:
