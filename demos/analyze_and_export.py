@@ -64,7 +64,7 @@ def main() -> None:
         spans = tokenizer.encode_with_spans(pair.descriptive)
         prompt = [BOS_ID] + [tid for tid, _, _ in spans]
         prompt_spans = [None] + [(s, e) for _, s, e in spans]
-        label, _ = classify(model, tokenizer, pair.descriptive)
+        label, _ = classify(model, tokenizer, prompt[1:])
         matrix = occlusion_importance(
             model, prompt, [tokenizer.label_id(label)],
             tokenizer=tokenizer, prompt_spans=prompt_spans,

@@ -85,7 +85,7 @@ def main() -> None:
     spans = tokenizer.encode_with_spans(pair.descriptive)
     prompt = [BOS_ID] + [tid for tid, _, _ in spans]
     prompt_spans = [None] + [(s, e) for _, s, e in spans]
-    label, _ = classify(clf, tokenizer, pair.descriptive)
+    label, _ = classify(clf, tokenizer, prompt[1:])
     print(f"\n{pair.caseno}: explaining prediction {label.name} "
           f"(only the final {clf.window} tokens are visible to the classifier)")
 

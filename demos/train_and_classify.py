@@ -50,14 +50,14 @@ def main() -> None:
 
     hits = 0
     for pair in pairs:
-        label, trace = classify(trained, tokenizer, pair.descriptive)
+        label, trace = classify(trained, tokenizer, tokenizer.encode(pair.descriptive))
         hits += label is pair.label
         if trace.tie:
             print(f"  tie on {pair.caseno}, defaulted to minor")
     print(f"training-set accuracy: {hits}/{len(pairs)}")
 
     sample = pairs[0]
-    label, trace = classify(trained, tokenizer, sample.descriptive)
+    label, trace = classify(trained, tokenizer, tokenizer.encode(sample.descriptive))
     print(f"\n{sample.caseno}: predicted {label.name}, gold {sample.label.name}")
     for sev, score in trace.log_scores.items():
         print(f"  log p({sev.name}) = {score:.3f}")

@@ -1,140 +1,6 @@
-"""Crash narrative pipeline: tabular records to attributed, analyzed text."""
+"""Crash narrative pipeline: tabular records to attributed, analyzed text.
 
-from .schema import (
-    CrashCase,
-    CrashRecord,
-    IntegrationResult,
-    PersonRecord,
-    RoadSegment,
-    Severity,
-    TableSet,
-    VehicleRecord,
-    integrate,
-    link_segment,
-    load_tables,
-    stratified_downsample,
-)
-from .narrator import (
-    Lexicon,
-    NarrativePair,
-    NormalizedCase,
-    load_lexicon,
-    load_templates,
-    normalize,
-    render,
-)
-# the augment() function itself stays on the submodule: re-exporting it here
-# would shadow the crashlens.augment module attribute
-from .augment import (
-    AugmentationConfig,
-    ChatClient,
-    ConstraintKind,
-    HttpChatClient,
-    StubChatClient,
-    augment_batch,
-    verify_preservation,
-)
-from .refmodel import TinyLM, Tokenizer, TrainConfig, TrainingExample, classify, train
-from .attribution import (
-    ImportanceMatrix,
-    NormalizationConfig,
-    ScoreMatrix,
-    WordAttribution,
-    aggregate_to_words,
-    annotate_narrative,
-    normalize_scores,
-    occlusion_importance,
-    parse_annotated,
-    strip_annotations,
-    taylor_importance,
-)
-from .analytics import (
-    AspectCategory,
-    CooccurrenceGraph,
-    FactorSummary,
-    cooccurrence,
-    export_heatmap,
-    export_sankey,
-    extract_top_factors,
-    rule_based_factors,
-    semantic_group,
-    summarize_factors,
-)
-from .evaluation import (
-    MetricsReport,
-    ParseStatus,
-    Prediction,
-    PromptStrategy,
-    StrategyKind,
-    build_prompt,
-    build_sft_dataset,
-    compute_metrics,
-    parse_label,
-)
+The package root exports nothing; import from the submodules.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AspectCategory",
-    "AugmentationConfig",
-    "ChatClient",
-    "ConstraintKind",
-    "CooccurrenceGraph",
-    "CrashCase",
-    "CrashRecord",
-    "FactorSummary",
-    "HttpChatClient",
-    "ImportanceMatrix",
-    "IntegrationResult",
-    "Lexicon",
-    "MetricsReport",
-    "NarrativePair",
-    "NormalizationConfig",
-    "NormalizedCase",
-    "ParseStatus",
-    "PersonRecord",
-    "Prediction",
-    "PromptStrategy",
-    "RoadSegment",
-    "ScoreMatrix",
-    "Severity",
-    "StrategyKind",
-    "StubChatClient",
-    "TableSet",
-    "TinyLM",
-    "Tokenizer",
-    "TrainConfig",
-    "TrainingExample",
-    "VehicleRecord",
-    "WordAttribution",
-    "aggregate_to_words",
-    "annotate_narrative",
-    "augment_batch",
-    "build_prompt",
-    "build_sft_dataset",
-    "classify",
-    "compute_metrics",
-    "cooccurrence",
-    "export_heatmap",
-    "export_sankey",
-    "extract_top_factors",
-    "integrate",
-    "link_segment",
-    "load_lexicon",
-    "load_tables",
-    "load_templates",
-    "normalize",
-    "normalize_scores",
-    "occlusion_importance",
-    "parse_annotated",
-    "parse_label",
-    "render",
-    "rule_based_factors",
-    "semantic_group",
-    "strip_annotations",
-    "stratified_downsample",
-    "summarize_factors",
-    "taylor_importance",
-    "train",
-    "verify_preservation",
-]

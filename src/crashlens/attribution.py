@@ -16,13 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .refmodel import (
-    BOS_ID,
-    TinyLM,
-    Tokenizer,
-    grad_logit_wrt_embeddings,
-    grad_prob_wrt_embeddings,
-)
+from .refmodel import BOS_ID, TinyLM, Tokenizer, grad_prob_wrt_embeddings
 
 _ANNOTATION_RE = re.compile(r"(?<=\S)\[\d+\.\d{2}\]")
 
@@ -98,14 +92,13 @@ def occlusion_importance(
     response: Sequence[int],
     tokenizer: Optional[Tokenizer] = None,
     prompt_spans: Optional[Sequence[Optional[tuple[int, int]]]] = None,
-    substitute_id: Optional[int] = None,
 ) -> ImportanceMatrix:
     """Exact leave-one-out importance.
 
     Column m scores every token of Z_m = prompt + response[:m] by the drop
     in p(response[m] | Z_m) when that token is removed; the sequence really
-    shortens (pass substitute_id to swap in a mask token instead). Rows for
-    response tokens at or past position m are 0: they are not in Z_m.
+    shortens. Rows for response tokens at or past position m are 0: they
+    are not in Z_m.
 
     The model reads only the last W tokens, so removing a token before that
     window leaves the window as it was and scores exactly 0, while removing
@@ -121,11 +114,7 @@ def occlusion_importance(
         n = len(context)
         first = max(n - model.window, 0)  # first position inside the window
         variants = [context[first:]]
-        for q in range(first, n):
-            if substitute_id is None:
-                variants.append(context[max(first - 1, 0) : q] + context[q + 1 :])
-            else:
-                variants.append(context[first:q] + [substitute_id] + context[q + 1 :])
+        variants += [context[max(first - 1, 0) : q] + context[q + 1 :] for q in range(first, n)]
         # an empty context reads as <bos>; equal variants are scored once
         distinct: dict[tuple[int, ...], int] = {}
         rows = [distinct.setdefault(tuple(v) or (BOS_ID,), len(distinct)) for v in variants]
@@ -147,7 +136,6 @@ def taylor_importance(
     response: Sequence[int],
     tokenizer: Optional[Tokenizer] = None,
     prompt_spans: Optional[Sequence[Optional[tuple[int, int]]]] = None,
-    use_logit: bool = False,
 ) -> ImportanceMatrix:
     """First-order approximation: <d p(y_m|Z_m) / d E[x_n], E[x_n]>.
 
@@ -155,12 +143,11 @@ def taylor_importance(
     """
     if not response:
         raise ValueError("response is empty")
-    grad_fn = grad_logit_wrt_embeddings if use_logit else grad_prob_wrt_embeddings
     n_prompt, n_out = len(prompt), len(response)
     values = np.zeros((n_prompt + n_out, n_out))
     for m in range(n_out):
         context = list(prompt) + list(response[:m])
-        grads = grad_fn(model, context, response[m])
+        grads = grad_prob_wrt_embeddings(model, context, response[m])
         for q, tok in enumerate(context):
             values[q, m] = float(np.dot(grads[q], model.embeddings[tok]))
     spans = list(prompt_spans) + [None] * n_out if prompt_spans is not None else None

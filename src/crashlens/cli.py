@@ -27,7 +27,7 @@ from .augment import (
     augment_batch,
     bounded_map,
 )
-from .util import atomic_write_json, atomic_write_jsonl
+from .util import atomic_write_json, atomic_write_jsonl, read_jsonl, string_fields
 
 DEFAULT_TARGET_RATIO = 2654 / 1779
 
@@ -92,13 +92,14 @@ def _emit(summary: dict) -> None:
     print(json.dumps(summary, ensure_ascii=False))
 
 
+def _attribution_record(doc: dict) -> dict:
+    string_fields(doc, "caseno", "annotated")  # what analyze and export read
+    return doc
+
+
 def _read_jsonl(path: str | Path) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
-    return records
+    """Attribution records; a bad line is a ParseError naming its number."""
+    return read_jsonl(path, _attribution_record)
 
 
 def _chat_client(get: Callable[[str], object]) -> ChatClient:
@@ -225,10 +226,11 @@ def cmd_attribute(args: argparse.Namespace, get: Callable[[str], object]) -> int
     records = []
     for pair in pairs:
         spans = tokenizer.encode_with_spans(pair.descriptive)
-        prompt = [refmodel.BOS_ID] + [tid for tid, _, _ in spans]
+        ids = [tid for tid, _, _ in spans]
+        prompt = [refmodel.BOS_ID] + ids
         prompt_spans: list[Optional[tuple[int, int]]] = [None]
         prompt_spans += [(s, e) for _, s, e in spans]
-        label, _ = refmodel.classify(model, tokenizer, pair.descriptive)
+        label, _ = refmodel.classify(model, tokenizer, ids)
         response = [tokenizer.label_id(label)]
         importance_fn = (
             attribution.occlusion_importance

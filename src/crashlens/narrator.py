@@ -8,7 +8,6 @@ and outcome text are kept in separate sections throughout.
 
 from __future__ import annotations
 
-import json
 import re
 import string
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ from typing import Optional, Sequence
 import yaml
 
 from .schema import CrashCase, Severity
+from .util import read_jsonl, string_fields
 
 _FORMATTER = string.Formatter()
 
@@ -388,18 +388,8 @@ def pair_to_dict(pair: NarrativePair) -> dict:
 
 
 def read_pairs(path: str | Path) -> list[NarrativePair]:
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            pairs.append(
-                NarrativePair(
-                    caseno=d["caseno"],
-                    descriptive=d["descriptive"],
-                    outcome=d["outcome"],
-                    label=Severity(d["label"]),
-                )
-            )
-    return pairs
+    def pair(d: dict) -> NarrativePair:
+        caseno, descriptive, outcome = string_fields(d, "caseno", "descriptive", "outcome")
+        return NarrativePair(caseno, descriptive, outcome, Severity(d["label"]))
+
+    return read_jsonl(path, pair)

@@ -224,9 +224,6 @@ class TinyLM:
         hidden = np.matmul(weights[:, None, :], self.embeddings[ids])[:, 0]
         return self._softmax_rows(hidden)[:, target]
 
-    def prob_given_window(self, window_embs: np.ndarray, target: int) -> float:
-        return float(self.distribution_given_window(window_embs)[target])
-
     def save(self, path: str | Path) -> None:
         doc = {
             "version": 1,
@@ -289,19 +286,6 @@ def grad_prob_wrt_embeddings(
     grads = [np.zeros(model.dim) for _ in ids]
     for j in range(k):
         grads[start + j] = model.position_weights[j] * g_hidden
-    return grads
-
-
-def grad_logit_wrt_embeddings(
-    model: TinyLM, context: Sequence[int], target: int
-) -> list[np.ndarray]:
-    """Same shape as grad_prob_wrt_embeddings but for the raw logit."""
-    ids = list(context) if context else [BOS_ID]
-    k = min(len(ids), model.window)
-    start = len(ids) - k
-    grads = [np.zeros(model.dim) for _ in ids]
-    for j in range(k):
-        grads[start + j] = model.position_weights[j] * model.output_weights[:, target]
     return grads
 
 
@@ -424,12 +408,13 @@ class DecodeTrace:
     tie: bool
 
 
-def classify(model: TinyLM, tokenizer: Tokenizer, narrative: str) -> tuple[Severity, DecodeTrace]:
-    """Constrained decode: pick the label token with the higher log-prob,
-    both scored from one forward pass. Ties go to the minor-injury label,
-    flagged in the trace.
+def classify(model: TinyLM, tokenizer: Tokenizer, ids: Sequence[int]) -> tuple[Severity, DecodeTrace]:
+    """Constrained decode after a narrative's token ids (without <bos>, which
+    is prepended here): pick the label token with the higher log-prob, both
+    scored from one forward pass. Ties go to the minor-injury label, flagged
+    in the trace.
     """
-    dist = model.distribution([BOS_ID] + tokenizer.encode(narrative))
+    dist = model.distribution([BOS_ID, *ids])
     scores = {
         sev: float(np.log(max(float(dist[tokenizer.label_id(sev)]), 1e-300))) for sev in Severity
     }

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import csv
 import enum
-import json
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, Optional, Sequence
+
+from .util import ParseError, read_jsonl  # deserialize_cases raises ParseError
 
 MODEL_YEAR_MIN = 1900
 MODEL_YEAR_MAX = datetime.now().year + 1
@@ -98,13 +99,6 @@ class InsufficientMajorityError(SchemaError):
         )
         self.requested = requested
         self.available = available
-
-
-class ParseError(SchemaError):
-    def __init__(self, line: int, detail: str):
-        super().__init__(f"line {line}: {detail}")
-        self.line = line
-        self.detail = detail
 
 
 class Severity(enum.Enum):
@@ -608,13 +602,4 @@ def case_from_dict(d: dict) -> CrashCase:
 
 
 def deserialize_cases(path: str | Path) -> list[CrashCase]:
-    cases = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            if not line.strip():
-                continue
-            try:
-                cases.append(case_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ParseError(line=i + 1, detail=str(exc)) from exc
-    return cases
+    return read_jsonl(path, case_from_dict)

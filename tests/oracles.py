@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,7 +81,6 @@ def occlusion_loop(
     model: TinyLM,
     prompt: Sequence[int],
     response: Sequence[int],
-    substitute_id: Optional[int] = None,
 ) -> np.ndarray:
     """Scores one variant per context token, n + 1 forward passes per column."""
     n_prompt, n_out = len(prompt), len(response)
@@ -89,12 +88,7 @@ def occlusion_loop(
     for m in range(n_out):
         target = response[m]
         context = list(prompt) + list(response[:m])
-        variants: list[Sequence[int]] = [context]
-        for q in range(len(context)):
-            if substitute_id is None:
-                variants.append(context[:q] + context[q + 1 :])
-            else:
-                variants.append(context[:q] + [substitute_id] + context[q + 1 :])
+        variants = [context] + [context[:q] + context[q + 1 :] for q in range(len(context))]
         probs = np.array([prob(model, variant, target) for variant in variants])
         values[: len(context), m] = probs[0] - probs[1:]
     return values

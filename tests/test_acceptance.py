@@ -47,7 +47,7 @@ from crashlens.schema import (
     link_segment,
     stratified_downsample,
 )
-from crashlens.synth import random_tables, severity_cases
+from tablegen import random_tables, severity_cases
 from oracles import normalize_scores_bruteforce
 from test_attribution import synthetic_matrix
 from test_refmodel import fd_gradient

@@ -129,8 +129,9 @@ def test_attribution_columns_peak_at_exactly_L(pipeline):
     tokenizer = refmodel.Tokenizer.load(d / "tok.json")
     columns = 0
     for pair in narrator.read_pairs(d / "narratives.jsonl"):
-        prompt = [refmodel.BOS_ID] + tokenizer.encode(pair.descriptive)
-        label, _ = refmodel.classify(model, tokenizer, pair.descriptive)
+        ids = tokenizer.encode(pair.descriptive)
+        prompt = [refmodel.BOS_ID] + ids
+        label, _ = refmodel.classify(model, tokenizer, ids)
         response = [tokenizer.label_id(label)]
         for importance in (attribution.occlusion_importance, attribution.taylor_importance):
             matrix = importance(model, prompt, response)
@@ -394,3 +395,62 @@ def test_eval_unavailable_case_costs_only_that_case(pipeline, tmp_path, monkeypa
     assert failed == [
         {"caseno": down.caseno, "raw_output": "", "label": None, "parse_status": "failed"}
     ]
+
+
+@pytest.mark.parametrize(
+    "command, flag, source",
+    [("build-sft", "--narratives", "narratives.jsonl"), ("analyze", "--attributions", "attr_occ.jsonl")],
+)
+def test_non_object_jsonl_line_is_one_json_error(pipeline, tmp_path, command, flag, source):
+    d, _ = pipeline
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join((d / source).read_text().splitlines(keepends=True)[:2]) + "[1, 2]\n")
+    out = tmp_path / "out.jsonl"
+    proc = subprocess.run(
+        python_cli(command, "--offline", flag, str(bad), "--out", str(out)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    err = json.loads(lines[0])
+    assert err["error"] == "ParseError"
+    assert err["detail"].startswith("line 3:")
+    assert not out.exists()
+
+
+def test_package_root_imports_no_dependencies():
+    probe = "import crashlens, sys; print([m for m in ('numpy', 'requests', 'jsonschema') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_attribute_encodes_each_narrative_once(pipeline, tmp_path, monkeypatch):
+    from crashlens.refmodel import Tokenizer
+
+    d, _ = pipeline
+    calls = {"encode": 0, "encode_with_spans": 0}
+    for name in calls:
+        original = getattr(Tokenizer, name)
+
+        def counted(self, text, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, text)
+
+        monkeypatch.setattr(Tokenizer, name, counted)
+    out = tmp_path / "attr.jsonl"
+    code, _ = run_cli(
+        [
+            "attribute",
+            "--narratives", str(d / "narratives.jsonl"),
+            "--model", str(d / "model.json"),
+            "--tokenizer", str(d / "tok.json"),
+            "--method", "occlusion",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert calls == {"encode": 0, "encode_with_spans": 50}
+    assert out.read_bytes() == (d / "attr_occ.jsonl").read_bytes()

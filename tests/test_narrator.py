@@ -21,7 +21,7 @@ from crashlens.narrator import (
     render,
 )
 from crashlens.schema import Severity
-from crashlens.util import atomic_write_jsonl
+from crashlens.util import ParseError, atomic_write_jsonl
 
 SHOWCASE_OPENING = (
     "On June 29, 2022, at 8:00 PM, a traffic accident occurred on "
@@ -167,3 +167,24 @@ def test_pairs_round_trip(tmp_path, pairs):
 def test_pair_fields():
     pair = NarrativePair(caseno="Z", descriptive="d", outcome="o", label=Severity.MINOR)
     assert pair.label.phrase == "No apparent or minor injury"
+
+
+@pytest.mark.parametrize(
+    "line, detail",
+    [
+        ("{not json", "Expecting property name"),
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('{"caseno": "C1", "descriptive": "d", "label": "SeriousOrFatal"}', "missing key 'outcome'"),
+        ('{"caseno": "C1", "descriptive": "d", "outcome": "o", "label": "Fatal"}', "'Fatal' is not a valid Severity"),
+        ('{"caseno": "C1", "descriptive": 5, "outcome": "o", "label": "SeriousOrFatal"}', "'descriptive' is not a string"),
+    ],
+)
+def test_read_pairs_reports_bad_line(tmp_path, pairs, line, detail):
+    path = tmp_path / "pairs.jsonl"
+    atomic_write_jsonl(path, [pair_to_dict(p) for p in pairs[:2]])
+    with path.open("a") as fh:
+        fh.write("\n" + line + "\n")
+    with pytest.raises(ParseError) as err:
+        read_pairs(path)
+    assert err.value.line == 4
+    assert detail in err.value.detail

@@ -21,7 +21,7 @@ from crashlens.schema import (
     load_tables,
     stratified_downsample,
 )
-from crashlens.synth import random_tables, severity_cases
+from tablegen import random_tables, severity_cases
 from crashlens.util import atomic_write_jsonl
 
 
