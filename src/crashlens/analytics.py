@@ -18,12 +18,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-import jsonschema
 import yaml
 
-from .attribution import WordAttribution, parse_annotated
 from .augment import ChatClient, UnavailableError
-from .util import atomic_write_text
+from .util import WordAttribution, atomic_write_text, parse_annotated
 
 
 class AspectCategory(enum.Enum):
@@ -395,6 +393,8 @@ def graph_from_json(doc: Mapping) -> CooccurrenceGraph:
 
 
 def validate_sankey(doc: Mapping) -> None:
+    import jsonschema  # slow to import, and only sankey documents need it
+
     jsonschema.validate(instance=doc, schema=SANKEY_SCHEMA)
     n = len(doc["nodes"])
     for link in doc["links"]:

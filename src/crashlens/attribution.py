@@ -18,7 +18,9 @@ import numpy as np
 
 from .refmodel import BOS_ID, TinyLM, Tokenizer, grad_prob_wrt_embeddings
 
-_ANNOTATION_RE = re.compile(r"(?<=\S)\[\d+\.\d{2}\]")
+# The annotated-narrative format lives in util, so that analytics reads it
+# without loading numpy; its names stay importable from here.
+from .util import WordAttribution, annotate_narrative, parse_annotated, positive_words, strip_annotations
 
 
 @dataclass(frozen=True)
@@ -63,14 +65,6 @@ class ScoreMatrix:
     output_tokens: list[TokenInfo]
     L: int
     b: int
-
-
-@dataclass(frozen=True)
-class WordAttribution:
-    word: str
-    char_span: tuple[int, int]
-    score: float
-    contributing_token_ids: tuple[int, ...] = ()
 
 
 def _token_infos(
@@ -227,44 +221,6 @@ def aggregate_to_words(
             )
         )
     return words
-
-
-def positive_words(words: Sequence[WordAttribution]) -> list[WordAttribution]:
-    return [w for w in words if w.score > 0]
-
-
-def annotate_narrative(narrative: str, words: Sequence[WordAttribution]) -> str:
-    """Append [score] after each given word; scores render with two decimals."""
-    ordered = sorted(words, key=lambda w: w.char_span)
-    parts: list[str] = []
-    cursor = 0
-    for word in ordered:
-        _, end = word.char_span
-        parts.append(narrative[cursor:end])
-        parts.append(f"[{word.score:.2f}]")
-        cursor = end
-    parts.append(narrative[cursor:])
-    return "".join(parts)
-
-
-def strip_annotations(annotated: str) -> str:
-    return _ANNOTATION_RE.sub("", annotated)
-
-
-def parse_annotated(annotated: str) -> tuple[str, list[WordAttribution]]:
-    """Invert annotate_narrative: recover the plain text and word scores."""
-    plain = strip_annotations(annotated)
-    plain_words = list(re.finditer(r"\S+", plain))
-    raw_words = [m.group(0) for m in re.finditer(r"\S+", annotated)]
-    if len(plain_words) != len(raw_words):
-        raise ValueError("annotation structure does not line up with the text")
-    tail = re.compile(r"^(.*)\[(\d+\.\d{2})\]$", re.DOTALL)
-    words = []
-    for span, raw in zip(plain_words, raw_words):
-        m = tail.match(raw)
-        score = float(m.group(2)) if m else 0.0
-        words.append(WordAttribution(word=span.group(0), char_span=span.span(), score=score))
-    return plain, words
 
 
 def attribution_record(

@@ -15,9 +15,10 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence, TypeVar
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -155,7 +156,11 @@ class HttpChatClient:
         self.api_key = api_key or os.environ.get("CRASHLENS_CHAT_API_KEY", "")
         self.model_name = model_name
         self.timeout = timeout
-        self.session = session or requests.Session()
+        if session is None:
+            import requests  # slow to import, and only a live client needs it
+
+            session = requests.Session()
+        self.session = session
         if not self.endpoint:
             raise ValueError("no chat endpoint configured (CRASHLENS_CHAT_ENDPOINT)")
 

@@ -14,10 +14,9 @@ import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-import jsonschema
 import yaml
 
-from . import analytics, attribution, evaluation, narrator, refmodel, schema
+from . import analytics, evaluation, narrator, schema
 from .augment import (
     AugmentationConfig,
     AugmentError,
@@ -27,7 +26,7 @@ from .augment import (
     augment_batch,
     bounded_map,
 )
-from .util import atomic_write_json, atomic_write_jsonl, read_jsonl, string_fields
+from .util import atomic_write_json, atomic_write_jsonl, parse_annotated, read_jsonl, string_fields
 
 DEFAULT_TARGET_RATIO = 2654 / 1779
 
@@ -180,6 +179,8 @@ def cmd_augment(args: argparse.Namespace, get: Callable[[str], object]) -> int:
 
 
 def cmd_train_ref(args: argparse.Namespace, get: Callable[[str], object]) -> int:
+    from . import refmodel
+
     pairs = narrator.read_pairs(args.narratives)
     if not pairs:
         raise CliError("no narratives to train on")
@@ -210,6 +211,8 @@ def cmd_train_ref(args: argparse.Namespace, get: Callable[[str], object]) -> int
 
 
 def cmd_attribute(args: argparse.Namespace, get: Callable[[str], object]) -> int:
+    from . import attribution, refmodel
+
     pairs = narrator.read_pairs(args.narratives)
     if args.caseno:
         pairs = [p for p in pairs if p.caseno == args.caseno]
@@ -259,7 +262,7 @@ def cmd_analyze(args: argparse.Namespace, get: Callable[[str], object]) -> int:
 
     def summarize(rec: dict) -> analytics.FactorSummary:
         if client is None:
-            _, words = attribution.parse_annotated(rec["annotated"])
+            _, words = parse_annotated(rec["annotated"])
             return analytics.rule_based_factors(words, lexicon, caseno=rec["caseno"])
         return analytics.summarize_factors(
             rec["annotated"], client, caseno=rec["caseno"], category_lexicon=lexicon
@@ -506,10 +509,8 @@ _HANDLED = (
     schema.SchemaError,
     narrator.NarratorError,
     AugmentError,
-    refmodel.RefModelError,
     analytics.AnalyticsError,
     evaluation.EvaluationError,
-    jsonschema.ValidationError,
     yaml.YAMLError,
     json.JSONDecodeError,
     FileNotFoundError,
@@ -519,6 +520,16 @@ _HANDLED = (
     KeyError,
 )
 
+# Errors of modules that only some stages import. An exception from a module
+# that was never imported cannot have been raised, so each one joins the
+# handled set once its module is loaded.
+_LAZY_HANDLED = (("crashlens.refmodel", "RefModelError"), ("jsonschema", "ValidationError"))
+
+
+def _handled() -> tuple[type[BaseException], ...]:
+    loaded = [getattr(sys.modules[mod], name) for mod, name in _LAZY_HANDLED if mod in sys.modules]
+    return _HANDLED + tuple(loaded)
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
@@ -526,7 +537,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args.config)
         return args.func(args, _getter(args, cfg))
-    except _HANDLED as exc:
+    except _handled() as exc:
         print(
             json.dumps({"error": type(exc).__name__, "detail": str(exc)}, ensure_ascii=False),
             file=sys.stderr,

@@ -319,13 +319,3 @@ def sft_record_to_dict(record: SftRecord) -> dict:
         "response": record.response,
         "mask_boundary": record.mask_boundary,
     }
-
-
-def sft_record_from_dict(doc: dict) -> SftRecord:
-    return SftRecord(
-        caseno=str(doc["caseno"]),
-        system=str(doc["system"]),
-        user=str(doc["user"]),
-        response=str(doc["response"]),
-        mask_boundary=int(doc["mask_boundary"]),
-    )

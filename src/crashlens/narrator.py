@@ -87,15 +87,6 @@ class NormalizedCase:
     vehicles: list[VehicleView]
     warnings: list[str] = field(default_factory=list)
 
-    def fact_values(self) -> list[str]:
-        """Every normalized value that the templates are expected to voice."""
-        out = list(self.fields.values())
-        for veh in self.vehicles:
-            out.extend(veh.fields.values())
-            for person in veh.persons:
-                out.extend(person.values())
-        return out
-
 
 @dataclass(frozen=True)
 class NarrativePair:

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
+
+_ANNOTATION_RE = re.compile(r"(?<=\S)\[\d+\.\d{2}\]")
 
 
 class ParseError(ValueError):
@@ -72,3 +76,49 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
             except (TypeError, ValueError) as exc:
                 raise ParseError(i, str(exc)) from exc
     return records
+
+
+@dataclass(frozen=True)
+class WordAttribution:
+    word: str
+    char_span: tuple[int, int]
+    score: float
+    contributing_token_ids: tuple[int, ...] = ()
+
+
+def positive_words(words: Sequence[WordAttribution]) -> list[WordAttribution]:
+    return [w for w in words if w.score > 0]
+
+
+def annotate_narrative(narrative: str, words: Sequence[WordAttribution]) -> str:
+    """Append [score] after each given word; scores render with two decimals."""
+    ordered = sorted(words, key=lambda w: w.char_span)
+    parts: list[str] = []
+    cursor = 0
+    for word in ordered:
+        _, end = word.char_span
+        parts.append(narrative[cursor:end])
+        parts.append(f"[{word.score:.2f}]")
+        cursor = end
+    parts.append(narrative[cursor:])
+    return "".join(parts)
+
+
+def strip_annotations(annotated: str) -> str:
+    return _ANNOTATION_RE.sub("", annotated)
+
+
+def parse_annotated(annotated: str) -> tuple[str, list[WordAttribution]]:
+    """Invert annotate_narrative: recover the plain text and word scores."""
+    plain = strip_annotations(annotated)
+    plain_words = list(re.finditer(r"\S+", plain))
+    raw_words = [m.group(0) for m in re.finditer(r"\S+", annotated)]
+    if len(plain_words) != len(raw_words):
+        raise ValueError("annotation structure does not line up with the text")
+    tail = re.compile(r"^(.*)\[(\d+\.\d{2})\]$", re.DOTALL)
+    words = []
+    for span, raw in zip(plain_words, raw_words):
+        m = tail.match(raw)
+        score = float(m.group(2)) if m else 0.0
+        words.append(WordAttribution(word=span.group(0), char_span=span.span(), score=score))
+    return plain, words

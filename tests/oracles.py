@@ -5,6 +5,7 @@ a library routine: `train_loop` and `corpus_nll_loop` for `refmodel.train`,
 `occlusion_loop` for `attribution.occlusion_importance`,
 `aggregate_to_words_quadratic` for `attribution.aggregate_to_words` and
 `normalize_scores_bruteforce` for `attribution.normalize_scores`.
+`fact_values` lists what `narrator.render` must voice for a case.
 """
 
 from __future__ import annotations
@@ -16,7 +17,18 @@ from typing import Sequence
 import numpy as np
 
 from crashlens.attribution import ScoreMatrix, WordAttribution
+from crashlens.narrator import NormalizedCase
 from crashlens.refmodel import TinyLM, TrainConfig, TrainingDivergedError, TrainingExample, prob
+
+
+def fact_values(normalized: NormalizedCase) -> list[str]:
+    """Every normalized value that the templates are expected to voice."""
+    out = list(normalized.fields.values())
+    for veh in normalized.vehicles:
+        out.extend(veh.fields.values())
+        for person in veh.persons:
+            out.extend(person.values())
+    return out
 
 
 def corpus_nll_loop(model: TinyLM, examples: Sequence[TrainingExample]) -> float:

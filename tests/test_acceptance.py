@@ -48,7 +48,7 @@ from crashlens.schema import (
     stratified_downsample,
 )
 from tablegen import random_tables, severity_cases
-from oracles import normalize_scores_bruteforce
+from oracles import fact_values, normalize_scores_bruteforce
 from test_attribution import synthetic_matrix
 from test_refmodel import fd_gradient
 
@@ -228,7 +228,7 @@ def test_c06_fact_coverage_on_bundled_corpus(cases):
         normalized = normalize(case, lexicon)
         pair = render(normalized, templates)
         narrative = f"{pair.descriptive}\n{pair.outcome}"
-        for value in normalized.fact_values():
+        for value in fact_values(normalized):
             total += 1
             if value not in narrative:
                 missing.append((case.crash.caseno, value))

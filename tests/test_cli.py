@@ -420,11 +420,95 @@ def test_non_object_jsonl_line_is_one_json_error(pipeline, tmp_path, command, fl
     assert not out.exists()
 
 
-def test_package_root_imports_no_dependencies():
-    probe = "import crashlens, sys; print([m for m in ('numpy', 'requests', 'jsonschema') if m in sys.modules])"
+def _loaded_after(code: str, modules: tuple[str, ...]) -> list[str]:
+    """Run `code` in a fresh interpreter; which of `modules` it imported."""
+    probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {modules!r} if m in sys.modules]))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_package_root_imports_no_dependencies():
+    assert _loaded_after("import crashlens", ("numpy", "requests", "jsonschema")) == []
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import crashlens.cli",
+        # what the `crashlens` console script runs
+        "import sys\nfrom crashlens.cli import main\nsys.argv = ['crashlens', '--help']\n"
+        "try:\n    main()\nexcept SystemExit as exc:\n    assert exc.code == 0",
+    ],
+    ids=["import", "help"],
+)
+def test_cli_start_loads_no_heavy_dependencies(code):
+    assert _loaded_after(code, ("numpy", "requests", "jsonschema")) == []
+
+
+@pytest.mark.parametrize("stage", ["ingest", "narrate", "augment", "eval", "build-sft", "analyze", "export"])
+def test_offline_stages_load_no_numpy_or_requests(pipeline, tmp_path, stage):
+    d, _ = pipeline
+    narratives = ["--narratives", str(d / "narratives.jsonl")]
+    argv = {
+        "ingest": _ingest_args(tmp_path / "cases.jsonl"),
+        "narrate": ["narrate", "--cases", str(d / "cases.jsonl")],
+        "augment": ["augment", "--offline", *narratives],
+        "eval": ["eval", "--offline", *narratives, "--strategy", "zs"],
+        "build-sft": ["build-sft", *narratives],
+        "analyze": [
+            "analyze", "--offline",
+            "--attributions", str(d / "attr_occ.jsonl"),
+            "--graph-out", str(tmp_path / "graph.json"),
+        ],
+        "export": [
+            "export", "--kind", "heatmap",
+            "--attributions", str(d / "attr_occ.jsonl"),
+            "--caseno", "C0001",
+        ],
+    }[stage]
+    if stage != "ingest":
+        argv += ["--out", str(tmp_path / "out")]
+    code = f"from crashlens.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_after(code, ("numpy", "requests")) == []
+
+
+def _one_error_line(proc: subprocess.CompletedProcess) -> dict:
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    return json.loads(lines[0])
+
+
+def test_sankey_link_past_node_list_is_validation_error(tmp_path):
+    graph = tmp_path / "bad.json"
+    node = {"name": "dusk", "aspect": "environmental", "count": 1, "color": "#4e79a7"}
+    graph.write_text(json.dumps({"nodes": [node], "links": [{"source": 0, "target": 1, "count": 1}]}))
+    out = tmp_path / "sankey.html"
+    proc = subprocess.run(
+        python_cli("export", "--kind", "sankey", "--graph", str(graph), "--out", str(out)),
+        capture_output=True,
+        text=True,
+    )
+    assert _one_error_line(proc)["error"] == "ValidationError"
+    assert not out.exists()
+
+
+def test_invalid_yaml_config_is_yaml_error(tmp_path):
+    import yaml
+
+    text = "seed: [1, 2\n"
+    with pytest.raises(yaml.YAMLError) as raised:
+        yaml.safe_load(text)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    proc = subprocess.run(
+        python_cli("narrate", "--config", str(cfg), "--cases", "x", "--out", str(tmp_path / "o")),
+        capture_output=True,
+        text=True,
+    )
+    # the name is the YAMLError subclass that the parser raised (ParserError)
+    assert _one_error_line(proc)["error"] == raised.type.__name__
 
 
 def test_attribute_encodes_each_narrative_once(pipeline, tmp_path, monkeypatch):

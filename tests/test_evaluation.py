@@ -15,6 +15,7 @@ from crashlens.evaluation import (
     ParseStatus,
     Prediction,
     PromptStrategy,
+    SftRecord,
     StrategyKind,
     build_prompt,
     build_sft_dataset,
@@ -22,7 +23,6 @@ from crashlens.evaluation import (
     parse_label,
     render_sft,
     run_evaluation,
-    sft_record_from_dict,
     sft_record_to_dict,
 )
 from crashlens.narrator import NarrativePair
@@ -323,6 +323,16 @@ def test_sft_mask_boundary_splits_exactly_before_response():
         rendered = render_sft(record)
         assert rendered[: record.mask_boundary].endswith(f"{SFT_QUESTION}\n")
         assert rendered[record.mask_boundary :] == record.response
+
+
+def sft_record_from_dict(doc: dict) -> SftRecord:
+    return SftRecord(
+        caseno=str(doc["caseno"]),
+        system=str(doc["system"]),
+        user=str(doc["user"]),
+        response=str(doc["response"]),
+        mask_boundary=int(doc["mask_boundary"]),
+    )
 
 
 def test_sft_record_dict_round_trip():

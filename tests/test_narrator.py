@@ -22,6 +22,7 @@ from crashlens.narrator import (
 )
 from crashlens.schema import Severity
 from crashlens.util import ParseError, atomic_write_jsonl
+from oracles import fact_values
 
 SHOWCASE_OPENING = (
     "On June 29, 2022, at 8:00 PM, a traffic accident occurred on "
@@ -84,7 +85,7 @@ def test_every_nonnull_fact_is_voiced(cases):
         normalized = normalize(case, lexicon)
         pair = render(normalized, templates)
         narrative = f"{pair.descriptive}\n{pair.outcome}"
-        for value in normalized.fact_values():
+        for value in fact_values(normalized):
             assert value in narrative, f"{case.crash.caseno}: {value!r} unvoiced"
 
 
