@@ -14,14 +14,11 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-import yaml
-
 from .augment import ChatClient, UnavailableError
-from .util import WordAttribution, atomic_write_text, parse_annotated
+from .util import WordAttribution, atomic_write_text, load_yaml_section, parse_annotated
 
 
 class AspectCategory(enum.Enum):
@@ -50,7 +47,7 @@ ASPECT_COLORS = {
     AspectCategory.UNUSUAL: "#af7aa1",
 }
 
-DEFAULT_FACTOR_PROMPT = (
+FACTOR_PROMPT = (
     "You are a road safety analyst. You will receive a crash narrative in "
     "which each word is followed by its attribution score in brackets. "
     "Identify the high-scoring words relevant to each factor category and "
@@ -139,13 +136,8 @@ class CooccurrenceGraph:
 
 
 def load_grouping_rules(path: Optional[str | Path] = None) -> GroupingRules:
-    if path is None:
-        raw = resources.files("crashlens.data").joinpath("grouping_rules.yaml").read_text("utf-8")
-    else:
-        raw = Path(path).read_text("utf-8")
-    doc = yaml.safe_load(raw)
     rules = []
-    for i, entry in enumerate(doc["rules"]):
+    for i, entry in enumerate(load_yaml_section("grouping_rules.yaml", "rules", list, path)):
         try:
             pattern = re.compile(entry["match"], re.IGNORECASE)
         except (re.error, KeyError, TypeError) as exc:
@@ -162,13 +154,10 @@ def load_grouping_rules(path: Optional[str | Path] = None) -> GroupingRules:
 
 
 def load_category_lexicon(path: Optional[str | Path] = None) -> dict[AspectCategory, list[str]]:
-    if path is None:
-        raw = resources.files("crashlens.data").joinpath("category_lexicon.yaml").read_text("utf-8")
-    else:
-        raw = Path(path).read_text("utf-8")
-    doc = yaml.safe_load(raw)
     out: dict[AspectCategory, list[str]] = {}
-    for key, keywords in doc["categories"].items():
+    for key, keywords in load_yaml_section("category_lexicon.yaml", "categories", dict, path).items():
+        if not isinstance(keywords, list):
+            raise AnalyticsError(f"category {key!r}: keywords are not a list")
         out[AspectCategory(key)] = [str(k) for k in keywords]
     return out
 
@@ -246,17 +235,15 @@ def _parse_factor_payload(completion: str, caseno: str) -> FactorSummary:
 def summarize_factors(
     annotated: str,
     client: ChatClient,
-    prompt_template: str = DEFAULT_FACTOR_PROMPT,
     caseno: str = "",
     category_lexicon: Optional[Mapping[AspectCategory, Sequence[str]]] = None,
-    temperature: float = 0.0,
 ) -> FactorSummary:
     """LLM factor summary with one repair request; falls back to the rules
     when the reply cannot be repaired or the client is unavailable."""
     user = annotated
     try:
         for _ in range(2):
-            completion = client.send(prompt_template, user, temperature)
+            completion = client.send(FACTOR_PROMPT, user, 0.0)
             try:
                 return _parse_factor_payload(completion, caseno)
             except (ValueError, KeyError, TypeError, IndexError):
@@ -471,7 +458,6 @@ def export_sankey(
     html_path: Optional[str | Path] = None,
 ) -> dict:
     doc = graph_to_json(graph)
-    validate_sankey(doc)
     if json_path is not None:
         atomic_write_text(json_path, json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
     if html_path is not None:

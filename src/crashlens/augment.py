@@ -17,19 +17,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence, TypeVar
 
+from .util import NULL_MARKERS
+
 if TYPE_CHECKING:
     import requests
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-DEFAULT_SYSTEM_PROMPT = (
-    "You are a professional editor specializing in rewriting traffic accident "
-    "reports. Rewrite the report you are given as a single fluent narrative, "
-    "improving readability without adding, removing, or altering any fact."
+# each null marker as a whole word; the empty one cannot show in a text
+NULL_MARKER_RE = re.compile(
+    "|".join(rf"\b{re.escape(m)}\b" for m in sorted(NULL_MARKERS) if m), re.IGNORECASE
 )
-
-NULL_MARKER_RE = re.compile(r"\b(nan|unknown)\b|\bn/a\b", re.IGNORECASE)
 
 _MONTHS = (
     "January|February|March|April|May|June|July|August|September|October|November|December"
@@ -51,30 +50,17 @@ class ConstraintKind(enum.Enum):
     CHRONOLOGY = "ChronologyPreserved"
 
 
-@dataclass(frozen=True)
-class PreservationConstraint:
-    kind: ConstraintKind
+SYSTEM_PROMPT = """\
+You are a professional editor specializing in rewriting traffic accident \
+reports. Rewrite the report you are given as a single fluent narrative, \
+improving readability without adding, removing, or altering any fact.
 
-
-DEFAULT_CONSTRAINTS = tuple(PreservationConstraint(k) for k in ConstraintKind)
-
-_GUIDELINES = {
-    ConstraintKind.NUMBERS: (
-        "Keep every numeric value exactly as given (counts, measurements, coordinates, identifiers)."
-    ),
-    ConstraintKind.DATES_TIMES: (
-        "Keep all dates and times; converting between 12-hour and 24-hour clock forms is acceptable."
-    ),
-    ConstraintKind.PROPER_NOUNS: (
-        "Keep all place names, route names, and other proper nouns verbatim."
-    ),
-    ConstraintKind.NO_NULL_MARKERS: (
-        "Never write placeholder values such as 'unknown', 'nan', or 'N/A'."
-    ),
-    ConstraintKind.CHRONOLOGY: (
-        "Relate events in the same chronological order as the original report."
-    ),
-}
+Requirements:
+- Keep every numeric value exactly as given (counts, measurements, coordinates, identifiers).
+- Keep all dates and times; converting between 12-hour and 24-hour clock forms is acceptable.
+- Keep all place names, route names, and other proper nouns verbatim.
+- Never write placeholder values such as 'unknown', 'nan', or 'N/A'.
+- Relate events in the same chronological order as the original report."""
 
 
 class AugmentError(Exception):
@@ -89,19 +75,6 @@ class EmptyCompletionError(AugmentError):
     pass
 
 
-@dataclass(frozen=True)
-class AugmentationConfig:
-    system_prompt: str = DEFAULT_SYSTEM_PROMPT
-    temperature: float = 0.1
-    constraints: tuple[PreservationConstraint, ...] = DEFAULT_CONSTRAINTS
-
-    def __post_init__(self):
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError(f"temperature {self.temperature} outside [0, 2]")
-        if not self.constraints:
-            raise ValueError("constraints must be non-empty")
-
-
 class ChatClient(Protocol):
     """`send` returns the completion or raises UnavailableError."""
 
@@ -114,23 +87,16 @@ BACKOFF_BASE_S = 0.5
 
 
 class StubChatClient:
-    """Deterministic offline client: fixture table first, then a transform.
+    """Deterministic offline client: the reply is `transform(user)`.
 
-    With neither configured it echoes the user message, which by construction
+    Without a transform it echoes the user message, which by construction
     satisfies every preservation constraint.
     """
 
-    def __init__(
-        self,
-        table: Optional[dict[str, str]] = None,
-        transform: Optional[Callable[[str], str]] = None,
-    ):
-        self.table = dict(table) if table else {}
+    def __init__(self, transform: Optional[Callable[[str], str]] = None):
         self.transform = transform
 
     def send(self, system: str, user: str, temperature: float) -> str:
-        if user in self.table:
-            return self.table[user]
         if self.transform is not None:
             return self.transform(user)
         return user
@@ -197,17 +163,17 @@ class HttpChatClient:
         raise UnavailableError(f"transport failed after {MAX_ATTEMPTS} attempts: {failure}")
 
 
-def build_system_prompt(cfg: AugmentationConfig) -> str:
-    lines = [cfg.system_prompt, "", "Requirements:"]
-    lines.extend(f"- {_GUIDELINES[c.kind]}" for c in cfg.constraints)
-    return "\n".join(lines)
+def _check_temperature(temperature: float) -> None:
+    if not 0.0 <= temperature <= 2.0:
+        raise ValueError(f"temperature {temperature} outside [0, 2]")
 
 
-def augment(narrative: str, client: ChatClient, cfg: AugmentationConfig) -> str:
+def augment(narrative: str, client: ChatClient, temperature: float) -> str:
     """One constrained rewrite; UnavailableError from the client passes through."""
+    _check_temperature(temperature)
     if not narrative.strip():
         raise ValueError("narrative is empty")
-    completion = client.send(build_system_prompt(cfg), narrative, cfg.temperature)
+    completion = client.send(SYSTEM_PROMPT, narrative, temperature)
     if not completion or not completion.strip():
         raise EmptyCompletionError("model returned an empty completion")
     return completion
@@ -327,15 +293,10 @@ def _proper_noun_runs(text: str) -> list[str]:
     return runs
 
 
-def verify_preservation(
-    original: str,
-    augmented: str,
-    constraints: Sequence[PreservationConstraint] = DEFAULT_CONSTRAINTS,
-) -> ConstraintReport:
+def verify_preservation(original: str, augmented: str) -> ConstraintReport:
     """Mechanically check each constraint; report offending tokens per failure."""
     results: list[ConstraintResult] = []
-    for constraint in constraints:
-        kind = constraint.kind
+    for kind in ConstraintKind:
         if kind is ConstraintKind.NUMBERS:
             missing = _number_multiset(original) - _number_multiset(augmented)
             offending = sorted(missing.elements())
@@ -372,22 +333,23 @@ def bounded_map(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1) -> list
 def augment_batch(
     narratives: Sequence[str],
     client: ChatClient,
-    cfg: AugmentationConfig,
+    temperature: float,
     jobs: int = 1,
 ) -> list[tuple[str, ConstraintReport]]:
     """Rewrite a batch, order-preserving.
 
     Any record whose rewrite fails verification (or whose request fails
     outright) comes back as the byte-identical original with the report
-    flagging why.
+    flagging why. A temperature outside [0, 2] raises before any request.
     """
+    _check_temperature(temperature)
 
     def one(narrative: str) -> tuple[str, ConstraintReport]:
         try:
-            completion = augment(narrative, client, cfg)
+            completion = augment(narrative, client, temperature)
         except (UnavailableError, EmptyCompletionError) as exc:
             return narrative, ConstraintReport(results=[], error=f"{type(exc).__name__}: {exc}")
-        report = verify_preservation(narrative, completion, cfg.constraints)
+        report = verify_preservation(narrative, completion)
         return (completion, report) if report.passed else (narrative, report)
 
     return bounded_map(one, narratives, jobs)

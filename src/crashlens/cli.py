@@ -18,7 +18,6 @@ import yaml
 
 from . import analytics, evaluation, narrator, schema
 from .augment import (
-    AugmentationConfig,
     AugmentError,
     ChatClient,
     HttpChatClient,
@@ -61,8 +60,22 @@ class CliError(Exception):
     pass
 
 
+def _config_types(key: str) -> tuple[type, ...]:
+    """The types a config file may give `key`: its default's, with an int
+    allowed for a float; the data-file paths are strings."""
+    default = _CONFIG_DEFAULTS[key]
+    if key == "column_maps":
+        return (dict,)
+    if default is None:
+        return (str,)
+    if isinstance(default, float):
+        return (int, float)
+    return (type(default),)
+
+
 def load_config(path: Optional[str]) -> dict[str, object]:
-    """Defaults, overlaid with the YAML config; unknown keys are fatal."""
+    """Defaults, overlaid with the YAML config; unknown keys and values of
+    the wrong type are fatal."""
     cfg = dict(_CONFIG_DEFAULTS)
     if path is None:
         return cfg
@@ -72,6 +85,11 @@ def load_config(path: Optional[str]) -> dict[str, object]:
     for key, value in doc.items():
         if key not in _CONFIG_DEFAULTS:
             raise CliError(f"unknown config key {key!r}")
+        types = _config_types(key)
+        # bool is an int subclass: a bool fits only a bool default, and only a bool does
+        if not isinstance(value, types) or isinstance(value, bool) != (types == (bool,)):
+            names = " or ".join(t.__name__ for t in types)
+            raise CliError(f"config key {key!r} must be {names}, not {type(value).__name__}")
         cfg[key] = value
     return cfg
 
@@ -149,10 +167,9 @@ def cmd_narrate(args: argparse.Namespace, get: Callable[[str], object]) -> int:
 
 def cmd_augment(args: argparse.Namespace, get: Callable[[str], object]) -> int:
     pairs = narrator.read_pairs(args.narratives)
-    cfg = AugmentationConfig(temperature=float(get("temperature")))
     client = _chat_client(get)
     results = augment_batch(
-        [p.descriptive for p in pairs], client, cfg, jobs=int(get("jobs") or 1)
+        [p.descriptive for p in pairs], client, float(get("temperature")), jobs=int(get("jobs") or 1)
     )
     records = []
     fallbacks = 0

@@ -83,22 +83,16 @@ class PromptStrategy:
             raise EvaluationError(f"{self.kind.value} strategy takes no exemplars")
 
 
-def build_prompt(
-    strategy: PromptStrategy,
-    narrative: str,
-    exemplars: Optional[Sequence[Exemplar]] = None,
-) -> tuple[str, str]:
+def build_prompt(strategy: PromptStrategy, narrative: str) -> tuple[str, str]:
     """Return (system, user). The narrative is appended after a blank line."""
     if strategy.kind is StrategyKind.ZERO_SHOT:
         blocks = [_TASK_LINE, _CLASSIFY_LINE, _OUTPUT_LINE]
     elif strategy.kind is StrategyKind.CHAIN_OF_THOUGHT:
         blocks = [_TASK_LINE, _COT_CLASSIFY_LINE, _COT_OUTPUT_LINE]
     else:
-        pool = tuple(exemplars) if exemplars is not None else strategy.exemplars
-        if len(pool) != 2 or {e.label for e in pool} != {Severity.MINOR, Severity.SEVERE}:
-            raise EvaluationError("few-shot prompt needs one exemplar per severity class")
-        minor = next(e for e in pool if e.label is Severity.MINOR)
-        severe = next(e for e in pool if e.label is Severity.SEVERE)
+        # PromptStrategy guarantees one exemplar per severity class
+        minor = next(e for e in strategy.exemplars if e.label is Severity.MINOR)
+        severe = next(e for e in strategy.exemplars if e.label is Severity.SEVERE)
         blocks = [
             _FEW_SHOT_HEADER,
             minor.narrative,
@@ -290,19 +284,17 @@ def render_sft(record: SftRecord) -> str:
     return f"{record.system}\n{record.user}\n{record.response}"
 
 
-def build_sft_dataset(
-    pairs: Sequence[NarrativePair], system_prompt: str = SFT_SYSTEM_PROMPT
-) -> list[SftRecord]:
+def build_sft_dataset(pairs: Sequence[NarrativePair]) -> list[SftRecord]:
     """Question side stays label-free; the category names live in the system
     prompt so the response is the only place a label string appears."""
     records = []
     for pair in pairs:
         user = f"{pair.descriptive}\n\n{SFT_QUESTION}"
-        boundary = len(system_prompt) + 1 + len(user) + 1
+        boundary = len(SFT_SYSTEM_PROMPT) + 1 + len(user) + 1
         records.append(
             SftRecord(
                 caseno=pair.caseno,
-                system=system_prompt,
+                system=SFT_SYSTEM_PROMPT,
                 user=user,
                 response=pair.label.phrase,
                 mask_boundary=boundary,

@@ -11,14 +11,11 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-import yaml
-
 from .schema import CrashCase, Severity
-from .util import read_jsonl, string_fields
+from .util import is_null, load_yaml_section, read_jsonl, string_fields
 
 _FORMATTER = string.Formatter()
 
@@ -27,8 +24,6 @@ _ORDINALS = [
     "first", "second", "third", "fourth", "fifth", "sixth",
     "seventh", "eighth", "ninth", "tenth", "eleventh", "twelfth",
 ]
-
-DEFAULT_NULL_MARKERS = frozenset({"", "nan", "unknown", "n/a"})
 
 
 class NarratorError(Exception):
@@ -44,13 +39,9 @@ class MissingRequiredSlotError(NarratorError):
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Per-field code -> phrase maps plus the null-marker set."""
+    """Per-field code -> phrase maps."""
 
     fields: dict[str, dict[str, str]]
-    null_markers: frozenset[str] = DEFAULT_NULL_MARKERS
-
-    def is_null(self, raw: str) -> bool:
-        return raw.strip().lower() in self.null_markers
 
     def lookup(self, field_name: str, code: str) -> tuple[str, Optional[str]]:
         """Return (phrase, warning). Unknown codes pass through verbatim."""
@@ -97,24 +88,22 @@ class NarrativePair:
 
 
 def load_lexicon(path: Optional[str | Path] = None) -> Lexicon:
-    if path is None:
-        raw = resources.files("crashlens.data").joinpath("lexicon.yaml").read_text("utf-8")
-    else:
-        raw = Path(path).read_text("utf-8")
-    doc = yaml.safe_load(raw)
-    fields = {str(k): {str(c): str(p) for c, p in v.items()} for k, v in doc["fields"].items()}
-    markers = frozenset(str(m).lower() for m in doc.get("null_markers", DEFAULT_NULL_MARKERS))
-    return Lexicon(fields=fields, null_markers=markers)
+    fields = {}
+    for name, codes in load_yaml_section("lexicon.yaml", "fields", dict, path).items():
+        if not isinstance(codes, dict):
+            raise NarratorError(f"lexicon field {name!r}: not a code -> phrase mapping")
+        fields[str(name)] = {str(c): str(p) for c, p in codes.items()}
+    return Lexicon(fields=fields)
 
 
 def load_templates(path: Optional[str | Path] = None) -> list[NarrativeTemplate]:
-    if path is None:
-        raw = resources.files("crashlens.data").joinpath("templates.yaml").read_text("utf-8")
-    else:
-        raw = Path(path).read_text("utf-8")
-    doc = yaml.safe_load(raw)
     templates = []
-    for i, entry in enumerate(doc["templates"]):
+    for i, entry in enumerate(load_yaml_section("templates.yaml", "templates", list, path)):
+        clauses = entry.get("clauses") if isinstance(entry, dict) else None
+        if not isinstance(clauses, list) or not all(
+            isinstance(c, dict) and isinstance(c.get("text"), str) for c in clauses
+        ):
+            raise NarratorError(f"template {i}: not a mapping with a list of clauses that have a text")
         section = entry.get("section", "descriptive")
         scope = entry.get("scope", "case")
         if section not in ("descriptive", "outcome"):
@@ -122,8 +111,7 @@ def load_templates(path: Optional[str | Path] = None) -> list[NarrativeTemplate]
         if scope not in ("case", "vehicle", "person"):
             raise NarratorError(f"template {i}: bad scope {scope!r}")
         clauses = tuple(
-            Clause(text=c["text"], required=bool(c.get("required", False)))
-            for c in entry["clauses"]
+            Clause(text=c["text"], required=bool(c.get("required", False))) for c in clauses
         )
         templates.append(NarrativeTemplate(section=section, scope=scope, clauses=clauses))
     return templates
@@ -161,7 +149,7 @@ def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
         if value is None:
             return
         text = str(value).strip()
-        if not text or lexicon.is_null(text):
+        if is_null(text):
             return
         fields[name] = text
 
@@ -169,7 +157,7 @@ def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
         if code is None:
             return
         raw = str(code).strip()
-        if lexicon.is_null(raw):
+        if is_null(raw):
             return
         phrase, warn = lexicon.lookup(name, raw)
         if warn:
@@ -202,7 +190,7 @@ def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
     for col, value in crash.extra.items():
         key = col.strip().lower()
         raw = str(value).strip()
-        if lexicon.is_null(raw):
+        if is_null(raw):
             continue
         if key in lexicon.fields:
             put_phrase(key, raw)
@@ -212,7 +200,7 @@ def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
     seg = case.segment
     if seg is not None:
         road_words = []
-        if not lexicon.is_null(seg.locale):
+        if not is_null(seg.locale):
             phrase, warn = lexicon.lookup("locale", seg.locale.strip())
             if warn:
                 warnings.append(f"{crash.caseno}: {warn}")
@@ -245,13 +233,13 @@ def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
         if veh.model_year is not None:
             name_words.append(str(veh.model_year))
         for part in (veh.make, veh.model):
-            if part and not lexicon.is_null(part):
+            if not is_null(part):
                 name_words.append(part.strip())
         if name_words:
             desc = " ".join(name_words)
             vfields["description"] = f"{_article(desc)} {desc}"
         raw_moves = str(veh.maneuver).strip()
-        if raw_moves and not lexicon.is_null(raw_moves):
+        if not is_null(raw_moves):
             phrase, warn = lexicon.lookup("maneuver", raw_moves)
             if warn:
                 warnings.append(f"{crash.caseno}: {warn}")
@@ -263,7 +251,7 @@ def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
         for per in persons:
             pf: dict[str, str] = {}
             role_raw = per.role.strip()
-            if lexicon.is_null(role_raw):
+            if is_null(role_raw):
                 continue
             role_phrase, warn = lexicon.lookup("role", role_raw)
             if warn:
@@ -272,7 +260,7 @@ def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
             profile_words = []
             if per.age is not None:
                 profile_words.append(f"{per.age}-year-old")
-            if per.sex and not lexicon.is_null(per.sex):
+            if not is_null(per.sex):
                 sex_phrase, warn = lexicon.lookup("sex", per.sex.strip())
                 if warn:
                     warnings.append(f"{crash.caseno}: {warn}")
@@ -288,7 +276,7 @@ def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
                 ("sobriety", per.sobriety),
             ):
                 raw = str(raw).strip()
-                if not raw or lexicon.is_null(raw):
+                if is_null(raw):
                     continue
                 phrase, warn = lexicon.lookup(pname, raw)
                 if warn:

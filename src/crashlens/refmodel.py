@@ -46,19 +46,13 @@ class TrainingDivergedError(RefModelError):
 
 @dataclass
 class Tokenizer:
-    """Word or wordpiece-style subword tokenizer with char-span tracking.
+    """Whitespace word tokenizer with char-span tracking; a word outside the
+    vocabulary is UNK."""
 
-    Subword pieces use the ## continuation prefix; a word with no greedy
-    decomposition becomes a single UNK covering the whole word.
-    """
-
-    mode: str
     tokens: list[str]
     vocab: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.mode not in ("word", "subword"):
-            raise ValueError(f"bad tokenizer mode {self.mode!r}")
         if tuple(self.tokens[: len(_SPECIALS)]) != _SPECIALS:
             raise ValueError("vocabulary must start with the special tokens")
         self.vocab = {tok: i for i, tok in enumerate(self.tokens)}
@@ -68,11 +62,7 @@ class Tokenizer:
     @classmethod
     def from_texts(cls, texts: Sequence[str]) -> "Tokenizer":
         words = sorted({w for text in texts for w in text.split()})
-        return cls(mode="word", tokens=list(_SPECIALS) + words)
-
-    @classmethod
-    def from_pieces(cls, pieces: Sequence[str]) -> "Tokenizer":
-        return cls(mode="subword", tokens=list(_SPECIALS) + list(pieces))
+        return cls(tokens=list(_SPECIALS) + words)
 
     @property
     def size(self) -> int:
@@ -84,63 +74,23 @@ class Tokenizer:
     def label_id(self, severity: Severity) -> int:
         return self.vocab[label_token(severity)]
 
-    def _split_word(self, word: str) -> Optional[list[str]]:
-        pieces: list[str] = []
-        pos = 0
-        while pos < len(word):
-            prefix = "" if pos == 0 else "##"
-            best = None
-            for end in range(len(word), pos, -1):
-                candidate = prefix + word[pos:end]
-                if candidate in self.vocab:
-                    best = (candidate, end)
-                    break
-            if best is None:
-                return None
-            pieces.append(best[0])
-            pos = best[1]
-        return pieces
-
     def encode(self, text: str) -> list[int]:
         return [tid for tid, _, _ in self.encode_with_spans(text)]
 
     def encode_with_spans(self, text: str) -> list[tuple[int, int, int]]:
         """Token ids with (start, end) character spans into `text`."""
-        out: list[tuple[int, int, int]] = []
-        for m in re.finditer(r"\S+", text):
-            word, start = m.group(0), m.start()
-            if self.mode == "word":
-                out.append((self.id_of(word), start, m.end()))
-                continue
-            pieces = self._split_word(word)
-            if pieces is None:
-                out.append((self.vocab[UNK], start, m.end()))
-                continue
-            pos = start
-            for piece in pieces:
-                width = len(piece) - 2 if piece.startswith("##") else len(piece)
-                out.append((self.vocab[piece], pos, pos + width))
-                pos += width
-        return out
-
-    def decode(self, ids: Sequence[int]) -> str:
-        words: list[str] = []
-        for tid in ids:
-            token = self.tokens[tid]
-            if token.startswith("##") and words:
-                words[-1] += token[2:]
-            else:
-                words.append(token)
-        return " ".join(words)
+        return [(self.id_of(m.group(0)), m.start(), m.end()) for m in re.finditer(r"\S+", text)]
 
     def save(self, path: str | Path) -> None:
-        doc = {"version": 1, "mode": self.mode, "tokens": self.tokens}
+        doc = {"version": 1, "mode": "word", "tokens": self.tokens}
         atomic_write_text(path, json.dumps(doc, ensure_ascii=False))
 
     @classmethod
     def load(cls, path: str | Path) -> "Tokenizer":
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(mode=doc["mode"], tokens=list(doc["tokens"]))
+        if doc["mode"] != "word":
+            raise RefModelError(f"unsupported tokenizer mode {doc['mode']!r}")
+        return cls(tokens=list(doc["tokens"]))
 
 
 @dataclass(eq=False)

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .util import ParseError, read_jsonl  # deserialize_cases raises ParseError
+from .util import ParseError, is_null, read_jsonl  # deserialize_cases raises ParseError
 
 MODEL_YEAR_MIN = 1900
 MODEL_YEAR_MAX = datetime.now().year + 1
@@ -248,10 +248,6 @@ def _read_rows(path: str | Path, table: str, required: Iterable[str]) -> list[di
         return [dict(row) for row in reader]
 
 
-def _null_marked(raw: str) -> bool:
-    return raw.strip().lower() in ("", "nan", "unknown", "n/a")
-
-
 def load_tables(
     crash_path: str | Path,
     segment_path: str | Path,
@@ -344,7 +340,7 @@ def load_tables(
 
     def build_vehicle(row: dict[str, str]) -> VehicleRecord:
         raw_year = row[vm["model_year"]]
-        if _null_marked(raw_year):
+        if is_null(raw_year):
             model_year = None
         else:
             model_year = int(raw_year)
@@ -366,7 +362,7 @@ def load_tables(
 
     def build_person(row: dict[str, str]) -> PersonRecord:
         raw_age = row[pm["age"]]
-        if _null_marked(raw_age):
+        if is_null(raw_age):
             age = None
         else:
             age = int(raw_age)
@@ -494,72 +490,28 @@ def stratified_downsample(
     return [case for i, case in enumerate(cases) if i in kept]
 
 
-# --- JSONL serialization; key order is fixed for diff-stability ---
+# --- JSONL serialization: one object per record, keys in field order ---
 
 
-def _crash_to_dict(c: CrashRecord) -> dict:
-    return {
-        "caseno": c.caseno,
-        "occurred_at": c.occurred_at.strftime("%Y-%m-%dT%H:%M"),
-        "county": c.county,
-        "route_id": c.route_id,
-        "milepost": c.milepost,
-        "weather": c.weather,
-        "lighting": c.lighting,
-        "surface_condition": c.surface_condition,
-        "latitude": c.latitude,
-        "longitude": c.longitude,
-        "hit_and_run": c.hit_and_run,
-        "severity": c.severity.value,
-        "extra": c.extra,
-    }
+def _fields_dict(record: object) -> dict:
+    # shallow on purpose: dataclasses.asdict deep-copies every nested value
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
-def _segment_to_dict(s: RoadSegment) -> dict:
-    return {
-        "route_id": s.route_id,
-        "from_measure": s.from_measure,
-        "to_measure": s.to_measure,
-        "lane_count": s.lane_count,
-        "lane_width": s.lane_width,
-        "left_shoulder_width": s.left_shoulder_width,
-        "right_shoulder_width": s.right_shoulder_width,
-        "speed_limit": s.speed_limit,
-        "surface_type": s.surface_type,
-        "aadt": s.aadt,
-        "locale": s.locale,
-    }
+def _from_fields(cls: type, d: dict, **converted: object):
+    """cls from the values of its fields in d; `converted` replaces some."""
+    return cls(**{f.name: d[f.name] for f in fields(cls)} | converted)
 
 
 def case_to_dict(case: CrashCase) -> dict:
+    crash = _fields_dict(case.crash)
+    crash["occurred_at"] = case.crash.occurred_at.strftime("%Y-%m-%dT%H:%M")
+    crash["severity"] = case.crash.severity.value
     return {
-        "crash": _crash_to_dict(case.crash),
-        "segment": _segment_to_dict(case.segment) if case.segment else None,
+        "crash": crash,
+        "segment": _fields_dict(case.segment) if case.segment else None,
         "units": [
-            {
-                "vehicle": {
-                    "caseno": v.caseno,
-                    "unit_id": v.unit_id,
-                    "make": v.make,
-                    "model": v.model,
-                    "model_year": v.model_year,
-                    "maneuver": v.maneuver,
-                    "extra": v.extra,
-                },
-                "persons": [
-                    {
-                        "caseno": p.caseno,
-                        "unit_id": p.unit_id,
-                        "role": p.role,
-                        "age": p.age,
-                        "sex": p.sex,
-                        "restraint": p.restraint,
-                        "airbag": p.airbag,
-                        "sobriety": p.sobriety,
-                    }
-                    for p in persons
-                ],
-            }
+            {"vehicle": _fields_dict(v), "persons": [_fields_dict(p) for p in persons]}
             for v, persons in case.units
         ],
     }
@@ -567,37 +519,19 @@ def case_to_dict(case: CrashCase) -> dict:
 
 def case_from_dict(d: dict) -> CrashCase:
     cd = d["crash"]
-    crash = CrashRecord(
-        caseno=cd["caseno"],
+    crash = _from_fields(
+        CrashRecord,
+        cd,
         occurred_at=datetime.strptime(cd["occurred_at"], "%Y-%m-%dT%H:%M"),
-        county=cd["county"],
-        route_id=cd["route_id"],
-        milepost=cd["milepost"],
-        weather=cd["weather"],
-        lighting=cd["lighting"],
-        surface_condition=cd["surface_condition"],
-        latitude=cd["latitude"],
-        longitude=cd["longitude"],
-        hit_and_run=cd["hit_and_run"],
         severity=Severity(cd["severity"]),
         extra=dict(cd["extra"]),
     )
-    sd = d["segment"]
-    segment = RoadSegment(**sd) if sd else None
+    segment = _from_fields(RoadSegment, d["segment"]) if d["segment"] else None
     units = []
     for unit in d["units"]:
-        vd = dict(unit["vehicle"])
-        vehicle = VehicleRecord(
-            caseno=vd["caseno"],
-            unit_id=vd["unit_id"],
-            make=vd["make"],
-            model=vd["model"],
-            model_year=vd["model_year"],
-            maneuver=vd["maneuver"],
-            extra=dict(vd["extra"]),
-        )
-        persons = [PersonRecord(**pd) for pd in unit["persons"]]
-        units.append((vehicle, persons))
+        vd = unit["vehicle"]
+        vehicle = _from_fields(VehicleRecord, vd, extra=dict(vd["extra"]))
+        units.append((vehicle, [_from_fields(PersonRecord, pd) for pd in unit["persons"]]))
     return CrashCase(crash=crash, segment=segment, units=units)
 
 

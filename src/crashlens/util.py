@@ -7,10 +7,16 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Any, Callable, Optional, Sequence, TypeVar
+
+import yaml
 
 T = TypeVar("T")
+
+# Raw values that mean "no value", compared after strip() and lower().
+NULL_MARKERS = frozenset({"", "nan", "unknown", "n/a"})
 
 _ANNOTATION_RE = re.compile(r"(?<=\S)\[\d+\.\d{2}\]")
 
@@ -22,6 +28,28 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {detail}")
         self.line = line
         self.detail = detail
+
+
+def is_null(raw: str) -> bool:
+    return raw.strip().lower() in NULL_MARKERS
+
+
+def load_yaml_section(name: str, key: str, kind: type, path: Optional[str | Path] = None) -> Any:
+    """The one section of a YAML data file: `path`, or the bundled file `name`.
+
+    The document must be a mapping whose only key is `key`, holding a `kind`
+    (dict or list); anything else raises ValueError.
+    """
+    if path is None:
+        raw = resources.files("crashlens.data").joinpath(name).read_text("utf-8")
+    else:
+        raw = Path(path).read_text("utf-8")
+    doc = yaml.safe_load(raw)
+    if not isinstance(doc, dict) or list(doc) != [key] or not isinstance(doc[key], kind):
+        raise ValueError(
+            f"{path or name} must be a mapping whose only key is {key!r}, holding a {kind.__name__}"
+        )
+    return doc[key]
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

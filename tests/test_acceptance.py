@@ -25,7 +25,7 @@ from crashlens.attribution import (
     occlusion_importance,
     taylor_importance,
 )
-from crashlens.augment import AugmentationConfig, StubChatClient, augment_batch
+from crashlens.augment import StubChatClient, augment_batch
 from crashlens.evaluation import (
     Exemplar,
     ParseStatus,
@@ -263,11 +263,10 @@ def test_c07_augmentation_falls_back_on_adversaries():
         .replace("9:15 PM", "8:00 PM")
         .replace("@@", "9:15 PM"),
     }
-    cfg = AugmentationConfig()
     fallbacks = 0
     flagged = 0
     for name, adversary in adversaries.items():
-        text, report = augment_batch([ORIGINAL], StubChatClient(transform=adversary), cfg)[0]
+        text, report = augment_batch([ORIGINAL], StubChatClient(transform=adversary), 0.1)[0]
         fallbacks += text == ORIGINAL
         flagged += not report.passed and bool(report.failures)
     n = len(adversaries)

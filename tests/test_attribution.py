@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from crashlens.attribution import (
     strip_annotations,
     taylor_importance,
 )
-from crashlens.refmodel import BOS_ID, TinyLM, Tokenizer
+from crashlens.refmodel import BOS_ID, TinyLM
 from oracles import aggregate_to_words_quadratic, normalize_scores_bruteforce, occlusion_loop
 
 
@@ -158,17 +160,28 @@ def test_normalization_thresholds_and_zeroes():
     assert scores[:, 1].tolist() == [0, 0, 0]
 
 
+def _piece_infos(text: str, spans: list[tuple[int, int]]) -> list[TokenInfo]:
+    return [TokenInfo(text=text[s:e], token_id=5 + i, start=s, end=e) for i, (s, e) in enumerate(spans)]
+
+
+def _cut_words(text: str, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """Spans that cut each word of `text` into pieces at 0-2 random inner offsets."""
+    spans = []
+    for m in re.finditer(r"\S+", text):
+        start, end = m.span()
+        k = min(int(rng.integers(0, 3)), end - start - 1)
+        cuts = sorted(rng.choice(np.arange(start + 1, end), size=k, replace=False).tolist())
+        bounds = [start, *cuts, end]
+        spans += zip(bounds, bounds[1:])
+    return spans
+
+
 def test_aggregate_to_words_takes_row_max_per_word():
     text = "alpha beta"
-    tok = Tokenizer.from_pieces(["al", "##pha", "beta"])
-    spans = tok.encode_with_spans(text)
     values = np.array([[10.0], [40.0], [20.0]])
     matrix = ImportanceMatrix(
         values=values,
-        input_tokens=[
-            TokenInfo(text=tok.tokens[tid], token_id=tid, start=s, end=e)
-            for tid, s, e in spans
-        ],
+        input_tokens=_piece_infos(text, [(0, 2), (2, 5), (6, 10)]),
         output_tokens=[TokenInfo(text="y", token_id=1)],
         method="occlusion",
     )
@@ -183,17 +196,16 @@ def test_aggregate_to_words_takes_row_max_per_word():
 
 
 def test_aggregate_to_words_matches_quadratic_oracle():
-    tok = Tokenizer.from_pieces(["al", "##pha", "##p", "be", "##ta", "beta", "g", "##am", "##ma", "x"])
     rng = np.random.default_rng(43)
     words = ["alpha", "beta", "betata", "gamma", "qqq", "x", "alphap", "zz"]
     for _ in range(40):
         text = " ".join(rng.choice(words, size=int(rng.integers(1, 12))))
-        spans = tok.encode_with_spans(text)
+        spans = _cut_words(text, rng)
         infos = [TokenInfo(text="<bos>", token_id=BOS_ID)]  # no span
-        infos += [TokenInfo(text=tok.tokens[t], token_id=t, start=s, end=e) for t, s, e in spans]
+        infos += _piece_infos(text, spans)
         if rng.random() < 0.5:
             # a span one past its word's end belongs to no word
-            _, start, end = spans[int(rng.integers(len(spans)))]
+            start, end = spans[int(rng.integers(len(spans)))]
             infos.append(TokenInfo(text="x", token_id=1, start=start, end=end + 1))
         infos.append(TokenInfo(text="<label>", token_id=3))  # response token, no span
         values = rng.normal(size=(len(infos), 2))

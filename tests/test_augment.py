@@ -6,7 +6,7 @@ import pytest
 import requests
 
 from crashlens.augment import (
-    AugmentationConfig,
+    SYSTEM_PROMPT,
     ConstraintKind,
     EmptyCompletionError,
     HttpChatClient,
@@ -14,7 +14,6 @@ from crashlens.augment import (
     UnavailableError,
     augment,
     augment_batch,
-    build_system_prompt,
     verify_preservation,
 )
 
@@ -95,9 +94,8 @@ def test_reordered_times_break_chronology():
 
 
 def test_system_prompt_lists_requirements():
-    cfg = AugmentationConfig()
-    prompt = build_system_prompt(cfg)
-    assert prompt.startswith(cfg.system_prompt)
+    prompt = SYSTEM_PROMPT
+    assert prompt.startswith("You are a professional editor")
     assert "Requirements:" in prompt
     for line in (
         "Keep every numeric value",
@@ -110,8 +108,7 @@ def test_system_prompt_lists_requirements():
 
 
 def test_stub_echo_round_trip():
-    cfg = AugmentationConfig()
-    out = augment(ORIGINAL, StubChatClient(), cfg)
+    out = augment(ORIGINAL, StubChatClient(), 0.1)
     assert out == ORIGINAL
 
 
@@ -119,8 +116,7 @@ def test_batch_falls_back_to_byte_identical_original():
     def adversary(user: str) -> str:
         return user.replace("60 mph", "65 mph").replace("22.4", "23")
 
-    cfg = AugmentationConfig()
-    results = augment_batch([ORIGINAL], StubChatClient(transform=adversary), cfg)
+    results = augment_batch([ORIGINAL], StubChatClient(transform=adversary), 0.1)
     text, report = results[0]
     assert text == ORIGINAL
     assert not report.passed
@@ -136,17 +132,15 @@ def test_batch_preserves_order_and_mixes_outcomes():
             return user.replace("milepost 3.0", "milepost 4.0")
         return user
 
-    cfg = AugmentationConfig()
-    results = augment_batch([good, other], StubChatClient(transform=adversary), cfg)
+    results = augment_batch([good, other], StubChatClient(transform=adversary), 0.1)
     assert results[0][0] == good and results[0][1].passed
     assert results[1][0] == other and not results[1][1].passed
 
 
 def test_batch_parallel_matches_serial(pairs):
     texts = [p.descriptive for p in pairs[:8]]
-    cfg = AugmentationConfig()
-    serial = augment_batch(texts, StubChatClient(), cfg, jobs=1)
-    parallel = augment_batch(texts, StubChatClient(), cfg, jobs=4)
+    serial = augment_batch(texts, StubChatClient(), 0.1, jobs=1)
+    parallel = augment_batch(texts, StubChatClient(), 0.1, jobs=4)
     assert [t for t, _ in serial] == [t for t, _ in parallel]
 
 
@@ -228,7 +222,7 @@ def test_client_rejected_request_is_not_retried(sleeps):
 def test_transport_exhaustion_is_flagged_not_raised_in_batch(sleeps):
     session = down_session()
     client = HttpChatClient(endpoint=ENDPOINT, session=session)
-    results = augment_batch([ORIGINAL], client, AugmentationConfig())
+    results = augment_batch([ORIGINAL], client, 0.1)
     text, report = results[0]
     assert text == ORIGINAL
     assert report.error is not None
@@ -239,13 +233,13 @@ def test_transport_exhaustion_is_flagged_not_raised_in_batch(sleeps):
 def test_transport_exhaustion_raises_for_single_call(sleeps):
     client = HttpChatClient(endpoint=ENDPOINT, session=down_session())
     with pytest.raises(UnavailableError):
-        augment(ORIGINAL, client, AugmentationConfig())
+        augment(ORIGINAL, client, 0.1)
 
 
 def test_non_json_reply_falls_back_without_retrying(sleeps):
     session = html_session()
     client = HttpChatClient(endpoint=ENDPOINT, session=session)
-    results = augment_batch([ORIGINAL, ORIGINAL], client, AugmentationConfig())
+    results = augment_batch([ORIGINAL, ORIGINAL], client, 0.1)
     assert session.posts == 2
     assert sleeps == []
     for text, report in results:
@@ -254,6 +248,5 @@ def test_non_json_reply_falls_back_without_retrying(sleeps):
 
 
 def test_empty_completion_rejected():
-    cfg = AugmentationConfig()
     with pytest.raises(EmptyCompletionError):
-        augment(ORIGINAL, StubChatClient(transform=lambda _: "   "), cfg)
+        augment(ORIGINAL, StubChatClient(transform=lambda _: "   "), 0.1)

@@ -470,7 +470,77 @@ def test_offline_stages_load_no_numpy_or_requests(pipeline, tmp_path, stage):
     if stage != "ingest":
         argv += ["--out", str(tmp_path / "out")]
     code = f"from crashlens.cli import main\nassert main({argv!r}) == 0"
-    assert _loaded_after(code, ("numpy", "requests")) == []
+    # jsonschema too: analyze --graph-out writes a graph it built, and only
+    # export --kind sankey validates one
+    assert _loaded_after(code, ("numpy", "requests", "jsonschema")) == []
+
+
+def _main_error(argv: list[str], capsys) -> dict:
+    """Run the CLI in process; it must fail with one JSON line on stderr."""
+    from crashlens.cli import main
+
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize(
+    "flag, text, error",
+    [
+        ("--lexicon", "", "ValueError"),
+        ("--lexicon", "fields: [1, 2]\n", "ValueError"),
+        ("--lexicon", "null_markers: [nan]\nfields: {}\n", "ValueError"),
+        ("--templates", "templates: [a]\n", "NarratorError"),
+        ("--grouping-rules", "", "ValueError"),
+        ("--category-lexicon", "categories: [a]\n", "ValueError"),
+    ],
+    ids=["lexicon-empty", "lexicon-list", "lexicon-null-markers", "template-string",
+         "grouping-rules-empty", "category-lexicon-list"],
+)
+def test_malformed_data_file_is_one_json_error(pipeline, tmp_path, capsys, flag, text, error):
+    d, _ = pipeline
+    data = tmp_path / "data.yaml"
+    data.write_text(text)
+    if flag in ("--lexicon", "--templates"):
+        argv = ["narrate", "--cases", str(d / "cases.jsonl")]
+    else:
+        argv = ["analyze", "--offline", "--attributions", str(d / "attr_occ.jsonl")]
+    out = tmp_path / "out.jsonl"
+    assert _main_error([*argv, flag, str(data), "--out", str(out)], capsys)["error"] == error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, command",
+    [
+        ("seed: [1]\n", ["ingest", "--balance"]),
+        # a truthy string must not switch eval to the stub client
+        ('offline: "false"\n', ["eval", "--strategy", "zs"]),
+    ],
+    ids=["seed-list", "offline-string"],
+)
+def test_config_value_of_wrong_type_rejected(pipeline, tmp_path, capsys, text, command):
+    d, _ = pipeline
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    if command[0] == "ingest":
+        argv = _ingest_args(tmp_path / "out.jsonl") + command[1:]
+    else:
+        argv = [*command, "--narratives", str(d / "narratives.jsonl"), "--out", str(tmp_path / "out.jsonl")]
+    err = _main_error([*argv, "--config", str(cfg)], capsys)
+    assert err["error"] == "CliError"
+    assert repr(text.split(":")[0]) in err["detail"]
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_augment_temperature_out_of_range_is_value_error(pipeline, tmp_path, capsys):
+    d, _ = pipeline
+    out = tmp_path / "aug.jsonl"
+    argv = ["augment", "--offline", "--narratives", str(d / "narratives.jsonl"), "--temperature", "3", "--out", str(out)]
+    err = _main_error(argv, capsys)
+    assert err == {"error": "ValueError", "detail": "temperature 3.0 outside [0, 2]"}
+    assert not out.exists()
 
 
 def _one_error_line(proc: subprocess.CompletedProcess) -> dict:

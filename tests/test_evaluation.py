@@ -73,8 +73,6 @@ def test_few_shot_requires_one_exemplar_per_class():
         Exemplar(narrative="b", label=MINOR),
     )
     with pytest.raises(EvaluationError):
-        build_prompt(PromptStrategy(StrategyKind.FEW_SHOT), "N", exemplars=both_minor)
-    with pytest.raises(EvaluationError):
         PromptStrategy(StrategyKind.FEW_SHOT, both_minor)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -240,7 +242,7 @@ def test_tokenizer_word_mode_round_trip():
     tok = Tokenizer.from_texts(["the quick brown fox", "jumps over the lazy dog"])
     text = "the quick dog"
     ids = tok.encode(text)
-    assert tok.decode(ids) == text
+    assert " ".join(tok.tokens[i] for i in ids) == text
     spans = tok.encode_with_spans(text)
     for tid, start, end in spans:
         assert text[start:end] in tok.tokens or tok.tokens[tid] == "<unk>"
@@ -261,25 +263,23 @@ def test_tokenizer_label_ids_are_special():
     assert minor < 5 and severe < 5
 
 
-def test_subword_tokenizer_spans_and_decode():
-    tok = Tokenizer.from_pieces(["ab", "##cd", "##d", "abc", "z"])
-    spans = tok.encode_with_spans("abcd z")
-    pieces = [(tok.tokens[tid], s, e) for tid, s, e in spans]
-    # greedy longest-first: abc + ##d beats ab + ##cd
-    assert pieces == [("abc", 0, 3), ("##d", 3, 4), ("z", 5, 6)]
-    assert tok.decode([tid for tid, _, _ in spans]) == "abcd z"
-    unk_spans = tok.encode_with_spans("qqq")
-    assert tok.tokens[unk_spans[0][0]] == "<unk>"
-    assert (unk_spans[0][1], unk_spans[0][2]) == (0, 3)
-
-
 def test_tokenizer_save_load_round_trip(tmp_path):
     tok = Tokenizer.from_texts(["some words here"])
     path = tmp_path / "tok.json"
     tok.save(path)
     back = Tokenizer.load(path)
     assert back.tokens == tok.tokens
-    assert back.mode == tok.mode
+    assert json.loads(path.read_text())["mode"] == "word"
+
+
+def test_tokenizer_load_rejects_other_modes(tmp_path):
+    path = tmp_path / "tok.json"
+    Tokenizer.from_texts(["some words"]).save(path)
+    doc = json.loads(path.read_text())
+    doc["mode"] = "subword"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(RefModelError, match="subword"):
+        Tokenizer.load(path)
 
 
 def test_model_save_load_round_trip(tmp_path):
