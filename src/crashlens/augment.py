@@ -13,7 +13,6 @@ import os
 import re
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence, TypeVar
 
@@ -211,10 +210,13 @@ def _canonical_times(text: str) -> tuple[list[str], str]:
 
     def grab(pattern: re.Pattern, to_token: Callable[[re.Match], str]) -> None:
         nonlocal out
-        for m in pattern.finditer(out):
+
+        def blank(m: re.Match) -> str:
             found.append((m.start(), to_token(m)))
-        # blank with equal length so offsets stay comparable across passes
-        out = pattern.sub(lambda m: " " * len(m.group(0)), out)
+            # equal length, so offsets stay comparable across passes
+            return " " * (m.end() - m.start())
+
+        out = pattern.sub(blank, out)
 
     def ampm_token(m: re.Match) -> str:
         hour = int(m.group(1)) % 12
@@ -247,11 +249,20 @@ def _canonical_dates(text: str) -> list[str]:
     return dates
 
 
-def _number_multiset(text: str) -> Counter:
+@dataclass(frozen=True)
+class _TextFacts:
+    """What the constraints compare, extracted from one text once."""
+
+    times: list[str]  # canonical clock tokens, in text order
+    numbers: Counter  # plain numbers, plus the clock tokens
+    dates_times: Counter
+
+
+def _text_facts(text: str) -> _TextFacts:
     times, residual = _canonical_times(text)
     numbers = Counter(m.group(0).replace(",", "") for m in _NUMBER_RE.finditer(residual))
     numbers.update(times)
-    return numbers
+    return _TextFacts(times, numbers, Counter(_canonical_dates(text)) + Counter(times))
 
 
 _MERIDIEMS = frozenset({"AM", "PM"})
@@ -295,30 +306,17 @@ def _proper_noun_runs(text: str) -> list[str]:
 
 def verify_preservation(original: str, augmented: str) -> ConstraintReport:
     """Mechanically check each constraint; report offending tokens per failure."""
-    results: list[ConstraintResult] = []
-    for kind in ConstraintKind:
-        if kind is ConstraintKind.NUMBERS:
-            missing = _number_multiset(original) - _number_multiset(augmented)
-            offending = sorted(missing.elements())
-            results.append(ConstraintResult(kind, not offending, offending))
-        elif kind is ConstraintKind.DATES_TIMES:
-            orig = Counter(_canonical_dates(original)) + Counter(_canonical_times(original)[0])
-            aug = Counter(_canonical_dates(augmented)) + Counter(_canonical_times(augmented)[0])
-            offending = sorted((orig - aug).elements())
-            results.append(ConstraintResult(kind, not offending, offending))
-        elif kind is ConstraintKind.PROPER_NOUNS:
-            offending = [run for run in _proper_noun_runs(original) if run not in augmented]
-            results.append(ConstraintResult(kind, not offending, offending))
-        elif kind is ConstraintKind.NO_NULL_MARKERS:
-            offending = [m.group(0) for m in NULL_MARKER_RE.finditer(augmented)]
-            results.append(ConstraintResult(kind, not offending, offending))
-        elif kind is ConstraintKind.CHRONOLOGY:
-            orig_times = _canonical_times(original)[0]
-            aug_times = _canonical_times(augmented)[0]
-            it = iter(aug_times)
-            offending = [t for t in orig_times if not any(t == a for a in it)]
-            results.append(ConstraintResult(kind, not offending, offending))
-    return ConstraintReport(results)
+    orig, aug = _text_facts(original), _text_facts(augmented)
+    aug_times = iter(aug.times)
+    offending = {
+        ConstraintKind.NUMBERS: sorted((orig.numbers - aug.numbers).elements()),
+        ConstraintKind.DATES_TIMES: sorted((orig.dates_times - aug.dates_times).elements()),
+        ConstraintKind.PROPER_NOUNS: [r for r in _proper_noun_runs(original) if r not in augmented],
+        ConstraintKind.NO_NULL_MARKERS: [m.group(0) for m in NULL_MARKER_RE.finditer(augmented)],
+        # each original time must occur in the rewrite after the previous one's match
+        ConstraintKind.CHRONOLOGY: [t for t in orig.times if not any(t == a for a in aug_times)],
+    }
+    return ConstraintReport([ConstraintResult(k, not offending[k], offending[k]) for k in ConstraintKind])
 
 
 def bounded_map(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1) -> list[R]:
@@ -326,6 +324,8 @@ def bounded_map(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1) -> list
     workers = max(1, min(jobs, len(items)))
     if workers == 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

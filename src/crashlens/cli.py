@@ -3,6 +3,8 @@
 Every stage reads and writes plain files so partial reruns and diffing work;
 output files are written atomically. Errors surface as one JSON line on
 stderr with exit code 1; argparse keeps its usual exit code 2 for bad flags.
+Each stage imports its modules inside its `cmd_*` function, so a call loads
+only what its own stage runs and `--help` loads this module and `util` only.
 """
 
 from __future__ import annotations
@@ -12,20 +14,19 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-import yaml
-
-from . import analytics, evaluation, narrator, schema
-from .augment import (
-    AugmentError,
-    ChatClient,
-    HttpChatClient,
-    StubChatClient,
-    augment_batch,
-    bounded_map,
+from .util import (
+    StrategyKind,
+    atomic_write_json,
+    atomic_write_jsonl,
+    parse_annotated,
+    read_jsonl,
+    string_fields,
 )
-from .util import atomic_write_json, atomic_write_jsonl, parse_annotated, read_jsonl, string_fields
+
+if TYPE_CHECKING:
+    from .augment import ChatClient
 
 DEFAULT_TARGET_RATIO = 2654 / 1779
 
@@ -73,12 +74,23 @@ def _config_types(key: str) -> tuple[type, ...]:
     return (type(default),)
 
 
+def _check_column_maps(maps: dict) -> None:
+    """Each entry maps a table name to a mapping of field name to column name."""
+    for table, columns in maps.items():
+        if not isinstance(columns, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in columns.items()
+        ):
+            raise CliError(f"config key 'column_maps' entry {table!r} must map strings to strings")
+
+
 def load_config(path: Optional[str]) -> dict[str, object]:
     """Defaults, overlaid with the YAML config; unknown keys and values of
     the wrong type are fatal."""
     cfg = dict(_CONFIG_DEFAULTS)
     if path is None:
         return cfg
+    import yaml
+
     doc = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
     if not isinstance(doc, dict):
         raise CliError(f"config {path} must be a mapping")
@@ -90,6 +102,8 @@ def load_config(path: Optional[str]) -> dict[str, object]:
         if not isinstance(value, types) or isinstance(value, bool) != (types == (bool,)):
             names = " or ".join(t.__name__ for t in types)
             raise CliError(f"config key {key!r} must be {names}, not {type(value).__name__}")
+        if key == "column_maps":
+            _check_column_maps(value)
         cfg[key] = value
     return cfg
 
@@ -120,6 +134,8 @@ def _read_jsonl(path: str | Path) -> list[dict]:
 
 
 def _chat_client(get: Callable[[str], object]) -> ChatClient:
+    from .augment import HttpChatClient, StubChatClient
+
     if get("offline"):
         return StubChatClient()
     endpoint = str(get("endpoint") or "")
@@ -129,6 +145,8 @@ def _chat_client(get: Callable[[str], object]) -> ChatClient:
 
 
 def cmd_ingest(args: argparse.Namespace, get: Callable[[str], object]) -> int:
+    from . import schema
+
     tables = schema.load_tables(
         args.crashes, args.segments, args.vehicles, args.persons, column_maps=get("column_maps")
     )
@@ -151,6 +169,8 @@ def cmd_ingest(args: argparse.Namespace, get: Callable[[str], object]) -> int:
 
 
 def cmd_narrate(args: argparse.Namespace, get: Callable[[str], object]) -> int:
+    from . import narrator, schema
+
     cases = schema.deserialize_cases(args.cases)
     lexicon = narrator.load_lexicon(get("lexicon"))
     templates = narrator.load_templates(get("templates"))
@@ -166,7 +186,10 @@ def cmd_narrate(args: argparse.Namespace, get: Callable[[str], object]) -> int:
 
 
 def cmd_augment(args: argparse.Namespace, get: Callable[[str], object]) -> int:
-    pairs = narrator.read_pairs(args.narratives)
+    from .augment import augment_batch
+    from .narrator import read_pairs
+
+    pairs = read_pairs(args.narratives)
     client = _chat_client(get)
     results = augment_batch(
         [p.descriptive for p in pairs], client, float(get("temperature")), jobs=int(get("jobs") or 1)
@@ -197,8 +220,9 @@ def cmd_augment(args: argparse.Namespace, get: Callable[[str], object]) -> int:
 
 def cmd_train_ref(args: argparse.Namespace, get: Callable[[str], object]) -> int:
     from . import refmodel
+    from .narrator import read_pairs
 
-    pairs = narrator.read_pairs(args.narratives)
+    pairs = read_pairs(args.narratives)
     if not pairs:
         raise CliError("no narratives to train on")
     tokenizer = refmodel.Tokenizer.from_texts([p.descriptive for p in pairs])
@@ -229,8 +253,9 @@ def cmd_train_ref(args: argparse.Namespace, get: Callable[[str], object]) -> int
 
 def cmd_attribute(args: argparse.Namespace, get: Callable[[str], object]) -> int:
     from . import attribution, refmodel
+    from .narrator import read_pairs
 
-    pairs = narrator.read_pairs(args.narratives)
+    pairs = read_pairs(args.narratives)
     if args.caseno:
         pairs = [p for p in pairs if p.caseno == args.caseno]
         if not pairs:
@@ -272,6 +297,9 @@ def cmd_attribute(args: argparse.Namespace, get: Callable[[str], object]) -> int
 
 
 def cmd_analyze(args: argparse.Namespace, get: Callable[[str], object]) -> int:
+    from . import analytics
+    from .augment import bounded_map
+
     records = _read_jsonl(args.attributions)
     rules = analytics.load_grouping_rules(get("grouping_rules"))
     lexicon = analytics.load_category_lexicon(get("category_lexicon"))
@@ -323,6 +351,8 @@ def cmd_analyze(args: argparse.Namespace, get: Callable[[str], object]) -> int:
 
 
 def cmd_export(args: argparse.Namespace, get: Callable[[str], object]) -> int:
+    from . import analytics
+
     if args.kind == "sankey":
         if not args.graph:
             raise CliError("--graph is required for sankey export")
@@ -352,11 +382,15 @@ def cmd_export(args: argparse.Namespace, get: Callable[[str], object]) -> int:
 
 
 def cmd_eval(args: argparse.Namespace, get: Callable[[str], object]) -> int:
-    pairs = narrator.read_pairs(args.narratives)
-    kind = evaluation.StrategyKind(args.strategy)
-    if kind is evaluation.StrategyKind.FEW_SHOT:
-        minor = next((p for p in pairs if p.label is schema.Severity.MINOR), None)
-        severe = next((p for p in pairs if p.label is schema.Severity.SEVERE), None)
+    from . import evaluation
+    from .narrator import read_pairs
+    from .schema import Severity
+
+    pairs = read_pairs(args.narratives)
+    kind = StrategyKind(args.strategy)
+    if kind is StrategyKind.FEW_SHOT:
+        minor = next((p for p in pairs if p.label is Severity.MINOR), None)
+        severe = next((p for p in pairs if p.label is Severity.SEVERE), None)
         if minor is None or severe is None:
             raise CliError("few-shot evaluation needs at least one narrative per class")
         strategy = evaluation.PromptStrategy(
@@ -404,8 +438,8 @@ def cmd_eval(args: argparse.Namespace, get: Callable[[str], object]) -> int:
                 "n_failed_parses": report.n_failed_parses,
                 "confusion": {
                     f"{g.value}->{p.value}": report.confusion[(g, p)]
-                    for g in schema.Severity
-                    for p in schema.Severity
+                    for g in Severity
+                    for p in Severity
                 },
                 "formatted": report.format(),
             },
@@ -422,7 +456,10 @@ def cmd_eval(args: argparse.Namespace, get: Callable[[str], object]) -> int:
 
 
 def cmd_build_sft(args: argparse.Namespace, get: Callable[[str], object]) -> int:
-    pairs = narrator.read_pairs(args.narratives)
+    from . import evaluation
+    from .narrator import read_pairs
+
+    pairs = read_pairs(args.narratives)
     records = evaluation.build_sft_dataset(pairs)
     atomic_write_jsonl(args.out, [evaluation.sft_record_to_dict(r) for r in records])
     _emit({"records": len(records), "out": str(args.out)})
@@ -506,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", parents=[common], help="prompted severity classification")
     p.add_argument("--narratives", required=True)
-    p.add_argument("--strategy", choices=[k.value for k in evaluation.StrategyKind], required=True)
+    p.add_argument("--strategy", choices=[k.value for k in StrategyKind], required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--metrics-out", dest="metrics_out", default=None)
     p.add_argument("--temperature", type=float, default=None)
@@ -521,31 +558,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Errors that end as one JSON line on stderr, as (module, class) pairs. An
+# error of a module that was never imported cannot have been raised, so a
+# class joins the handled set only once its module is loaded.
 _HANDLED = (
-    CliError,
-    schema.SchemaError,
-    narrator.NarratorError,
-    AugmentError,
-    analytics.AnalyticsError,
-    evaluation.EvaluationError,
-    yaml.YAMLError,
-    json.JSONDecodeError,
-    FileNotFoundError,
-    NotADirectoryError,
-    PermissionError,
-    ValueError,
-    KeyError,
+    ("builtins", "FileNotFoundError"),
+    ("builtins", "NotADirectoryError"),
+    ("builtins", "PermissionError"),
+    ("builtins", "ValueError"),
+    ("builtins", "KeyError"),
+    ("json", "JSONDecodeError"),
+    ("yaml", "YAMLError"),
+    ("jsonschema", "ValidationError"),
+    (__name__, "CliError"),
+    ("crashlens.schema", "SchemaError"),
+    ("crashlens.narrator", "NarratorError"),
+    ("crashlens.augment", "AugmentError"),
+    ("crashlens.analytics", "AnalyticsError"),
+    ("crashlens.evaluation", "EvaluationError"),
+    ("crashlens.refmodel", "RefModelError"),
 )
-
-# Errors of modules that only some stages import. An exception from a module
-# that was never imported cannot have been raised, so each one joins the
-# handled set once its module is loaded.
-_LAZY_HANDLED = (("crashlens.refmodel", "RefModelError"), ("jsonschema", "ValidationError"))
 
 
 def _handled() -> tuple[type[BaseException], ...]:
-    loaded = [getattr(sys.modules[mod], name) for mod, name in _LAZY_HANDLED if mod in sys.modules]
-    return _HANDLED + tuple(loaded)
+    return tuple(getattr(sys.modules[mod], name) for mod, name in _HANDLED if mod in sys.modules)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

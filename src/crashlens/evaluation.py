@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from .augment import ChatClient, UnavailableError, bounded_map
 from .narrator import NarrativePair
 from .schema import Severity
+from .util import StrategyKind  # re-exported; in util so the CLI parser need not import this module
 
 SYSTEM_PROMPT = "You are a professional road safety engineer."
 
@@ -48,12 +49,6 @@ SFT_QUESTION = "What is the severity of this crash?"
 
 class EvaluationError(Exception):
     pass
-
-
-class StrategyKind(enum.Enum):
-    ZERO_SHOT = "zs"
-    CHAIN_OF_THOUGHT = "zs-cot"
-    FEW_SHOT = "fs"
 
 
 class ParseStatus(enum.Enum):

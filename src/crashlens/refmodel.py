@@ -44,6 +44,19 @@ class TrainingDivergedError(RefModelError):
         self.epoch = epoch
 
 
+def _read_object(path: str | Path, what: str) -> dict:
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise RefModelError(f"{what} {path} must hold a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def _require_keys(doc: dict, path: str | Path, what: str, keys: Sequence[str]) -> None:
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise RefModelError(f"{what} {path} lacks {', '.join(map(repr, missing))}")
+
+
 @dataclass
 class Tokenizer:
     """Whitespace word tokenizer with char-span tracking; a word outside the
@@ -87,10 +100,14 @@ class Tokenizer:
 
     @classmethod
     def load(cls, path: str | Path) -> "Tokenizer":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = _read_object(path, "tokenizer")
+        _require_keys(doc, path, "tokenizer", ("mode", "tokens"))
         if doc["mode"] != "word":
             raise RefModelError(f"unsupported tokenizer mode {doc['mode']!r}")
-        return cls(tokens=list(doc["tokens"]))
+        tokens = doc["tokens"]
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise RefModelError(f"tokenizer {path}: 'tokens' must be a list of strings")
+        return cls(tokens=tokens)
 
 
 @dataclass(eq=False)
@@ -186,15 +203,25 @@ class TinyLM:
 
     @classmethod
     def load(cls, path: str | Path) -> "TinyLM":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = _read_object(path, "checkpoint")
         if doc.get("version") != 1:
             raise RefModelError(f"unsupported checkpoint version {doc.get('version')!r}")
-        return cls(
-            embeddings=np.array(doc["embeddings"], dtype=np.float64),
-            position_weights=np.array(doc["position_weights"], dtype=np.float64),
-            output_weights=np.array(doc["output_weights"], dtype=np.float64),
-            output_bias=np.array(doc["output_bias"], dtype=np.float64),
-        )
+        arrays = ("embeddings", "position_weights", "output_weights", "output_bias")
+        _require_keys(doc, path, "checkpoint", arrays)
+        try:
+            model = cls(*(np.array(doc[key], dtype=np.float64) for key in arrays))
+        except (TypeError, ValueError) as exc:  # not numbers, or ragged
+            raise RefModelError(f"checkpoint {path}: {exc}") from exc
+        emb = model.embeddings
+        if not (
+            emb.ndim == 2
+            and model.position_weights.ndim == 1
+            and model.output_weights.shape == emb.shape[::-1]
+            and model.output_bias.shape == emb.shape[:1]
+        ):
+            shapes = ", ".join(f"{key} {getattr(model, key).shape}" for key in arrays)
+            raise RefModelError(f"checkpoint {path} arrays do not fit one model: {shapes}")
+        return model
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import json
 import os
 import re
@@ -11,14 +12,21 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, TypeVar
 
-import yaml
-
 T = TypeVar("T")
 
 # Raw values that mean "no value", compared after strip() and lower().
 NULL_MARKERS = frozenset({"", "nan", "unknown", "n/a"})
 
 _ANNOTATION_RE = re.compile(r"(?<=\S)\[\d+\.\d{2}\]")
+
+
+class StrategyKind(enum.Enum):
+    """The prompting strategies of `evaluation`; defined here so the CLI can
+    list them without importing that module."""
+
+    ZERO_SHOT = "zs"
+    CHAIN_OF_THOUGHT = "zs-cot"
+    FEW_SHOT = "fs"
 
 
 class ParseError(ValueError):
@@ -40,6 +48,8 @@ def load_yaml_section(name: str, key: str, kind: type, path: Optional[str | Path
     The document must be a mapping whose only key is `key`, holding a `kind`
     (dict or list); anything else raises ValueError.
     """
+    import yaml
+
     if path is None:
         raw = resources.files("crashlens.data").joinpath(name).read_text("utf-8")
     else:

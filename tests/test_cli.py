@@ -420,6 +420,12 @@ def test_non_object_jsonl_line_is_one_json_error(pipeline, tmp_path, command, fl
     assert not out.exists()
 
 
+STAGE_MODULES = tuple(
+    f"crashlens.{m}"
+    for m in ("schema", "narrator", "augment", "analytics", "evaluation", "refmodel", "attribution")
+)
+
+
 def _loaded_after(code: str, modules: tuple[str, ...]) -> list[str]:
     """Run `code` in a fresh interpreter; which of `modules` it imported."""
     probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {modules!r} if m in sys.modules]))"
@@ -443,17 +449,24 @@ def test_package_root_imports_no_dependencies():
     ids=["import", "help"],
 )
 def test_cli_start_loads_no_heavy_dependencies(code):
-    assert _loaded_after(code, ("numpy", "requests", "jsonschema")) == []
+    modules = ("numpy", "requests", "jsonschema", "yaml", "concurrent.futures") + STAGE_MODULES
+    assert _loaded_after(code, modules) == []
 
 
-@pytest.mark.parametrize("stage", ["ingest", "narrate", "augment", "eval", "build-sft", "analyze", "export"])
-def test_offline_stages_load_no_numpy_or_requests(pipeline, tmp_path, stage):
-    d, _ = pipeline
+def _stage_argv(d: Path, tmp_path: Path, stage: str) -> list[str]:
+    """A small offline call of `stage` on the pipeline's artifacts."""
     narratives = ["--narratives", str(d / "narratives.jsonl")]
+    model = ["--model", str(d / "model.json"), "--tokenizer", str(d / "tok.json")]
+    if stage == "ingest":
+        return _ingest_args(tmp_path / "cases.jsonl")
     argv = {
-        "ingest": _ingest_args(tmp_path / "cases.jsonl"),
         "narrate": ["narrate", "--cases", str(d / "cases.jsonl")],
         "augment": ["augment", "--offline", *narratives],
+        "train-ref": [
+            "train-ref", *narratives, "--epochs", "1",
+            "--out-model", str(tmp_path / "model.json"), "--out-tokenizer", str(tmp_path / "tok.json"),
+        ],
+        "attribute": ["attribute", *narratives, *model, "--method", "taylor", "--caseno", "C0001"],
         "eval": ["eval", "--offline", *narratives, "--strategy", "zs"],
         "build-sft": ["build-sft", *narratives],
         "analyze": [
@@ -467,12 +480,43 @@ def test_offline_stages_load_no_numpy_or_requests(pipeline, tmp_path, stage):
             "--caseno", "C0001",
         ],
     }[stage]
-    if stage != "ingest":
-        argv += ["--out", str(tmp_path / "out")]
-    code = f"from crashlens.cli import main\nassert main({argv!r}) == 0"
+    return argv if stage == "train-ref" else argv + ["--out", str(tmp_path / "out")]
+
+
+def _main_probe(argv: list[str]) -> str:
+    return f"from crashlens.cli import main\nassert main({argv!r}) == 0"
+
+
+@pytest.mark.parametrize("stage", ["ingest", "narrate", "augment", "eval", "build-sft", "analyze", "export"])
+def test_offline_stages_load_no_numpy_or_requests(pipeline, tmp_path, stage):
+    d, _ = pipeline
     # jsonschema too: analyze --graph-out writes a graph it built, and only
     # export --kind sankey validates one
-    assert _loaded_after(code, ("numpy", "requests", "jsonschema")) == []
+    probe = _main_probe(_stage_argv(d, tmp_path, stage))
+    assert _loaded_after(probe, ("numpy", "requests", "jsonschema")) == []
+
+
+@pytest.mark.parametrize(
+    "stage, loaded",
+    [
+        ("ingest", ["schema"]),
+        ("narrate", ["schema", "narrator", "yaml"]),
+        ("augment", ["schema", "narrator", "augment"]),
+        ("train-ref", ["schema", "narrator", "refmodel"]),
+        ("attribute", ["schema", "narrator", "refmodel", "attribution"]),
+        ("analyze", ["augment", "analytics", "yaml"]),
+        ("export", ["augment", "analytics"]),
+        ("eval", ["schema", "narrator", "augment", "evaluation"]),
+        ("build-sft", ["schema", "narrator", "augment", "evaluation"]),
+    ],
+)
+def test_each_stage_loads_only_the_modules_it_runs(pipeline, tmp_path, stage, loaded):
+    """Which stage modules, data-file parser and thread pool a call loads;
+    with jobs 1 no stage starts a thread pool."""
+    d, _ = pipeline
+    modules = STAGE_MODULES + ("yaml", "concurrent.futures")
+    expected = [m for m in modules if m.split(".")[-1] in loaded]
+    assert _loaded_after(_main_probe(_stage_argv(d, tmp_path, stage)), modules) == expected
 
 
 def _main_error(argv: list[str], capsys) -> dict:
@@ -517,8 +561,10 @@ def test_malformed_data_file_is_one_json_error(pipeline, tmp_path, capsys, flag,
         ("seed: [1]\n", ["ingest", "--balance"]),
         # a truthy string must not switch eval to the stub client
         ('offline: "false"\n', ["eval", "--strategy", "zs"]),
+        ("column_maps: {crash: [1]}\n", ["ingest"]),
+        ("column_maps: {crash: {caseno: 5}}\n", ["ingest"]),
     ],
-    ids=["seed-list", "offline-string"],
+    ids=["seed-list", "offline-string", "column-map-list", "column-name-int"],
 )
 def test_config_value_of_wrong_type_rejected(pipeline, tmp_path, capsys, text, command):
     d, _ = pipeline
@@ -561,6 +607,58 @@ def test_sankey_link_past_node_list_is_validation_error(tmp_path):
         text=True,
     )
     assert _one_error_line(proc)["error"] == "ValidationError"
+    assert not out.exists()
+
+
+def _ingest_without_severity(tmp_path: Path) -> list[str]:
+    crashes = tmp_path / "crashes.csv"
+    crashes.write_text(corpus_path("crashes").read_text(encoding="utf-8").replace("SEVERITY", "GRADE", 1))
+    args = _ingest_args(tmp_path / "out")
+    args[args.index("--crashes") + 1] = str(crashes)
+    return args
+
+
+@pytest.mark.parametrize("case", ["schema", "narrator"])
+def test_error_of_a_lazily_loaded_module_is_one_json_line(pipeline, tmp_path, case):
+    """In a fresh interpreter the stage module is loaded only inside the
+    stage, and its error must still be one of the handled ones."""
+    from crashlens import narrator, schema
+
+    d, _ = pipeline
+    if case == "schema":
+        argv, error = _ingest_without_severity(tmp_path), schema.SchemaError
+    else:
+        templates = tmp_path / "templates.yaml"
+        templates.write_text("templates: [a]\n")
+        argv = ["narrate", "--cases", str(d / "cases.jsonl"), "--templates", str(templates),
+                "--out", str(tmp_path / "out")]
+        error = narrator.NarratorError
+    proc = subprocess.run(python_cli(*argv), capture_output=True, text=True)
+    name = _one_error_line(proc)["error"]
+    assert issubclass(getattr(sys.modules[error.__module__], name), error)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--model", "--tokenizer"])
+def test_attribute_rejects_a_non_object_model_file(pipeline, tmp_path, flag):
+    d, _ = pipeline
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1]")
+    model = bad if flag == "--model" else d / "model.json"
+    tokenizer = bad if flag == "--tokenizer" else d / "tok.json"
+    out = tmp_path / "attr.jsonl"
+    proc = subprocess.run(
+        python_cli(
+            "attribute", "--narratives", str(d / "narratives.jsonl"),
+            "--model", str(model), "--tokenizer", str(tokenizer),
+            "--method", "occlusion", "--out", str(out),
+        ),
+        capture_output=True,
+        text=True,
+    )
+    err = _one_error_line(proc)
+    assert err["error"] == "RefModelError"
+    assert "must hold a JSON object, not list" in err["detail"]
     assert not out.exists()
 
 

@@ -296,3 +296,50 @@ def test_model_load_rejects_unknown_version(tmp_path):
     path.write_text('{"version": 99}')
     with pytest.raises(RefModelError):
         TinyLM.load(path)
+
+
+@pytest.mark.parametrize(
+    "doc, detail",
+    [
+        ([1], "must hold a JSON object, not list"),
+        ({"mode": "word"}, "lacks 'tokens'"),
+        ({"mode": "word", "tokens": 5}, "'tokens' must be a list of strings"),
+    ],
+    ids=["list", "no-tokens", "tokens-int"],
+)
+def test_tokenizer_load_rejects_malformed_file(tmp_path, doc, detail):
+    path = tmp_path / "tok.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(RefModelError, match=detail):
+        Tokenizer.load(path)
+
+
+def _checkpoint(**changes) -> dict:
+    model = TinyLM.init(6, dim=3, window=4, seed=1)
+    doc = {
+        "version": 1,
+        "embeddings": model.embeddings.tolist(),
+        "position_weights": model.position_weights.tolist(),
+        "output_weights": model.output_weights.tolist(),
+        "output_bias": model.output_bias.tolist(),
+    }
+    doc.update(changes)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "doc, detail",
+    [
+        ([1], "must hold a JSON object, not list"),
+        (_checkpoint(output_bias=None), "lacks 'output_bias'"),
+        (_checkpoint(embeddings={"a": 1}), "float"),
+        (_checkpoint(embeddings=[[1.0, 2.0], [3.0]]), "inhomogeneous"),
+        (_checkpoint(output_bias=[0.0]), "arrays do not fit one model"),
+    ],
+    ids=["list", "no-bias", "embeddings-object", "embeddings-ragged", "bias-too-short"],
+)
+def test_model_load_rejects_malformed_file(tmp_path, doc, detail):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(RefModelError, match=detail):
+        TinyLM.load(path)
