@@ -153,15 +153,19 @@ def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
             return
         fields[name] = text
 
+    def lookup(name: str, raw: str) -> str:
+        phrase, warn = lexicon.lookup(name, raw)
+        if warn:
+            warnings.append(f"{crash.caseno}: {warn}")
+        return phrase
+
     def put_phrase(name: str, code: object) -> None:
         if code is None:
             return
         raw = str(code).strip()
         if is_null(raw):
             return
-        phrase, warn = lexicon.lookup(name, raw)
-        if warn:
-            warnings.append(f"{crash.caseno}: {warn}")
+        phrase = lookup(name, raw)
         if phrase in seen_phrases:
             return
         seen_phrases.add(phrase)
@@ -201,10 +205,7 @@ def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
     if seg is not None:
         road_words = []
         if not is_null(seg.locale):
-            phrase, warn = lexicon.lookup("locale", seg.locale.strip())
-            if warn:
-                warnings.append(f"{crash.caseno}: {warn}")
-            road_words.append(phrase)
+            road_words.append(lookup("locale", seg.locale.strip()))
         road_words.append(_LANE_WORDS.get(seg.lane_count, f"{seg.lane_count}-lane"))
         road = " ".join(road_words) + " road"
         put("road_description", f"{_article(road)} {road}")
@@ -227,7 +228,6 @@ def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
 
     vehicles: list[VehicleView] = []
     for i, (veh, persons) in enumerate(case.units, start=1):
-        vseen: set[str] = set()
         vfields: dict[str, str] = {"ordinal": _ordinal(i)}
         name_words = []
         if veh.model_year is not None:
@@ -240,12 +240,7 @@ def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
             vfields["description"] = f"{_article(desc)} {desc}"
         raw_moves = str(veh.maneuver).strip()
         if not is_null(raw_moves):
-            phrase, warn = lexicon.lookup("maneuver", raw_moves)
-            if warn:
-                warnings.append(f"{crash.caseno}: {warn}")
-            if phrase not in vseen:
-                vseen.add(phrase)
-                vfields["maneuver"] = phrase
+            vfields["maneuver"] = lookup("maneuver", raw_moves)
 
         person_views: list[dict[str, str]] = []
         for per in persons:
@@ -253,18 +248,12 @@ def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
             role_raw = per.role.strip()
             if is_null(role_raw):
                 continue
-            role_phrase, warn = lexicon.lookup("role", role_raw)
-            if warn:
-                warnings.append(f"{crash.caseno}: {warn}")
-            pf["subject"] = f"{role_phrase} the {_ordinal(i)} vehicle"
+            pf["subject"] = f"{lookup('role', role_raw)} the {_ordinal(i)} vehicle"
             profile_words = []
             if per.age is not None:
                 profile_words.append(f"{per.age}-year-old")
             if not is_null(per.sex):
-                sex_phrase, warn = lexicon.lookup("sex", per.sex.strip())
-                if warn:
-                    warnings.append(f"{crash.caseno}: {warn}")
-                profile_words.append(sex_phrase)
+                profile_words.append(lookup("sex", per.sex.strip()))
             elif per.age is not None:
                 profile_words.append("person")
             if profile_words:
@@ -278,10 +267,7 @@ def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
                 raw = str(raw).strip()
                 if is_null(raw):
                     continue
-                phrase, warn = lexicon.lookup(pname, raw)
-                if warn:
-                    warnings.append(f"{crash.caseno}: {warn}")
-                pf[pname] = phrase
+                pf[pname] = lookup(pname, raw)
             person_views.append(pf)
         vehicles.append(VehicleView(fields=vfields, persons=person_views))
 

@@ -9,67 +9,18 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass, field, fields
 from datetime import datetime
 from pathlib import Path
 from random import Random
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .util import ParseError, is_null, read_jsonl  # deserialize_cases raises ParseError
 
 MODEL_YEAR_MIN = 1900
 MODEL_YEAR_MAX = datetime.now().year + 1
 AGE_MAX = 120
-
-# Default CSV header -> field mapping, overridable via config.
-DEFAULT_COLUMNS: dict[str, dict[str, str]] = {
-    "crash": {
-        "caseno": "CASENO",
-        "date": "DATE",
-        "time": "TIME",
-        "county": "COUNTY",
-        "route_id": "ROUTE_ID",
-        "milepost": "MILEPOST",
-        "weather": "WEATHER",
-        "lighting": "LIGHTING",
-        "surface_condition": "SURFACE_COND",
-        "latitude": "LATITUDE",
-        "longitude": "LONGITUDE",
-        "hit_and_run": "HIT_AND_RUN",
-        "severity": "SEVERITY",
-    },
-    "segment": {
-        "route_id": "ROUTE_ID",
-        "from_measure": "FROM_MEASURE",
-        "to_measure": "TO_MEASURE",
-        "lane_count": "LANE_COUNT",
-        "lane_width": "LANE_WIDTH",
-        "left_shoulder_width": "LEFT_SHOULDER",
-        "right_shoulder_width": "RIGHT_SHOULDER",
-        "speed_limit": "SPEED_LIMIT",
-        "surface_type": "SURFACE_TYPE",
-        "aadt": "AADT",
-        "locale": "LOCALE",
-    },
-    "vehicle": {
-        "caseno": "CASENO",
-        "unit_id": "UNIT_ID",
-        "make": "MAKE",
-        "model": "MODEL",
-        "model_year": "MODEL_YEAR",
-        "maneuver": "MANEUVER",
-    },
-    "person": {
-        "caseno": "CASENO",
-        "unit_id": "UNIT_ID",
-        "role": "ROLE",
-        "age": "AGE",
-        "sex": "SEX",
-        "restraint": "RESTRAINT",
-        "airbag": "AIRBAG",
-        "sobriety": "SOBRIETY",
-    },
-}
 
 _TRUE_TOKENS = {"1", "y", "yes", "true", "t"}
 _FALSE_TOKENS = {"0", "n", "no", "false", "f", ""}
@@ -212,18 +163,41 @@ class IntegrationResult:
     report: IntegrationReport
 
 
-def _opt_float(raw: str) -> Optional[float]:
-    raw = raw.strip()
-    if not raw:
-        return None
-    return float(raw)
+Parser = Callable[[str], object]
 
 
-def _opt_int(raw: str) -> Optional[int]:
-    raw = raw.strip()
-    if not raw:
-        return None
-    return int(raw)
+def optional(parse: Parser) -> Parser:
+    """`parse`, except that a null cell (`util.is_null`) reads as None: the one
+    null policy of every optional column."""
+
+    def parse_optional(raw: str) -> object:
+        return None if is_null(raw) else parse(raw)
+
+    return parse_optional
+
+
+def _text(raw: str) -> str:
+    return raw.strip()
+
+
+def _caseno(raw: str) -> str:
+    caseno = raw.strip()
+    if not caseno:
+        raise ValueError("must not be empty")
+    return caseno
+
+
+def _number(kind: type, lo: float = -math.inf, hi: float = math.inf) -> Parser:
+    """A finite `kind` (int or float) within [lo, hi]."""
+
+    def parse(raw: str) -> object:
+        value = kind(raw)
+        # NaN fails the comparison; an int, however large, is never infinite
+        if not lo <= value <= hi or abs(value) == math.inf:
+            raise ValueError(f"{raw.strip()!r} is not a finite number within [{lo}, {hi}]")
+        return value
+
+    return parse
 
 
 def _parse_bool(raw: str) -> bool:
@@ -235,17 +209,145 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean flag: {raw!r}")
 
 
-def _read_rows(path: str | Path, table: str, required: Iterable[str]) -> list[dict[str, str]]:
+def _occurred_at(values: dict) -> None:
+    stamp = f"{values.pop('date')} {values.pop('time')}"
+    values["occurred_at"] = datetime.strptime(stamp, "%Y-%m-%d %H:%M")
+
+
+def _measures_ordered(values: dict) -> None:
+    if not values["from_measure"] < values["to_measure"]:
+        raise ValueError(
+            f"from_measure {values['from_measure']} must be < to_measure {values['to_measure']}"
+        )
+
+
+@dataclass(frozen=True)
+class TableSpec:
+    """One CSV table: each field's default column and cell parser, the record
+    the fields build, and the check of fields against each other."""
+
+    record: type
+    columns: dict[str, tuple[str, Parser]]  # field -> (default CSV column, cell parser)
+    combine: Callable[[dict], None] = lambda values: None
+
+    @property
+    def header(self) -> list[str]:
+        """The default CSV columns, in field order."""
+        return [column for column, _ in self.columns.values()]
+
+
+_float = _number(float)
+_int = _number(int)
+
+TABLES: dict[str, TableSpec] = {
+    "crash": TableSpec(
+        CrashRecord,
+        {
+            "caseno": ("CASENO", _caseno),
+            "date": ("DATE", _text),
+            "time": ("TIME", _text),
+            "county": ("COUNTY", _text),
+            "route_id": ("ROUTE_ID", _text),
+            "milepost": ("MILEPOST", _number(float, lo=0)),
+            "weather": ("WEATHER", _text),
+            "lighting": ("LIGHTING", _text),
+            "surface_condition": ("SURFACE_COND", _text),
+            "latitude": ("LATITUDE", optional(_float)),
+            "longitude": ("LONGITUDE", optional(_float)),
+            "hit_and_run": ("HIT_AND_RUN", _parse_bool),
+            "severity": ("SEVERITY", Severity.parse),
+        },
+        _occurred_at,
+    ),
+    "segment": TableSpec(
+        RoadSegment,
+        {
+            "route_id": ("ROUTE_ID", _text),
+            "from_measure": ("FROM_MEASURE", _float),
+            "to_measure": ("TO_MEASURE", _float),
+            "lane_count": ("LANE_COUNT", _number(int, lo=1)),
+            "lane_width": ("LANE_WIDTH", optional(_float)),
+            "left_shoulder_width": ("LEFT_SHOULDER", optional(_float)),
+            "right_shoulder_width": ("RIGHT_SHOULDER", optional(_float)),
+            "speed_limit": ("SPEED_LIMIT", optional(_int)),
+            "surface_type": ("SURFACE_TYPE", _text),
+            "aadt": ("AADT", _number(int, lo=0)),
+            "locale": ("LOCALE", _text),
+        },
+        _measures_ordered,
+    ),
+    "vehicle": TableSpec(
+        VehicleRecord,
+        {
+            "caseno": ("CASENO", _text),
+            "unit_id": ("UNIT_ID", _int),
+            "make": ("MAKE", _text),
+            "model": ("MODEL", _text),
+            "model_year": ("MODEL_YEAR", optional(_number(int, MODEL_YEAR_MIN, MODEL_YEAR_MAX))),
+            "maneuver": ("MANEUVER", _text),
+        },
+    ),
+    "person": TableSpec(
+        PersonRecord,
+        {
+            "caseno": ("CASENO", _text),
+            "unit_id": ("UNIT_ID", _int),
+            "role": ("ROLE", _text),
+            "age": ("AGE", optional(_number(int, 0, AGE_MAX))),
+            "sex": ("SEX", _text),
+            "restraint": ("RESTRAINT", _text),
+            "airbag": ("AIRBAG", _text),
+            "sobriety": ("SOBRIETY", _text),
+        },
+    ),
+}
+
+
+def _parse_row(spec: TableSpec, columns: Mapping[str, str], row: dict[str, str]) -> object:
+    """The record of one CSV row, read through `columns` (field -> CSV column);
+    a cell that does not parse raises ValueError naming its field."""
+    values = {}
+    for name, (_, parse) in spec.columns.items():
+        try:
+            values[name] = parse(row[columns[name]])
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    spec.combine(values)
+    if "extra" in spec.record.__dataclass_fields__:
+        mapped = set(columns.values())
+        values["extra"] = {k: v for k, v in row.items() if k not in mapped}
+    return spec.record(**values)
+
+
+def _load_table(
+    path: str | Path, table: str, columns: Mapping[str, str], rejects: list[RejectedRow]
+) -> list:
+    """Typed records of one CSV; a row that does not parse, or whose cell
+    count differs from the header's, lands in `rejects` with its line number."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"{table} table not found: {path}")
+    records = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in required:
-            if col not in header:
-                raise MissingColumnError(table, col)
-        return [dict(row) for row in reader]
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            for column in columns.values():
+                if column not in header:
+                    raise MissingColumnError(table, column)
+            for cells in reader:
+                if not cells:
+                    continue  # a blank line holds no row
+                row = dict(zip(header, cells))
+                try:
+                    if len(cells) != len(header):
+                        raise ValueError(f"{len(cells)} cells where the header has {len(header)}")
+                    records.append(_parse_row(TABLES[table], columns, row))
+                except ValueError as exc:
+                    rejects.append(RejectedRow(table, reader.line_num, str(exc), row))
+        except csv.Error as exc:
+            raise SchemaError(f"{table} table {path} line {reader.line_num}: {exc}") from None
+    return records
 
 
 def load_tables(
@@ -257,136 +359,25 @@ def load_tables(
 ) -> TableSet:
     """Load the four crash CSVs into typed rows.
 
-    Rows that fail type coercion land in the rejects report instead of being
-    dropped silently. A duplicate caseno in the crash table is fatal.
+    `column_maps` renames the CSV column of a field per table. Every mapped
+    column must be in the header. Rows that fail type coercion, or hold more
+    or fewer cells than the header, land in the rejects report instead of
+    being dropped silently. A duplicate caseno in the crash table is fatal.
     """
-    maps = {t: dict(DEFAULT_COLUMNS[t]) for t in DEFAULT_COLUMNS}
-    if column_maps:
-        for table, overrides in column_maps.items():
-            if table not in maps:
-                raise SchemaError(f"unknown table in column map: {table!r}")
-            maps[table].update(overrides)
+    maps = {table: dict(zip(spec.columns, spec.header)) for table, spec in TABLES.items()}
+    for table, overrides in (column_maps or {}).items():
+        if table not in maps:
+            raise SchemaError(f"unknown table in column map: {table!r}")
+        for name in overrides:
+            if name not in maps[table]:
+                raise SchemaError(f"unknown field in column map for table {table!r}: {name!r}")
+        maps[table].update(overrides)
 
     rejects: list[RejectedRow] = []
-
-    def coerce(table: str, rows: list[dict[str, str]], builder) -> list:
-        out = []
-        for i, row in enumerate(rows):
-            line = i + 2  # header is line 1
-            try:
-                out.append(builder(row))
-            except (ValueError, KeyError) as exc:
-                rejects.append(RejectedRow(table, line, str(exc), row))
-        return out
-
-    cm = maps["crash"]
-
-    def build_crash(row: dict[str, str]) -> CrashRecord:
-        caseno = row[cm["caseno"]].strip()
-        if not caseno:
-            raise ValueError("empty caseno")
-        occurred_at = datetime.strptime(
-            f"{row[cm['date']].strip()} {row[cm['time']].strip()}", "%Y-%m-%d %H:%M"
-        )
-        milepost = float(row[cm["milepost"]])
-        if milepost < 0:
-            raise ValueError(f"negative milepost {milepost}")
-        mapped = set(cm.values())
-        extra = {k: v for k, v in row.items() if k not in mapped}
-        return CrashRecord(
-            caseno=caseno,
-            occurred_at=occurred_at,
-            county=row[cm["county"]].strip(),
-            route_id=row[cm["route_id"]].strip(),
-            milepost=milepost,
-            weather=row[cm["weather"]].strip(),
-            lighting=row[cm["lighting"]].strip(),
-            surface_condition=row[cm["surface_condition"]].strip(),
-            latitude=_opt_float(row[cm["latitude"]]),
-            longitude=_opt_float(row[cm["longitude"]]),
-            hit_and_run=_parse_bool(row[cm["hit_and_run"]]),
-            severity=Severity.parse(row[cm["severity"]]),
-            extra=extra,
-        )
-
-    sm = maps["segment"]
-
-    def build_segment(row: dict[str, str]) -> RoadSegment:
-        from_measure = float(row[sm["from_measure"]])
-        to_measure = float(row[sm["to_measure"]])
-        if not from_measure < to_measure:
-            raise ValueError(f"from_measure {from_measure} must be < to_measure {to_measure}")
-        lane_count = int(row[sm["lane_count"]])
-        if lane_count < 1:
-            raise ValueError(f"lane_count {lane_count} must be >= 1")
-        aadt = int(row[sm["aadt"]])
-        if aadt < 0:
-            raise ValueError(f"negative aadt {aadt}")
-        return RoadSegment(
-            route_id=row[sm["route_id"]].strip(),
-            from_measure=from_measure,
-            to_measure=to_measure,
-            lane_count=lane_count,
-            lane_width=_opt_float(row[sm["lane_width"]]),
-            left_shoulder_width=_opt_float(row[sm["left_shoulder_width"]]),
-            right_shoulder_width=_opt_float(row[sm["right_shoulder_width"]]),
-            speed_limit=_opt_int(row[sm["speed_limit"]]),
-            surface_type=row[sm["surface_type"]].strip(),
-            aadt=aadt,
-            locale=row[sm["locale"]].strip(),
-        )
-
-    vm = maps["vehicle"]
-
-    def build_vehicle(row: dict[str, str]) -> VehicleRecord:
-        raw_year = row[vm["model_year"]]
-        if is_null(raw_year):
-            model_year = None
-        else:
-            model_year = int(raw_year)
-            if not MODEL_YEAR_MIN <= model_year <= MODEL_YEAR_MAX:
-                raise ValueError(f"model_year {model_year} outside [{MODEL_YEAR_MIN}, {MODEL_YEAR_MAX}]")
-        mapped = set(vm.values())
-        extra = {k: v for k, v in row.items() if k not in mapped}
-        return VehicleRecord(
-            caseno=row[vm["caseno"]].strip(),
-            unit_id=int(row[vm["unit_id"]]),
-            make=row[vm["make"]].strip(),
-            model=row[vm["model"]].strip(),
-            model_year=model_year,
-            maneuver=row[vm["maneuver"]].strip(),
-            extra=extra,
-        )
-
-    pm = maps["person"]
-
-    def build_person(row: dict[str, str]) -> PersonRecord:
-        raw_age = row[pm["age"]]
-        if is_null(raw_age):
-            age = None
-        else:
-            age = int(raw_age)
-            if not 0 <= age <= AGE_MAX:
-                raise ValueError(f"age {age} outside [0, {AGE_MAX}]")
-        return PersonRecord(
-            caseno=row[pm["caseno"]].strip(),
-            unit_id=int(row[pm["unit_id"]]),
-            role=row[pm["role"]].strip(),
-            age=age,
-            sex=row[pm["sex"]].strip(),
-            restraint=row[pm["restraint"]].strip(),
-            airbag=row[pm["airbag"]].strip(),
-            sobriety=row[pm["sobriety"]].strip(),
-        )
-
-    crashes = coerce("crash", _read_rows(crash_path, "crash", [cm["caseno"], cm["severity"]]), build_crash)
-    segments = coerce(
-        "segment",
-        _read_rows(segment_path, "segment", [sm["route_id"], sm["from_measure"], sm["to_measure"]]),
-        build_segment,
+    paths = (crash_path, segment_path, vehicle_path, person_path)
+    crashes, segments, vehicles, persons = (
+        _load_table(path, table, maps[table], rejects) for path, table in zip(paths, TABLES)
     )
-    vehicles = coerce("vehicle", _read_rows(vehicle_path, "vehicle", [vm["caseno"], vm["unit_id"]]), build_vehicle)
-    persons = coerce("person", _read_rows(person_path, "person", [pm["caseno"], pm["unit_id"]]), build_person)
 
     seen: set[str] = set()
     for crash in crashes:

@@ -12,23 +12,19 @@ import random
 from datetime import datetime
 from pathlib import Path
 
-from .schema import Severity
+from .schema import TABLES, Severity
+from .util import is_null
 
-CRASH_HEADER = [
-    "CASENO", "DATE", "TIME", "COUNTY", "ROUTE_ID", "MILEPOST", "WEATHER",
-    "LIGHTING", "SURFACE_COND", "LATITUDE", "LONGITUDE", "HIT_AND_RUN",
-    "SEVERITY", "TRAFFIC_CONTROL",
-]
-SEGMENT_HEADER = [
-    "ROUTE_ID", "FROM_MEASURE", "TO_MEASURE", "LANE_COUNT", "LANE_WIDTH",
-    "LEFT_SHOULDER", "RIGHT_SHOULDER", "SPEED_LIMIT", "SURFACE_TYPE", "AADT",
-    "LOCALE",
-]
-VEHICLE_HEADER = ["CASENO", "UNIT_ID", "MAKE", "MODEL", "MODEL_YEAR", "MANEUVER"]
-PERSON_HEADER = ["CASENO", "UNIT_ID", "ROLE", "AGE", "SEX", "RESTRAINT", "AIRBAG", "SOBRIETY"]
+# the crash table carries one column the schema does not map; ingest keeps it
+# in CrashRecord.extra
+HEADERS = {
+    "crashes": TABLES["crash"].header + ["TRAFFIC_CONTROL"],
+    "segments": TABLES["segment"].header,
+    "vehicles": TABLES["vehicle"].header,
+    "persons": TABLES["person"].header,
+}
 
-# route, from, to, lanes, lane_w, lsh, rsh, speed, surface, aadt, locale;
-# optional numerics use "" as the only null so float/int coercion never trips
+# route, from, to, lanes, lane_w, lsh, rsh, speed, surface, aadt, locale
 _SEGMENT_ROWS: list[list[str]] = [
     ["097ARi", "0.0", "10.0", "2", "11", "3", "5", "55", "2", "3200", "rural"],
     ["097ARi", "10.0", "20.0", "2", "12", "4", "4", "55", "1", "3900", "rural"],
@@ -89,7 +85,7 @@ def corpus_rows(n_cases: int = 50, seed: int = 13) -> dict[str, list[list[str]]]
         restraint = maybe(rng.choices(["1", "2", "3"], weights=[8, 2, 1])[0], 0.2)
         airbag = maybe(rng.choices(["1", "2", "3"], weights=[5, 3, 2])[0], 0.2)
         sobriety = maybe(rng.choices(["1", "2", "3", "4"], weights=[16, 2, 1, 1])[0], 0.15)
-        if all(v.strip().lower() in ("", "nan", "unknown", "n/a") for v in (age, sex, restraint, airbag, sobriety)):
+        if all(is_null(v) for v in (age, sex, restraint, airbag, sobriety)):
             age = str(rng.randint(16, 88))  # keep every person sentence-worthy
         persons.append([caseno, str(unit_id), role, age, sex, restraint, airbag, sobriety])
         return sobriety
@@ -175,18 +171,12 @@ def write_corpus(out_dir: str | Path, n_cases: int = 50, seed: int = 13) -> dict
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tables = corpus_rows(n_cases=n_cases, seed=seed)
-    headers = {
-        "crashes": CRASH_HEADER,
-        "segments": SEGMENT_HEADER,
-        "vehicles": VEHICLE_HEADER,
-        "persons": PERSON_HEADER,
-    }
     paths = {}
     for name, rows in tables.items():
         path = out / f"{name}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(headers[name])
+            writer.writerow(HEADERS[name])
             writer.writerows(rows)
         paths[name] = path
     return paths

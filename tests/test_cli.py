@@ -610,32 +610,51 @@ def test_sankey_link_past_node_list_is_validation_error(tmp_path):
     assert not out.exists()
 
 
-def _ingest_without_severity(tmp_path: Path) -> list[str]:
+def _ingest_with_crashes(tmp_path: Path, text: str) -> list[str]:
+    """Ingest arguments for the bundled corpus, with `text` as the crash table."""
     crashes = tmp_path / "crashes.csv"
-    crashes.write_text(corpus_path("crashes").read_text(encoding="utf-8").replace("SEVERITY", "GRADE", 1))
+    crashes.write_text(text, encoding="utf-8")
     args = _ingest_args(tmp_path / "out")
     args[args.index("--crashes") + 1] = str(crashes)
     return args
 
 
-@pytest.mark.parametrize("case", ["schema", "narrator"])
-def test_error_of_a_lazily_loaded_module_is_one_json_line(pipeline, tmp_path, case):
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("schema", "MissingColumnError"),
+        ("schema-weather", "MissingColumnError"),
+        ("schema-column-map", "SchemaError"),
+        ("schema-oversized-cell", "SchemaError"),
+        ("narrator", "NarratorError"),
+    ],
+    ids=["schema", "schema-weather", "schema-column-map", "schema-oversized-cell", "narrator"],
+)
+def test_error_of_a_lazily_loaded_module_is_one_json_line(pipeline, tmp_path, case, error):
     """In a fresh interpreter the stage module is loaded only inside the
-    stage, and its error must still be one of the handled ones."""
-    from crashlens import narrator, schema
-
+    stage, and its error must still be one of the handled ones. Every mapped
+    column must be in the header, a column map may name only known fields,
+    and a CSV the csv module cannot read is a SchemaError."""
     d, _ = pipeline
+    crashes = corpus_path("crashes").read_text(encoding="utf-8")
     if case == "schema":
-        argv, error = _ingest_without_severity(tmp_path), schema.SchemaError
+        argv = _ingest_with_crashes(tmp_path, crashes.replace("SEVERITY", "RENAMED", 1))
+    elif case == "schema-weather":
+        argv = _ingest_with_crashes(tmp_path, crashes.replace("WEATHER", "RENAMED", 1))
+    elif case == "schema-column-map":
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("column_maps: {crash: {casenumber: ID}}\n")
+        argv = [*_ingest_args(tmp_path / "out"), "--config", str(cfg)]
+    elif case == "schema-oversized-cell":
+        # a cell past the csv module's field size limit (131072 characters)
+        argv = _ingest_with_crashes(tmp_path, crashes + "C9999," + "x" * 200_000 + "\n")
     else:
         templates = tmp_path / "templates.yaml"
         templates.write_text("templates: [a]\n")
         argv = ["narrate", "--cases", str(d / "cases.jsonl"), "--templates", str(templates),
                 "--out", str(tmp_path / "out")]
-        error = narrator.NarratorError
     proc = subprocess.run(python_cli(*argv), capture_output=True, text=True)
-    name = _one_error_line(proc)["error"]
-    assert issubclass(getattr(sys.modules[error.__module__], name), error)
+    assert _one_error_line(proc)["error"] == error
     assert not (tmp_path / "out").exists()
 
 

@@ -21,6 +21,7 @@ from crashlens.schema import (
     load_tables,
     stratified_downsample,
 )
+from conftest import corpus_path
 from tablegen import random_tables, severity_cases
 from crashlens.util import atomic_write_jsonl
 
@@ -70,82 +71,82 @@ def test_bundled_corpus_loads_clean(tables):
     assert showcase.hit_and_run is True
 
 
+CRASH_HEADER = (
+    "CASENO,DATE,TIME,COUNTY,ROUTE_ID,MILEPOST,WEATHER,LIGHTING,SURFACE_COND,"
+    "LATITUDE,LONGITUDE,HIT_AND_RUN,SEVERITY\n"
+)
+SEGMENT_HEADER = (
+    "ROUTE_ID,FROM_MEASURE,TO_MEASURE,LANE_COUNT,LANE_WIDTH,LEFT_SHOULDER,"
+    "RIGHT_SHOULDER,SPEED_LIMIT,SURFACE_TYPE,AADT,LOCALE\n"
+)
+VEHICLE_HEADER = "CASENO,UNIT_ID,MAKE,MODEL,MODEL_YEAR,MANEUVER\n"
+PERSON_HEADER = "CASENO,UNIT_ID,ROLE,AGE,SEX,RESTRAINT,AIRBAG,SOBRIETY\n"
+NULLS = ["nan", "unknown", "N/A", ""]
+
+
 def test_null_markers_become_none(tmp_path):
-    crashes = tmp_path / "c.csv"
-    crashes.write_text(
-        "CASENO,DATE,TIME,COUNTY,ROUTE_ID,MILEPOST,WEATHER,LIGHTING,SURFACE_COND,"
-        "LATITUDE,LONGITUDE,HIT_AND_RUN,SEVERITY\n"
-        'X1,2022-01-02,08:30,King,005,1.5,1,1,1,,,"0",NoApparentOrMinor\n'
-    )
-    vehicles = tmp_path / "v.csv"
-    vehicles.write_text(
-        "CASENO,UNIT_ID,MAKE,MODEL,MODEL_YEAR,MANEUVER\n"
-        "X1,1,Ford,F-150,unknown,1\n"
-        "X1,2,Toyota,Camry,nan,2\n"
-    )
-    persons = tmp_path / "p.csv"
-    persons.write_text(
-        "CASENO,UNIT_ID,ROLE,AGE,SEX,RESTRAINT,AIRBAG,SOBRIETY\n"
-        "X1,1,driver,N/A,M,1,1,1\n"
-    )
-    segments = tmp_path / "s.csv"
-    segments.write_text(
-        "ROUTE_ID,FROM_MEASURE,TO_MEASURE,LANE_COUNT,LANE_WIDTH,LEFT_SHOULDER,"
-        "RIGHT_SHOULDER,SPEED_LIMIT,SURFACE_TYPE,AADT,LOCALE\n"
-        "005,0,10,2,,,,,1,500,rural\n"
-    )
-    tables = load_tables(crashes, segments, vehicles, persons)
+    """Every optional numeric column reads each null marker as None."""
+    rows = {
+        "c.csv": [f'X{i},2022-01-02,08:30,King,005,1.5,1,1,1,{m},{m},"0",NoApparentOrMinor' for i, m in enumerate(NULLS)],
+        "s.csv": [f"005,{i},{i + 1},2,{m},{m},{m},{m},1,500,rural" for i, m in enumerate(NULLS)],
+        "v.csv": [f"X0,{i},Ford,F-150,{m},1" for i, m in enumerate(NULLS)],
+        "p.csv": [f"X0,{i},driver,{m},M,1,1,1" for i, m in enumerate(NULLS)],
+    }
+    headers = {"c.csv": CRASH_HEADER, "s.csv": SEGMENT_HEADER, "v.csv": VEHICLE_HEADER, "p.csv": PERSON_HEADER}
+    for name, lines in rows.items():
+        (tmp_path / name).write_text(headers[name] + "".join(line + "\n" for line in lines))
+    tables = load_tables(*(tmp_path / name for name in rows))
     assert tables.rejects == []
-    assert tables.crashes[0].latitude is None and tables.crashes[0].longitude is None
-    assert [v.model_year for v in tables.vehicles] == [None, None]
-    assert tables.persons[0].age is None
-    seg = tables.segments[0]
-    assert seg.lane_width is None and seg.speed_limit is None
+    nones = [None] * len(NULLS)
+    assert [c.latitude for c in tables.crashes] == [c.longitude for c in tables.crashes] == nones
+    assert [v.model_year for v in tables.vehicles] == [p.age for p in tables.persons] == nones
+    for name in ("lane_width", "left_shoulder_width", "right_shoulder_width", "speed_limit"):
+        assert [getattr(s, name) for s in tables.segments] == nones, name
 
 
 def test_bad_numeric_rejects_row_with_line(tmp_path):
     crashes = tmp_path / "c.csv"
     crashes.write_text(
-        "CASENO,DATE,TIME,COUNTY,ROUTE_ID,MILEPOST,WEATHER,LIGHTING,SURFACE_COND,"
-        "LATITUDE,LONGITUDE,HIT_AND_RUN,SEVERITY\n"
-        "X1,2022-01-02,08:30,King,005,abc,1,1,1,,,0,NoApparentOrMinor\n"
-        "X2,2022-01-02,08:30,King,005,2.0,1,1,1,,,0,NoApparentOrMinor\n"
+        CRASH_HEADER
+        + "X1,2022-01-02,08:30,King,005,abc,1,1,1,,,0,NoApparentOrMinor\n"
+        + "X2,2022-01-02,08:30,King,005,2.0,1,1,1,,,0,NoApparentOrMinor\n"
+        + "X3,2022-01-02,08:30,King,005,inf,1,1,1,,,0,NoApparentOrMinor\n"
+        + "X4,2022-01-02,08:30,King,005,nan,1,1,1,,,0,NoApparentOrMinor\n"
+        + "C9999,2022-01-01,08:00\n"
+        + "X5,2022-01-02,08:30,King,005,2.0,1,1,1,,,0,NoApparentOrMinor,extra\n"
     )
     empty_v = tmp_path / "v.csv"
-    empty_v.write_text("CASENO,UNIT_ID,MAKE,MODEL,MODEL_YEAR,MANEUVER\n")
-    empty_p = tmp_path / "p.csv"
-    empty_p.write_text("CASENO,UNIT_ID,ROLE,AGE,SEX,RESTRAINT,AIRBAG,SOBRIETY\n")
-    empty_s = tmp_path / "s.csv"
-    empty_s.write_text(
-        "ROUTE_ID,FROM_MEASURE,TO_MEASURE,LANE_COUNT,LANE_WIDTH,LEFT_SHOULDER,"
-        "RIGHT_SHOULDER,SPEED_LIMIT,SURFACE_TYPE,AADT,LOCALE\n"
+    empty_v.write_text(VEHICLE_HEADER)
+    persons = tmp_path / "p.csv"
+    persons.write_text(PERSON_HEADER + "X2,1,driver\n")
+    segments = tmp_path / "s.csv"
+    segments.write_text(
+        SEGMENT_HEADER
+        + "005,nan,10,2,,,,,1,500,rural\n"
+        + "005,-inf,10,2,,,,,1,500,rural\n"
+        + "005,0,10,2,,,,,1,500,rural\n"
     )
-    tables = load_tables(crashes, empty_s, empty_v, empty_p)
+    tables = load_tables(crashes, segments, empty_v, persons)
     assert [c.caseno for c in tables.crashes] == ["X2"]
-    assert len(tables.rejects) == 1
+    assert [s.from_measure for s in tables.segments] == [0.0]
+    assert tables.persons == []
     # header is line 1, so the first data row is line 2
-    assert tables.rejects[0].line == 2
-    assert tables.rejects[0].table == "crash"
+    assert [(r.table, r.line) for r in tables.rejects] == [
+        ("crash", 2), ("crash", 4), ("crash", 5), ("crash", 6), ("crash", 7),
+        ("segment", 2), ("segment", 3),
+        ("person", 2),
+    ]
 
 
 def test_duplicate_caseno_is_fatal(tmp_path):
     crashes = tmp_path / "c.csv"
     crashes.write_text(
-        "CASENO,DATE,TIME,COUNTY,ROUTE_ID,MILEPOST,WEATHER,LIGHTING,SURFACE_COND,"
-        "LATITUDE,LONGITUDE,HIT_AND_RUN,SEVERITY\n"
-        "X1,2022-01-02,08:30,King,005,1.0,1,1,1,,,0,NoApparentOrMinor\n"
-        "X1,2022-01-03,09:30,King,005,2.0,1,1,1,,,0,NoApparentOrMinor\n"
+        CRASH_HEADER
+        + "X1,2022-01-02,08:30,King,005,1.0,1,1,1,,,0,NoApparentOrMinor\n"
+        + "X1,2022-01-03,09:30,King,005,2.0,1,1,1,,,0,NoApparentOrMinor\n"
     )
-    for name, header in [
-        ("v.csv", "CASENO,UNIT_ID,MAKE,MODEL,MODEL_YEAR,MANEUVER"),
-        ("p.csv", "CASENO,UNIT_ID,ROLE,AGE,SEX,RESTRAINT,AIRBAG,SOBRIETY"),
-        (
-            "s.csv",
-            "ROUTE_ID,FROM_MEASURE,TO_MEASURE,LANE_COUNT,LANE_WIDTH,LEFT_SHOULDER,"
-            "RIGHT_SHOULDER,SPEED_LIMIT,SURFACE_TYPE,AADT,LOCALE",
-        ),
-    ]:
-        (tmp_path / name).write_text(header + "\n")
+    for name, header in [("v.csv", VEHICLE_HEADER), ("p.csv", PERSON_HEADER), ("s.csv", SEGMENT_HEADER)]:
+        (tmp_path / name).write_text(header)
     with pytest.raises(DuplicateKeyError):
         load_tables(crashes, tmp_path / "s.csv", tmp_path / "v.csv", tmp_path / "p.csv")
 
@@ -155,6 +156,17 @@ def test_missing_column_is_fatal(tmp_path):
     crashes.write_text("CASENO,DATE\nX1,2022-01-02\n")
     with pytest.raises(MissingColumnError):
         load_tables(crashes, crashes, crashes, crashes)
+
+
+def test_synth_reproduces_the_bundled_corpus(tmp_path):
+    """`python -m crashlens.synth` regenerates the committed corpus, headers
+    (derived from the table specs) included."""
+    from crashlens import synth
+
+    written = synth.write_corpus(tmp_path)
+    assert sorted(written) == ["crashes", "persons", "segments", "vehicles"]
+    for name, path in written.items():
+        assert path.read_bytes() == corpus_path(name).read_bytes(), name
 
 
 def test_segment_match_is_half_open():
