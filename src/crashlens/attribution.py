@@ -12,19 +12,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .refmodel import BOS_ID, TinyLM, Tokenizer, grad_prob_wrt_embeddings
+from .refmodel import BOS_ID, TinyLM, Tokenizer, grad_prob_wrt_hidden
 
 # The annotated-narrative format lives in util, so that analytics reads it
 # without loading numpy; its names stay importable from here.
 from .util import WordAttribution, annotate_narrative, parse_annotated, positive_words, strip_annotations
 
 
-@dataclass(frozen=True)
-class TokenInfo:
+class TokenInfo(NamedTuple):
     text: str
     token_id: int
     start: Optional[int] = None  # char span into the source narrative
@@ -72,12 +71,11 @@ def _token_infos(
     tokenizer: Optional[Tokenizer],
     spans: Optional[Sequence[Optional[tuple[int, int]]]] = None,
 ) -> list[TokenInfo]:
-    infos = []
-    for i, tid in enumerate(ids):
-        text = tokenizer.tokens[tid] if tokenizer is not None else str(tid)
-        span = spans[i] if spans is not None else None
-        infos.append(TokenInfo(text=text, token_id=tid, start=span and span[0], end=span and span[1]))
-    return infos
+    texts = [tokenizer.tokens[tid] for tid in ids] if tokenizer is not None else map(str, ids)
+    return [
+        TokenInfo(text, tid, *(span or (None, None)))
+        for text, tid, span in zip(texts, ids, spans if spans is not None else [None] * len(ids))
+    ]
 
 
 def occlusion_importance(
@@ -133,19 +131,25 @@ def taylor_importance(
 ) -> ImportanceMatrix:
     """First-order approximation: <d p(y_m|Z_m) / d E[x_n], E[x_n]>.
 
-    One gradient pass per output position, not per (token, output) pair.
+    One forward pass and one product per output position: the gradient at
+    window slot j is a_j * dp/dh, so the column is a * (E[window] @ dp/dh).
+    Tokens before the window score exactly 0.
     """
     if not response:
         raise ValueError("response is empty")
     n_prompt, n_out = len(prompt), len(response)
     values = np.zeros((n_prompt + n_out, n_out))
+    tokens = list(prompt) + list(response)
     for m in range(n_out):
-        context = list(prompt) + list(response[:m])
-        grads = grad_prob_wrt_embeddings(model, context, response[m])
-        for q, tok in enumerate(context):
-            values[q, m] = float(np.dot(grads[q], model.embeddings[tok]))
+        n = n_prompt + m
+        if n == 0:  # an empty context reads <bos>, which has no row
+            continue
+        first = max(n - model.window, 0)
+        embs = model.embeddings[tokens[first:n]]
+        g_hidden = grad_prob_wrt_hidden(model, model.distribution_given_window(embs), response[m])
+        values[first:n, m] = model.position_weights[: n - first] * (embs @ g_hidden)
     spans = list(prompt_spans) + [None] * n_out if prompt_spans is not None else None
-    infos = _token_infos(list(prompt) + list(response), tokenizer, spans)
+    infos = _token_infos(tokens, tokenizer, spans)
     return ImportanceMatrix(
         values=values,
         input_tokens=infos,
@@ -189,66 +193,50 @@ def aggregate_to_words(
 
     A word's raw score is the max over its sub-tokens of each token's max
     over output positions; the display divisor only rescales for rendering.
+    A word's sub-tokens are those that start inside it and end by its end.
     Every word is returned, including score-0 ones (callers filter for
     "high attribution" lists but keep zeros for full annotations).
     """
     if display_divisor <= 0:
         raise ValueError("display_divisor must be positive")
-    tokens = scores.input_tokens
-    row_best = scores.scores.max(axis=1).tolist() if scores.scores.size else [0] * len(tokens)
-    # one merge over the tokens by start offset: a word collects the tokens
-    # that start inside it and end by its end
-    order = sorted((tok.start, i) for i, tok in enumerate(tokens) if tok.start is not None)
-    cursor = 0
-    words: list[WordAttribution] = []
-    for m in re.finditer(r"\S+", narrative):
-        w_start, w_end = m.span()
-        while cursor < len(order) and order[cursor][0] < w_start:
-            cursor += 1
-        rows = []
-        while cursor < len(order) and order[cursor][0] <= w_end:
-            i = order[cursor][1]
-            if tokens[i].end <= w_end:
-                rows.append(i)
-            cursor += 1
-        rows.sort()
-        words.append(
-            WordAttribution(
-                word=m.group(0),
-                char_span=(w_start, w_end),
-                score=max([row_best[i] for i in rows], default=0) / display_divisor,
-                contributing_token_ids=tuple(rows),
-            )
-        )
-    return words
+    matches = list(re.finditer(r"\S+", narrative))
+    w_start = np.array([m.start() for m in matches], dtype=np.intp)
+    w_end = np.array([m.end() for m in matches], dtype=np.intp)
+    spanned = [(i, tok.start, tok.end) for i, tok in enumerate(scores.input_tokens) if tok.start is not None]
+    rows, t_start, t_end = np.array(spanned, dtype=np.intp).reshape(-1, 3).T
+    # the last word starting at or before each token, if the token ends by its end
+    word = np.searchsorted(w_start, t_start, side="right") - 1
+    inside = word >= 0
+    inside[inside] = t_end[inside] <= w_end[word[inside]]
+    rows, word = rows[inside], word[inside]
+    best = np.zeros(len(matches), dtype=np.int64)
+    np.maximum.at(best, word, scores.scores.max(axis=1, initial=0)[rows])
+    # rows grouped by word, in row order within a word
+    order = np.argsort(word, kind="stable")
+    grouped = rows[order].tolist()
+    bounds = np.cumsum(np.bincount(word, minlength=len(matches))).tolist()
+    return [
+        WordAttribution(m.group(0), m.span(), raw / display_divisor, tuple(grouped[lo:hi]))
+        for m, raw, lo, hi in zip(matches, best.tolist(), [0] + bounds, bounds)
+    ]
 
 
 def attribution_record(
-    caseno: str,
-    matrix: ImportanceMatrix,
-    scores: ScoreMatrix,
-    words: Sequence[WordAttribution],
-    annotated: str,
+    caseno: str, matrix: ImportanceMatrix, scores: ScoreMatrix, annotated: str
 ) -> dict:
-    """JSON-ready export with a sparse score matrix."""
-    sparse = [
-        [int(n), int(m), int(scores.scores[n, m])]
-        for n, m in zip(*np.nonzero(scores.scores))
-    ]
+    """JSON-ready export with a sparse score matrix. Word scores are in
+    `annotated` (`parse_annotated` reads them back)."""
+    nonzero = np.nonzero(scores.scores)
     return {
         "caseno": caseno,
         "method": matrix.method,
         "L": scores.L,
         "b": scores.b,
         "tokens": [
-            {"text": t.text, "id": t.token_id, "start": t.start, "end": t.end}
-            for t in matrix.input_tokens
+            {"text": text, "id": tid, "start": start, "end": end}
+            for text, tid, start, end in matrix.input_tokens
         ],
         "output_tokens": [{"text": t.text, "id": t.token_id} for t in matrix.output_tokens],
-        "score_matrix": sparse,
-        "words": [
-            {"word": w.word, "start": w.char_span[0], "end": w.char_span[1], "score": w.score}
-            for w in words
-        ],
+        "score_matrix": np.column_stack([*nonzero, scores.scores[nonzero]]).tolist(),
         "annotated": annotated,
     }

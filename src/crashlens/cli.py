@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .util import (
     StrategyKind,
@@ -159,6 +159,7 @@ def cmd_ingest(args: argparse.Namespace, get: Callable[[str], object]) -> int:
         {
             "cases": len(cases),
             "rejected_rows": len(tables.rejects),
+            "rejects": [{"table": r.table, "line": r.line, "reason": r.reason} for r in tables.rejects],
             "orphan_vehicles": len(result.report.orphan_vehicles),
             "orphan_persons": len(result.report.orphan_persons),
             "ambiguous_links": len(result.report.ambiguous_links),
@@ -268,31 +269,26 @@ def cmd_attribute(args: argparse.Namespace, get: Callable[[str], object]) -> int
         )
     cfg = attribution.NormalizationConfig(L=int(get("L")), b=int(get("b")))
     divisor = float(get("display_divisor"))
-    records = []
-    for pair in pairs:
-        spans = tokenizer.encode_with_spans(pair.descriptive)
-        ids = [tid for tid, _, _ in spans]
-        prompt = [refmodel.BOS_ID] + ids
-        prompt_spans: list[Optional[tuple[int, int]]] = [None]
-        prompt_spans += [(s, e) for _, s, e in spans]
-        label, _ = refmodel.classify(model, tokenizer, ids)
-        response = [tokenizer.label_id(label)]
-        importance_fn = (
-            attribution.occlusion_importance
-            if args.method == "occlusion"
-            else attribution.taylor_importance
-        )
-        matrix = importance_fn(
-            model, prompt, response, tokenizer=tokenizer, prompt_spans=prompt_spans
-        )
-        scores = attribution.normalize_scores(matrix, cfg)
-        words = attribution.aggregate_to_words(scores, pair.descriptive, display_divisor=divisor)
-        annotated = attribution.annotate_narrative(
-            pair.descriptive, attribution.positive_words(words)
-        )
-        records.append(attribution.attribution_record(pair.caseno, matrix, scores, words, annotated))
-    atomic_write_jsonl(args.out, records)
-    _emit({"records": len(records), "method": args.method, "out": str(args.out)})
+    importance_fn = (
+        attribution.occlusion_importance if args.method == "occlusion" else attribution.taylor_importance
+    )
+
+    def records() -> Iterator[dict]:
+        for pair in pairs:
+            spans = tokenizer.encode_with_spans(pair.descriptive)
+            ids = [tid for tid, _, _ in spans]
+            prompt = [refmodel.BOS_ID] + ids
+            prompt_spans = [None] + [(s, e) for _, s, e in spans]
+            label, _ = refmodel.classify(model, tokenizer, ids)
+            response = [tokenizer.label_id(label)]
+            matrix = importance_fn(model, prompt, response, tokenizer=tokenizer, prompt_spans=prompt_spans)
+            scores = attribution.normalize_scores(matrix, cfg)
+            words = attribution.aggregate_to_words(scores, pair.descriptive, display_divisor=divisor)
+            annotated = attribution.annotate_narrative(pair.descriptive, attribution.positive_words(words))
+            yield attribution.attribution_record(pair.caseno, matrix, scores, annotated)
+
+    atomic_write_jsonl(args.out, records())
+    _emit({"records": len(pairs), "method": args.method, "out": str(args.out)})
     return 0
 
 

@@ -19,6 +19,8 @@ from .util import is_null, load_yaml_section, read_jsonl, string_fields
 
 _FORMATTER = string.Formatter()
 
+# an unknown (None) flag has no phrase, so its clause is dropped
+_HIT_AND_RUN = {True: "a hit-and-run incident", False: "not a hit-and-run incident"}
 _LANE_WORDS = {1: "one-lane", 2: "two-lane", 3: "three-lane", 4: "four-lane", 5: "five-lane", 6: "six-lane"}
 _ORDINALS = [
     "first", "second", "third", "fourth", "fifth", "sixth",
@@ -187,10 +189,7 @@ def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
     put_phrase("weather", crash.weather)
     put_phrase("surface_condition", crash.surface_condition)
     put_phrase("lighting", crash.lighting)
-    put(
-        "hit_and_run",
-        "a hit-and-run incident" if crash.hit_and_run else "not a hit-and-run incident",
-    )
+    put("hit_and_run", _HIT_AND_RUN.get(crash.hit_and_run))
     for col, value in crash.extra.items():
         key = col.strip().lower()
         raw = str(value).strip()

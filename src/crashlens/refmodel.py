@@ -246,20 +246,24 @@ def prob(model: TinyLM, context: Sequence[int], target: int) -> float:
     return float(model.distribution(context)[target])
 
 
+def grad_prob_wrt_hidden(model: TinyLM, p: np.ndarray, target: int) -> np.ndarray:
+    """dp_t/dh = p_t (U[:, t] - U p), for p = softmax(U^T h + c)."""
+    return p[target] * (model.output_weights[:, target] - model.output_weights @ p)
+
+
 def grad_prob_wrt_embeddings(
     model: TinyLM, context: Sequence[int], target: int
 ) -> list[np.ndarray]:
     """Analytic gradient of prob() w.r.t. each context position's embedding.
 
-    With p = softmax(U^T h + c) and h = sum_j a_j e_j over the window:
-    dp_t/dh = p_t (U[:, t] - U p) and dp_t/de_j = a_j * dp_t/dh.
-    Positions that fell out of the window get exact zero vectors.
+    With h = sum_j a_j e_j over the window, dp_t/de_j = a_j * dp_t/dh
+    (`grad_prob_wrt_hidden`). Positions that fell out of the window get
+    exact zero vectors.
     """
     ids = list(context) if context else [BOS_ID]
     k = min(len(ids), model.window)
     start = len(ids) - k
-    p = model.distribution(ids)
-    g_hidden = p[target] * (model.output_weights[:, target] - model.output_weights @ p)
+    g_hidden = grad_prob_wrt_hidden(model, model.distribution(ids), target)
     grads = [np.zeros(model.dim) for _ in ids]
     for j in range(k):
         grads[start + j] = model.position_weights[j] * g_hidden

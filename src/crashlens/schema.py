@@ -23,7 +23,7 @@ MODEL_YEAR_MAX = datetime.now().year + 1
 AGE_MAX = 120
 
 _TRUE_TOKENS = {"1", "y", "yes", "true", "t"}
-_FALSE_TOKENS = {"0", "n", "no", "false", "f", ""}
+_FALSE_TOKENS = {"0", "n", "no", "false", "f"}
 
 
 class SchemaError(Exception):
@@ -83,7 +83,7 @@ class CrashRecord:
     surface_condition: str
     latitude: Optional[float]
     longitude: Optional[float]
-    hit_and_run: bool
+    hit_and_run: Optional[bool]
     severity: Severity
     extra: dict[str, str] = field(default_factory=dict)
 
@@ -254,7 +254,7 @@ TABLES: dict[str, TableSpec] = {
             "surface_condition": ("SURFACE_COND", _text),
             "latitude": ("LATITUDE", optional(_float)),
             "longitude": ("LONGITUDE", optional(_float)),
-            "hit_and_run": ("HIT_AND_RUN", _parse_bool),
+            "hit_and_run": ("HIT_AND_RUN", optional(_parse_bool)),
             "severity": ("SEVERITY", Severity.parse),
         },
         _occurred_at,

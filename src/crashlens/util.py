@@ -7,10 +7,9 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -62,14 +61,16 @@ def load_yaml_section(name: str, key: str, kind: type, path: Optional[str | Path
     return doc[key]
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a sibling temp file + rename so readers never see partials."""
+def _atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write `chunks` one by one into a sibling temp file, then rename it over
+    `path`, so readers never see partials. If producing a chunk raises, the
+    temp file is removed and `path` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -77,13 +78,17 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: str | Path, text: str) -> None:
+    _atomic_write(path, (text,))
+
+
 def atomic_write_json(path: str | Path, doc: object) -> None:
     atomic_write_text(path, json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
 
 
-def atomic_write_jsonl(path: str | Path, records: list[dict]) -> None:
-    lines = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
-    atomic_write_text(path, lines)
+def atomic_write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """One JSON line per record, written as `records` yields them."""
+    _atomic_write(path, (json.dumps(r, ensure_ascii=False) + "\n" for r in records))
 
 
 def string_fields(doc: dict, *keys: str) -> list[str]:
@@ -116,8 +121,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
     return records
 
 
-@dataclass(frozen=True)
-class WordAttribution:
+class WordAttribution(NamedTuple):
     word: str
     char_span: tuple[int, int]
     score: float

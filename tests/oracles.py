@@ -2,7 +2,8 @@
 
 Each function is the straightforward per-position / per-element version of
 a library routine: `train_loop` and `corpus_nll_loop` for `refmodel.train`,
-`occlusion_loop` for `attribution.occlusion_importance`,
+`occlusion_loop` for `attribution.occlusion_importance`, `taylor_loop`
+for `attribution.taylor_importance`,
 `aggregate_to_words_quadratic` for `attribution.aggregate_to_words` and
 `normalize_scores_bruteforce` for `attribution.normalize_scores`.
 `fact_values` lists what `narrator.render` must voice for a case.
@@ -18,7 +19,14 @@ import numpy as np
 
 from crashlens.attribution import ScoreMatrix, WordAttribution
 from crashlens.narrator import NormalizedCase
-from crashlens.refmodel import TinyLM, TrainConfig, TrainingDivergedError, TrainingExample, prob
+from crashlens.refmodel import (
+    TinyLM,
+    TrainConfig,
+    TrainingDivergedError,
+    TrainingExample,
+    grad_prob_wrt_embeddings,
+    prob,
+)
 
 
 def fact_values(normalized: NormalizedCase) -> list[str]:
@@ -103,6 +111,22 @@ def occlusion_loop(
         variants = [context] + [context[:q] + context[q + 1 :] for q in range(len(context))]
         probs = np.array([prob(model, variant, target) for variant in variants])
         values[: len(context), m] = probs[0] - probs[1:]
+    return values
+
+
+def taylor_loop(
+    model: TinyLM,
+    prompt: Sequence[int],
+    response: Sequence[int],
+) -> np.ndarray:
+    """One gradient per context position, dotted with its embedding."""
+    n_prompt, n_out = len(prompt), len(response)
+    values = np.zeros((n_prompt + n_out, n_out))
+    for m in range(n_out):
+        context = list(prompt) + list(response[:m])
+        grads = grad_prob_wrt_embeddings(model, context, response[m])
+        for q, tok in enumerate(context):
+            values[q, m] = float(np.dot(grads[q], model.embeddings[tok]))
     return values
 
 

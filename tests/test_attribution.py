@@ -20,8 +20,8 @@ from crashlens.attribution import (
     strip_annotations,
     taylor_importance,
 )
-from crashlens.refmodel import BOS_ID, TinyLM
-from oracles import aggregate_to_words_quadratic, normalize_scores_bruteforce, occlusion_loop
+from crashlens.refmodel import BOS_ID, TinyLM, Tokenizer
+from oracles import aggregate_to_words_quadratic, normalize_scores_bruteforce, occlusion_loop, taylor_loop
 
 
 def small_model(vocab: int = 10, dim: int = 4, window: int = 8, seed: int = 0) -> TinyLM:
@@ -104,6 +104,17 @@ def test_taylor_zero_embedding_scores_zero():
     model.embeddings[2][:] = 0.0
     matrix = taylor_importance(model, [1, 2, 3], [4])
     assert matrix.values[1, 0] == 0.0
+
+
+@pytest.mark.parametrize("n_prompt", [0, 3, 8, 13])
+def test_taylor_matches_per_position_gradient_reference(n_prompt):
+    """Contexts shorter than, as long as and longer than the window of 8."""
+    model = small_model(seed=19)
+    rng = np.random.default_rng(n_prompt)
+    prompt = rng.integers(0, 10, size=n_prompt).tolist()
+    response = rng.integers(0, 10, size=3).tolist()
+    values = taylor_importance(model, prompt, response).values
+    np.testing.assert_allclose(values, taylor_loop(model, prompt, response), rtol=1e-12, atol=0)
 
 
 def test_taylor_matches_directional_finite_difference():
@@ -219,6 +230,32 @@ def test_aggregate_to_words_matches_quadratic_oracle():
         assert aggregate_to_words(scores, text, 20.0) == aggregate_to_words_quadratic(scores, text, 20.0)
 
 
+def test_aggregate_to_words_matches_quadratic_oracle_on_tokenizer_spans(pairs, corpus_tokenizer):
+    """Tokens as the attribute stage lays them out: <bos>, one span per word
+    of the narrative, the label; a tokenizer built from other narratives
+    reads some words as <unk>."""
+    rng = np.random.default_rng(47)
+    model = small_model(vocab=corpus_tokenizer.size, seed=3)
+    narrow = Tokenizer.from_texts([p.descriptive for p in pairs[:5]])
+    for tokenizer in (corpus_tokenizer, narrow):
+        for pair in pairs[::7]:
+            text = pair.descriptive
+            spans = tokenizer.encode_with_spans(text)
+            prompt = [BOS_ID] + [tid for tid, _, _ in spans]
+            prompt_spans = [None] + [(s, e) for _, s, e in spans]
+            laid_out = taylor_importance(model, prompt, [prompt[-1]], tokenizer, prompt_spans)
+            matrix = ImportanceMatrix(
+                values=rng.normal(size=laid_out.values.shape),
+                input_tokens=laid_out.input_tokens,
+                output_tokens=laid_out.output_tokens,
+                method="taylor",
+            )
+            scores = normalize_scores(matrix)
+            words = aggregate_to_words(scores, text, 20.0)
+            assert words == aggregate_to_words_quadratic(scores, text, 20.0)
+            assert [w.contributing_token_ids for w in words] == [(i,) for i in range(1, len(prompt))]
+
+
 def test_annotation_round_trip():
     text = "the quick brown fox jumps"
     words = [
@@ -255,10 +292,16 @@ def test_attribution_record_round_trips_sparse_matrix(reference_model, corpus_to
     scores = normalize_scores(matrix)
     words = aggregate_to_words(scores, text, display_divisor=20.0)
     annotated = annotate_narrative(text, positive_words(words))
-    record = attribution_record("C0000", matrix, scores, words, annotated)
+    record = attribution_record("C0000", matrix, scores, annotated)
     dense = np.zeros_like(scores.scores)
     for n, m, v in record["score_matrix"]:
         dense[n, m] = v
     assert np.array_equal(dense, scores.scores)
     assert record["method"] == "occlusion"
-    assert record["words"][0]["word"] == text.split()[0]
+    assert list(record) == ["caseno", "method", "L", "b", "tokens", "output_tokens", "score_matrix", "annotated"]
+    # every word's display score comes back from the annotation; a
+    # multiple of 1/20 survives the two-decimal rendering exactly
+    plain, parsed = parse_annotated(record["annotated"])
+    assert plain == text
+    assert [(w.word, w.char_span, w.score) for w in parsed] == [(w.word, w.char_span, w.score) for w in words]
+    assert parsed[0].word == text.split()[0]

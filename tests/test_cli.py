@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import corpus_path, python_cli, run_cli
+from crashlens.util import atomic_write_jsonl, parse_annotated
 
 
 def _ingest_args(out: Path) -> list[str]:
@@ -119,6 +120,8 @@ def test_attribute_both_methods_cover_all_cases(pipeline):
         assert len(records) == 50
         assert all(r["method"] == method for r in records)
         assert all(r["L"] == 100 and r["b"] == 1 for r in records)
+        # word scores travel only in the annotation
+        assert not any("words" in r for r in records)
 
 
 def test_attribution_columns_peak_at_exactly_L(pipeline):
@@ -257,7 +260,9 @@ def test_config_supplies_defaults_and_flags_win(tmp_path):
 
     def scores(path: Path) -> list[float]:
         record = json.loads(path.read_text().splitlines()[0])
-        return [w["score"] for w in record["words"]]
+        assert "words" not in record
+        _, words = parse_annotated(record["annotated"])
+        return [w.score for w in words]
 
     default = scores(d / "default.jsonl")
     halved_divisor = scores(d / "from_config.jsonl")
@@ -266,6 +271,71 @@ def test_config_supplies_defaults_and_flags_win(tmp_path):
     assert halved_divisor == [s * 2 for s in default]
     # an explicit flag beats the config file
     assert flag_wins == default
+
+
+def _corpus_copy(tmp_path: Path, edit) -> list[str]:
+    """ingest flags for a copy of the bundled corpus whose crash table went
+    through `edit` (a function of its lines)."""
+    args = _ingest_args(tmp_path / "cases.jsonl")
+    for table in ("crashes", "segments", "vehicles", "persons"):
+        lines = corpus_path(table).read_text().splitlines(keepends=True)
+        copy = tmp_path / f"{table}.csv"
+        copy.write_text("".join(edit(lines) if table == "crashes" else lines))
+        args[args.index(f"--{table}") + 1] = str(copy)
+    return args
+
+
+def test_unknown_hit_and_run_keeps_the_case_and_drops_its_clause(tmp_path):
+    def unknown_c0002(lines: list[str]) -> list[str]:
+        header = lines[0].strip().split(",")
+        row = next(i for i, line in enumerate(lines) if line.startswith("C0002,"))
+        cells = lines[row].rstrip("\n").split(",")
+        cells[header.index("HIT_AND_RUN")] = "unknown"
+        return lines[:row] + [",".join(cells) + "\n"] + lines[row + 1 :]
+
+    code, summary = run_cli(_corpus_copy(tmp_path, unknown_c0002))
+    assert code == 0
+    doc = json.loads(summary)
+    assert (doc["cases"], doc["rejected_rows"], doc["rejects"]) == (50, 0, [])
+    assert (doc["orphan_vehicles"], doc["orphan_persons"]) == (0, 0)
+    out = tmp_path / "narratives.jsonl"
+    assert run_cli(["narrate", "--cases", str(tmp_path / "cases.jsonl"), "--out", str(out)])[0] == 0
+    voiced = {
+        r["caseno"]: "hit-and-run" in r["descriptive"]
+        for r in map(json.loads, out.read_text().splitlines())
+    }
+    assert not voiced.pop("C0002")
+    assert all(voiced.values())
+
+
+def test_ingest_summary_names_each_rejected_row(tmp_path):
+    code, summary = run_cli(_corpus_copy(tmp_path, lambda lines: lines + ["C9999,2022-01-01,08:00\n"]))
+    assert code == 0
+    doc = json.loads(summary)
+    assert doc["rejected_rows"] == 1
+    n_cells = len(corpus_path("crashes").read_text().splitlines()[0].split(","))
+    assert doc["rejects"] == [
+        {"table": "crash", "line": 52, "reason": f"3 cells where the header has {n_cells}"}
+    ]
+    assert list(doc).index("rejects") == list(doc).index("rejected_rows") + 1
+
+
+def test_jsonl_write_that_fails_partway_keeps_the_old_file(tmp_path):
+    out = tmp_path / "out.jsonl"
+    out.write_text("old\n")
+
+    def records():
+        yield {"n": 1}
+        # written as produced: the temp file is open while records come
+        assert [p.name.endswith(".tmp") for p in tmp_path.iterdir()].count(True) == 1
+        raise RuntimeError("record 2 failed")
+
+    with pytest.raises(RuntimeError, match="record 2 failed"):
+        atomic_write_jsonl(out, records())
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+    atomic_write_jsonl(out, ({"n": n} for n in range(2)))
+    assert out.read_text() == '{"n": 0}\n{"n": 1}\n'
 
 
 def test_ingest_balance_applies_downsampling(tmp_path):
@@ -450,6 +520,10 @@ def test_package_root_imports_no_dependencies():
 )
 def test_cli_start_loads_no_heavy_dependencies(code):
     modules = ("numpy", "requests", "jsonschema", "yaml", "concurrent.futures") + STAGE_MODULES
+    # dataclasses pulls in inspect; a bare interpreter may load either
+    # through its site hooks already
+    preloaded = _loaded_after("pass", ("dataclasses", "inspect"))
+    modules += tuple(m for m in ("dataclasses", "inspect") if m not in preloaded)
     assert _loaded_after(code, modules) == []
 
 
