@@ -24,7 +24,6 @@ from crashlens.attribution import (
     annotate_narrative,
     normalize_scores,
     occlusion_importance,
-    positive_words,
 )
 from crashlens.narrator import load_lexicon, load_templates, normalize, render
 from crashlens.refmodel import BOS_ID, TinyLM, Tokenizer, TrainConfig, TrainingExample, classify, train
@@ -61,21 +60,16 @@ def main() -> None:
     per_case = []
     first_annotated = ""
     for pair in pairs:
-        spans = tokenizer.encode_with_spans(pair.descriptive)
-        prompt = [BOS_ID] + [tid for tid, _, _ in spans]
-        prompt_spans = [None] + [(s, e) for _, s, e in spans]
-        label, _ = classify(model, tokenizer, prompt[1:])
-        matrix = occlusion_importance(
-            model, prompt, [tokenizer.label_id(label)],
-            tokenizer=tokenizer, prompt_spans=prompt_spans,
-        )
-        words = aggregate_to_words(normalize_scores(matrix), pair.descriptive, display_divisor=20.0)
+        ids = tokenizer.encode(pair.descriptive)
+        label, _ = classify(model, tokenizer, ids)
+        values = occlusion_importance(model, [BOS_ID] + ids, tokenizer.label_id(label))
+        words = aggregate_to_words(normalize_scores(values), pair.descriptive, display_divisor=20.0)
         summary = rule_based_factors(words, caseno=pair.caseno)
         top = extract_top_factors(summary)
         grouped = semantic_group(top, rules)
         per_case.append(grouped)
         if not first_annotated:
-            first_annotated = annotate_narrative(pair.descriptive, positive_words(words))
+            first_annotated = annotate_narrative(pair.descriptive, words)
             print(f"{pair.caseno} top factors by aspect (canonical name in parentheses):")
             for cat, names in top.items():
                 if names:

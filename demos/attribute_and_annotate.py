@@ -20,7 +20,6 @@ from crashlens.attribution import (
     annotate_narrative,
     normalize_scores,
     occlusion_importance,
-    positive_words,
     taylor_importance,
 )
 from crashlens.narrator import load_lexicon, load_templates, normalize, render
@@ -61,11 +60,9 @@ def main() -> None:
     for _ in range(30):
         n = int(rng.integers(11, 24))
         seq = [BOS_ID] + [int(t) for t in rng.integers(5, tokenizer.size, size=n)]
-        prompt, response = seq[:-1], [seq[-1]]
-        occ = occlusion_importance(lm, prompt, response)
-        tay = taylor_importance(lm, prompt, response)
-        live = len(prompt)
-        rhos.append(float(spearmanr(occ.values[:live, 0], tay.values[:live, 0])[0]))
+        occ = occlusion_importance(lm, seq[:-1], seq[-1])
+        tay = taylor_importance(lm, seq[:-1], seq[-1])
+        rhos.append(float(spearmanr(occ, tay)[0]))
     print(f"median Spearman over 30 in-window sequences: {float(np.median(rhos)):.3f}")
 
     # part 2: explain a severity verdict and annotate the narrative
@@ -82,18 +79,15 @@ def main() -> None:
     )
 
     pair = pairs[0]
-    spans = tokenizer.encode_with_spans(pair.descriptive)
-    prompt = [BOS_ID] + [tid for tid, _, _ in spans]
-    prompt_spans = [None] + [(s, e) for _, s, e in spans]
-    label, _ = classify(clf, tokenizer, prompt[1:])
+    ids = tokenizer.encode(pair.descriptive)
+    label, _ = classify(clf, tokenizer, ids)
     print(f"\n{pair.caseno}: explaining prediction {label.name} "
           f"(only the final {clf.window} tokens are visible to the classifier)")
 
-    matrix = occlusion_importance(
-        clf, prompt, [tokenizer.label_id(label)], tokenizer=tokenizer, prompt_spans=prompt_spans
-    )
-    words = aggregate_to_words(normalize_scores(matrix), pair.descriptive, display_divisor=20.0)
-    annotated = annotate_narrative(pair.descriptive, positive_words(words))
+    # one score per context token; word n of the narrative is token n + 1
+    values = occlusion_importance(clf, [BOS_ID] + ids, tokenizer.label_id(label))
+    words = aggregate_to_words(normalize_scores(values), pair.descriptive, display_divisor=20.0)
+    annotated = annotate_narrative(pair.descriptive, words)
     print("\nannotated narrative (word[score], display scale /20):\n")
     print(annotated)
 

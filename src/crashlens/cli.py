@@ -253,6 +253,9 @@ def cmd_train_ref(args: argparse.Namespace, get: Callable[[str], object]) -> int
 
 
 def cmd_attribute(args: argparse.Namespace, get: Callable[[str], object]) -> int:
+    L, b, divisor = int(get("L")), int(get("b")), float(get("display_divisor"))
+    if L < 1 or b < 0 or not divisor > 0:
+        raise ValueError(f"need L >= 1, b >= 0 and display_divisor > 0; got {L}, {b} and {divisor}")
     from . import attribution, refmodel
     from .narrator import read_pairs
 
@@ -267,8 +270,6 @@ def cmd_attribute(args: argparse.Namespace, get: Callable[[str], object]) -> int
         raise refmodel.RefModelError(
             f"model vocabulary has {model.vocab_size} tokens but the tokenizer has {tokenizer.size}"
         )
-    cfg = attribution.NormalizationConfig(L=int(get("L")), b=int(get("b")))
-    divisor = float(get("display_divisor"))
     importance_fn = (
         attribution.occlusion_importance if args.method == "occlusion" else attribution.taylor_importance
     )
@@ -277,15 +278,12 @@ def cmd_attribute(args: argparse.Namespace, get: Callable[[str], object]) -> int
         for pair in pairs:
             spans = tokenizer.encode_with_spans(pair.descriptive)
             ids = [tid for tid, _, _ in spans]
-            prompt = [refmodel.BOS_ID] + ids
-            prompt_spans = [None] + [(s, e) for _, s, e in spans]
             label, _ = refmodel.classify(model, tokenizer, ids)
-            response = [tokenizer.label_id(label)]
-            matrix = importance_fn(model, prompt, response, tokenizer=tokenizer, prompt_spans=prompt_spans)
-            scores = attribution.normalize_scores(matrix, cfg)
-            words = attribution.aggregate_to_words(scores, pair.descriptive, display_divisor=divisor)
-            annotated = attribution.annotate_narrative(pair.descriptive, attribution.positive_words(words))
-            yield attribution.attribution_record(pair.caseno, matrix, scores, annotated)
+            target = tokenizer.label_id(label)
+            scores = attribution.normalize_scores(importance_fn(model, [refmodel.BOS_ID, *ids], target), L, b)
+            words = attribution.aggregate_to_words(scores, pair.descriptive, divisor)
+            annotated = attribution.annotate_narrative(pair.descriptive, words)
+            yield attribution.attribution_record(pair.caseno, args.method, tokenizer, spans, target, scores, annotated)
 
     atomic_write_jsonl(args.out, records())
     _emit({"records": len(pairs), "method": args.method, "out": str(args.out)})
@@ -338,6 +336,8 @@ def cmd_analyze(args: argparse.Namespace, get: Callable[[str], object]) -> int:
     _emit(
         {
             "cases": len(out_records),
+            # summaries the rules made because the client failed for them
+            "fallbacks": 0 if client is None else sum(s.source == "rules" for s in summaries),
             "nodes": len(graph.nodes),
             "links": len(graph.links),
             "out": str(args.out),
@@ -445,6 +445,7 @@ def cmd_eval(args: argparse.Namespace, get: Callable[[str], object]) -> int:
             "cases": len(predictions),
             "accuracy": round(report.accuracy, 4),
             "macro_f1": round(report.macro_f1, 4),
+            "failed_parses": report.n_failed_parses,
             "out": str(args.out),
         }
     )

@@ -120,6 +120,8 @@ class TinyLM:
 
     @classmethod
     def init(cls, vocab_size: int, dim: int = 32, window: int = 16, seed: int = 0) -> "TinyLM":
+        if dim < 1 or window < 1:
+            raise RefModelError(f"dim and window must be >= 1, not {dim} and {window}")
         rng = np.random.default_rng(seed)
 
         def u(*shape: int) -> np.ndarray:
@@ -218,9 +220,12 @@ class TinyLM:
             and model.position_weights.ndim == 1
             and model.output_weights.shape == emb.shape[::-1]
             and model.output_bias.shape == emb.shape[:1]
+            and model.window >= 1
         ):
             shapes = ", ".join(f"{key} {getattr(model, key).shape}" for key in arrays)
             raise RefModelError(f"checkpoint {path} arrays do not fit one model: {shapes}")
+        if not all(np.isfinite(getattr(model, key)).all() for key in arrays):
+            raise RefModelError(f"checkpoint {path} holds a non-finite value")
         return model
 
 
@@ -353,33 +358,36 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
     columns = np.arange(d)
     grad_u = np.empty_like(m.output_weights)  # reused: a fresh d x V array per step costs page faults
 
-    for epoch in range(config.epochs):
-        for idx in rng.permutation(len(examples)):
-            ex = layouts[idx]
-            if ex is None:
-                continue
-            hidden, weights, embs = ex.pool(m)
-            dz = m._softmax_rows(hidden)
-            dz[np.arange(len(ex.targets)), ex.targets] -= 1.0  # dNLL/dlogits = p - onehot
-            dh = dz @ m.output_weights.T
-            # dNLL/da_s: e_i . dh_p summed over the (i, p) read through slot s
-            grad_a = np.bincount(ex.slots.ravel(), (embs @ dh.T).ravel(), w + 1)[:w]
-            # dNLL/de of each run token, summed onto its embedding row in run
-            # order (for a single position, the order of its slots)
-            grad_run = weights @ dh
-            grad_rows = np.bincount(
-                (ex.offsets[:, None] + columns).ravel(), grad_run.ravel(), len(ex.rows) * d
-            )
-            m.embeddings[ex.rows] -= lr * grad_rows.reshape(len(ex.rows), d)
-            m.position_weights -= lr * grad_a
-            np.dot(hidden.T, dz, out=grad_u)
-            grad_u *= lr
-            m.output_weights -= grad_u
-            m.output_bias -= lr * dz.sum(axis=0)
-        nll = _corpus_nll(m, scored)
-        if not np.isfinite(nll):
-            raise TrainingDivergedError(epoch)
-        m.loss_history.append(nll)
+    # a diverging run overflows on the way; the finite-NLL check below
+    # reports it, so numpy's own warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            for idx in rng.permutation(len(examples)):
+                ex = layouts[idx]
+                if ex is None:
+                    continue
+                hidden, weights, embs = ex.pool(m)
+                dz = m._softmax_rows(hidden)
+                dz[np.arange(len(ex.targets)), ex.targets] -= 1.0  # dNLL/dlogits = p - onehot
+                dh = dz @ m.output_weights.T
+                # dNLL/da_s: e_i . dh_p summed over the (i, p) read through slot s
+                grad_a = np.bincount(ex.slots.ravel(), (embs @ dh.T).ravel(), w + 1)[:w]
+                # dNLL/de of each run token, summed onto its embedding row in run
+                # order (for a single position, the order of its slots)
+                grad_run = weights @ dh
+                grad_rows = np.bincount(
+                    (ex.offsets[:, None] + columns).ravel(), grad_run.ravel(), len(ex.rows) * d
+                )
+                m.embeddings[ex.rows] -= lr * grad_rows.reshape(len(ex.rows), d)
+                m.position_weights -= lr * grad_a
+                np.dot(hidden.T, dz, out=grad_u)
+                grad_u *= lr
+                m.output_weights -= grad_u
+                m.output_bias -= lr * dz.sum(axis=0)
+            nll = _corpus_nll(m, scored)
+            if not np.isfinite(nll):
+                raise TrainingDivergedError(epoch)
+            m.loss_history.append(nll)
     return m
 
 

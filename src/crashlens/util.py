@@ -125,11 +125,6 @@ class WordAttribution(NamedTuple):
     word: str
     char_span: tuple[int, int]
     score: float
-    contributing_token_ids: tuple[int, ...] = ()
-
-
-def positive_words(words: Sequence[WordAttribution]) -> list[WordAttribution]:
-    return [w for w in words if w.score > 0]
 
 
 def annotate_narrative(narrative: str, words: Sequence[WordAttribution]) -> str:

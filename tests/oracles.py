@@ -3,21 +3,18 @@
 Each function is the straightforward per-position / per-element version of
 a library routine: `train_loop` and `corpus_nll_loop` for `refmodel.train`,
 `occlusion_loop` for `attribution.occlusion_importance`, `taylor_loop`
-for `attribution.taylor_importance`,
-`aggregate_to_words_quadratic` for `attribution.aggregate_to_words` and
-`normalize_scores_bruteforce` for `attribution.normalize_scores`.
+for `attribution.taylor_importance` and `normalize_scores_bruteforce` for
+`attribution.normalize_scores`.
 `fact_values` lists what `narrator.render` must voice for a case.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from typing import Sequence
 
 import numpy as np
 
-from crashlens.attribution import ScoreMatrix, WordAttribution
 from crashlens.narrator import NormalizedCase
 from crashlens.refmodel import (
     TinyLM,
@@ -97,62 +94,18 @@ def train_loop(model: TinyLM, examples: Sequence[TrainingExample], config: Train
     return m
 
 
-def occlusion_loop(
-    model: TinyLM,
-    prompt: Sequence[int],
-    response: Sequence[int],
-) -> np.ndarray:
-    """Scores one variant per context token, n + 1 forward passes per column."""
-    n_prompt, n_out = len(prompt), len(response)
-    values = np.zeros((n_prompt + n_out, n_out))
-    for m in range(n_out):
-        target = response[m]
-        context = list(prompt) + list(response[:m])
-        variants = [context] + [context[:q] + context[q + 1 :] for q in range(len(context))]
-        probs = np.array([prob(model, variant, target) for variant in variants])
-        values[: len(context), m] = probs[0] - probs[1:]
-    return values
+def occlusion_loop(model: TinyLM, context: Sequence[int], target: int) -> np.ndarray:
+    """Scores one variant per context token, n + 1 forward passes."""
+    context = list(context)
+    variants = [context] + [context[:q] + context[q + 1 :] for q in range(len(context))]
+    probs = np.array([prob(model, variant, target) for variant in variants])
+    return probs[0] - probs[1:]
 
 
-def taylor_loop(
-    model: TinyLM,
-    prompt: Sequence[int],
-    response: Sequence[int],
-) -> np.ndarray:
+def taylor_loop(model: TinyLM, context: Sequence[int], target: int) -> np.ndarray:
     """One gradient per context position, dotted with its embedding."""
-    n_prompt, n_out = len(prompt), len(response)
-    values = np.zeros((n_prompt + n_out, n_out))
-    for m in range(n_out):
-        context = list(prompt) + list(response[:m])
-        grads = grad_prob_wrt_embeddings(model, context, response[m])
-        for q, tok in enumerate(context):
-            values[q, m] = float(np.dot(grads[q], model.embeddings[tok]))
-    return values
-
-
-def aggregate_to_words_quadratic(
-    scores: ScoreMatrix, narrative: str, display_divisor: float = 1.0
-) -> list[WordAttribution]:
-    """Scans every token for every word."""
-    row_best = scores.scores.max(axis=1) if scores.scores.size else np.zeros(len(scores.input_tokens), dtype=np.int64)
-    words: list[WordAttribution] = []
-    for m in re.finditer(r"\S+", narrative):
-        w_start, w_end = m.span()
-        rows = tuple(
-            i
-            for i, tok in enumerate(scores.input_tokens)
-            if tok.start is not None and tok.start >= w_start and tok.end <= w_end
-        )
-        raw = max((int(row_best[i]) for i in rows), default=0)
-        words.append(
-            WordAttribution(
-                word=m.group(0),
-                char_span=(w_start, w_end),
-                score=raw / display_divisor,
-                contributing_token_ids=rows,
-            )
-        )
-    return words
+    grads = grad_prob_wrt_embeddings(model, context, target)
+    return np.array([float(np.dot(grad, model.embeddings[tok])) for grad, tok in zip(grads, context)])
 
 
 def normalize_scores_bruteforce(values, L: int = 100, b: int = 1) -> list[list[int]]:

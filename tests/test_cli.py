@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import corpus_path, python_cli, run_cli
@@ -133,14 +132,11 @@ def test_attribution_columns_peak_at_exactly_L(pipeline):
     columns = 0
     for pair in narrator.read_pairs(d / "narratives.jsonl"):
         ids = tokenizer.encode(pair.descriptive)
-        prompt = [refmodel.BOS_ID] + ids
         label, _ = refmodel.classify(model, tokenizer, ids)
-        response = [tokenizer.label_id(label)]
         for importance in (attribution.occlusion_importance, attribution.taylor_importance):
-            matrix = importance(model, prompt, response)
-            scores = attribution.normalize_scores(matrix).scores
-            for m in np.flatnonzero(matrix.values.max(axis=0) > 0):
-                assert scores[:, m].max() == 100, (pair.caseno, importance.__name__)
+            values = importance(model, [refmodel.BOS_ID] + ids, tokenizer.label_id(label))
+            if values.max() > 0:
+                assert attribution.normalize_scores(values).scores.max() == 100, (pair.caseno, importance.__name__)
                 columns += 1
     assert columns >= 50
 
@@ -799,3 +795,101 @@ def test_attribute_encodes_each_narrative_once(pipeline, tmp_path, monkeypatch):
     assert code == 0
     assert calls == {"encode": 0, "encode_with_spans": 50}
     assert out.read_bytes() == (d / "attr_occ.jsonl").read_bytes()
+
+
+def _train_ref_args(d: Path, tmp_path: Path, *extra: str) -> list[str]:
+    few = tmp_path / "few.jsonl"
+    few.write_text("".join((d / "narratives.jsonl").read_text().splitlines(keepends=True)[:5]))
+    return [
+        "train-ref", "--narratives", str(few),
+        "--out-model", str(tmp_path / "model.json"), "--out-tokenizer", str(tmp_path / "tok.json"),
+        *extra,
+    ]
+
+
+@pytest.mark.parametrize("flag", ["--window", "--dim"])
+def test_train_ref_rejects_an_empty_dimension(pipeline, tmp_path, flag):
+    d, _ = pipeline
+    proc = subprocess.run(
+        python_cli(*_train_ref_args(d, tmp_path, flag, "0", "--epochs", "1")), capture_output=True, text=True
+    )
+    err = _one_error_line(proc)
+    assert err["error"] == "RefModelError"
+    assert "must be >= 1" in err["detail"]
+    assert not (tmp_path / "model.json").exists() and not (tmp_path / "tok.json").exists()
+
+
+def test_diverging_train_ref_writes_one_json_line(pipeline, tmp_path):
+    """numpy's overflow warnings stay off stderr; the divergence error is
+    the only line there."""
+    d, _ = pipeline
+    proc = subprocess.run(
+        python_cli(*_train_ref_args(d, tmp_path, "--lr", "1e6", "--epochs", "3")), capture_output=True, text=True
+    )
+    assert _one_error_line(proc)["error"] == "TrainingDivergedError"
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, model",
+    [
+        (["--L", "0"], None),
+        (["--b", "-1"], None),
+        (["--display-divisor", "0"], None),
+        (["--display-divisor", "nan"], None),
+        ([], "nan"),
+    ],
+    ids=["L-0", "b-negative", "divisor-0", "divisor-nan", "model-nan"],
+)
+def test_attribute_rejects_bad_scale_or_model_before_writing(pipeline, tmp_path, flags, model):
+    """L, b and the display divisor are checked before the model is read (a
+    model path that does not exist is never opened); a model holding NaN is
+    a RefModelError."""
+    d, _ = pipeline
+    model_path = tmp_path / "missing.json"
+    if model == "nan":
+        doc = json.loads((d / "model.json").read_text())
+        doc["output_bias"][0] = float("nan")
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+    out = tmp_path / "attr.jsonl"
+    proc = subprocess.run(
+        python_cli(
+            "attribute", "--narratives", str(d / "narratives.jsonl"),
+            "--model", str(model_path), "--tokenizer", str(d / "tok.json"),
+            "--method", "taylor", "--out", str(out), *flags,
+        ),
+        capture_output=True,
+        text=True,
+    )
+    err = _one_error_line(proc)
+    assert err["error"] == ("RefModelError" if model else "ValueError")
+    assert not out.exists()
+
+
+def test_summaries_count_what_a_dead_endpoint_cost(pipeline, tmp_path, monkeypatch):
+    """A client that is always unavailable: every eval answer fails to parse
+    and every analyze summary falls back to the rules, and both summary
+    lines say so. Offline, analyze has no client to fall back from."""
+    from crashlens import cli
+    from crashlens.augment import StubChatClient, UnavailableError
+
+    d, summaries = pipeline
+
+    def down(user: str) -> str:
+        raise UnavailableError("transport failed after 4 attempts")
+
+    monkeypatch.setattr(cli, "_chat_client", lambda get: StubChatClient(transform=down))
+    code, out = run_cli(
+        ["eval", "--narratives", str(d / "narratives.jsonl"), "--strategy", "zs", "--out", str(tmp_path / "p.jsonl")]
+    )
+    assert code == 0
+    assert json.loads(out)["failed_parses"] == json.loads(out)["cases"] == 50
+    code, out = run_cli(
+        ["analyze", "--attributions", str(d / "attr_occ.jsonl"), "--out", str(tmp_path / "f.jsonl")]
+    )
+    assert code == 0
+    assert json.loads(out)["fallbacks"] == json.loads(out)["cases"] == 50
+    analyze, evaluate = summaries[5], summaries[8]
+    assert analyze["fallbacks"] == 0
+    assert evaluate["failed_parses"] == 0

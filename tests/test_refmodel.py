@@ -184,7 +184,6 @@ def test_training_is_seed_deterministic():
     assert a.loss_history == b.loss_history
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_raises_with_epoch():
     examples = [
         TrainingExample(tokens=tuple([0] + [1, 2, 3] * 6), loss_mask=tuple([False] + [True] * 18))
@@ -291,6 +290,12 @@ def test_model_save_load_round_trip(tmp_path):
     assert np.array_equal(model.distribution(context), back.distribution(context))
 
 
+@pytest.mark.parametrize("dim, window", [(0, 4), (3, 0), (-1, 4)])
+def test_init_rejects_an_empty_dimension(dim, window):
+    with pytest.raises(RefModelError, match="must be >= 1"):
+        TinyLM.init(6, dim=dim, window=window)
+
+
 def test_model_load_rejects_unknown_version(tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"version": 99}')
@@ -335,8 +340,15 @@ def _checkpoint(**changes) -> dict:
         (_checkpoint(embeddings={"a": 1}), "float"),
         (_checkpoint(embeddings=[[1.0, 2.0], [3.0]]), "inhomogeneous"),
         (_checkpoint(output_bias=[0.0]), "arrays do not fit one model"),
+        (_checkpoint(position_weights=[]), "arrays do not fit one model"),
+        (_checkpoint(embeddings=[[]] * 6, output_weights=[]), "arrays do not fit one model"),
+        (_checkpoint(output_bias=[0.0, float("nan"), 0.0, 0.0, 0.0, 0.0]), "non-finite"),
+        (_checkpoint(position_weights=[1.0, float("inf"), 1.0, 1.0]), "non-finite"),
     ],
-    ids=["list", "no-bias", "embeddings-object", "embeddings-ragged", "bias-too-short"],
+    ids=[
+        "list", "no-bias", "embeddings-object", "embeddings-ragged", "bias-too-short",
+        "zero-window", "zero-dim", "bias-nan", "weight-inf",
+    ],
 )
 def test_model_load_rejects_malformed_file(tmp_path, doc, detail):
     path = tmp_path / "model.json"
