@@ -255,14 +255,13 @@ def summarize_factors(
 
 
 def extract_top_factors(summary: FactorSummary, k: int = 5) -> dict[AspectCategory, list[str]]:
-    """Top-k terms for the four named aspects (unusual/standout excluded)."""
-    out: dict[AspectCategory, list[str]] = {}
-    for cat in AspectCategory:
-        if cat is AspectCategory.UNUSUAL:
-            continue
-        terms = sorted(summary.categories[cat].terms, key=lambda t: (-t.score, t.position))
-        out[cat] = [t.term for t in terms[:k]]
-    return out
+    """Top-k terms for the four named aspects (unusual/standout excluded);
+    `FactorSummary` keeps each aspect's terms ordered by (-score, position)."""
+    return {
+        cat: [t.term for t in summary.categories[cat].terms[:k]]
+        for cat in AspectCategory
+        if cat is not AspectCategory.UNUSUAL
+    }
 
 
 def semantic_group(

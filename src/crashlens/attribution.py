@@ -66,7 +66,7 @@ def taylor_importance(model: TinyLM, context: Sequence[int], target: int) -> np.
     if n:  # an empty context reads <bos>, which has no row
         first = max(n - model.window, 0)
         embs = model.embeddings[list(context[first:])]
-        g_hidden = grad_prob_wrt_hidden(model, model.distribution_given_window(embs), target)
+        g_hidden = grad_prob_wrt_hidden(model, model.distribution(context), target)
         values[first:] = model.position_weights[: n - first] * (embs @ g_hidden)
     return values
 

@@ -254,8 +254,11 @@ def cmd_train_ref(args: argparse.Namespace, get: Callable[[str], object]) -> int
 
 def cmd_attribute(args: argparse.Namespace, get: Callable[[str], object]) -> int:
     L, b, divisor = int(get("L")), int(get("b")), float(get("display_divisor"))
-    if L < 1 or b < 0 or not divisor > 0:
-        raise ValueError(f"need L >= 1, b >= 0 and display_divisor > 0; got {L}, {b} and {divisor}")
+    # b >= L would zero every score, and an infinite divisor every annotation
+    if not (L >= 1 and 0 <= b < L and 0 < divisor < float("inf")):
+        raise ValueError(
+            f"need L >= 1, 0 <= b < L and a finite display_divisor > 0; got {L}, {b} and {divisor}"
+        )
     from . import attribution, refmodel
     from .narrator import read_pairs
 

@@ -4,8 +4,10 @@ The model embeds the last `window` context tokens, mixes them with learned
 per-slot weights, and maps the pooled vector through a linear-softmax head.
 Everything is float64 numpy with closed-form gradients, so attribution math
 downstream can be checked against finite differences to tight tolerances.
-Training and batch scoring run many windows at once as batched matmuls;
-the single-context functions below are the readable reference for them.
+Every pass reads one window layout, `TinyLM.windows`: one row of W token ids
+per context, left-aligned and padded with `<bos>`, whose padding slots weigh
+0 in the one pooled forward. Scoring one context, scoring many, the
+per-epoch NLL and training all go through it.
 """
 
 from __future__ import annotations
@@ -158,20 +160,25 @@ class TinyLM:
             loss_history=list(self.loss_history),
         )
 
-    def _window_ids(self, context: Sequence[int]) -> list[int]:
-        ids = list(context) if context else [BOS_ID]
-        return ids[-self.window :]
+    def windows(self, contexts: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+        """The one window layout every pass reads: row i holds the last W
+        tokens of context i (`<bos>` for an empty context), left-aligned and
+        padded with `<bos>`; `filled` marks the slots that hold them."""
+        ids = np.full((len(contexts), self.window), BOS_ID, dtype=np.intp)
+        filled = np.zeros(ids.shape, dtype=bool)
+        for i, context in enumerate(contexts):
+            window = list(context[-self.window :]) or [BOS_ID]
+            ids[i, : len(window)] = window
+            filled[i, : len(window)] = True
+        return ids, filled
 
-    def distribution_given_window(self, window_embs: np.ndarray) -> np.ndarray:
-        k = window_embs.shape[0]
-        hidden = self.position_weights[:k] @ window_embs
-        logits = self.output_weights.T @ hidden + self.output_bias
-        logits = logits - logits.max()
-        exp = np.exp(logits)
-        return exp / exp.sum()
-
-    def distribution(self, context: Sequence[int]) -> np.ndarray:
-        return self.distribution_given_window(self.embeddings[self._window_ids(context)])
+    def _pool(self, ids: np.ndarray, filled: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hidden vectors of a `windows` layout, h = sum_j a_j e_j over the
+        filled slots, with the slot weights (padding weighs 0) and slot
+        embeddings they came from."""
+        weights = np.where(filled, self.position_weights, 0.0)
+        embs = self.embeddings[ids]
+        return np.matmul(weights[:, None, :], embs)[:, 0], weights, embs
 
     def _softmax_rows(self, hidden: np.ndarray) -> np.ndarray:
         probs = hidden @ self.output_weights
@@ -183,15 +190,10 @@ class TinyLM:
 
     def batch_probs(self, contexts: Sequence[Sequence[int]], target: int) -> np.ndarray:
         """p(target | context) for many contexts: one gather, one output matmul."""
-        # windows left-aligned in a BOS-padded array; padding slots weigh 0
-        ids = np.full((len(contexts), self.window), BOS_ID, dtype=np.intp)
-        weights = np.zeros(ids.shape)
-        for i, context in enumerate(contexts):
-            window = self._window_ids(context)
-            ids[i, : len(window)] = window
-            weights[i, : len(window)] = self.position_weights[: len(window)]
-        hidden = np.matmul(weights[:, None, :], self.embeddings[ids])[:, 0]
-        return self._softmax_rows(hidden)[:, target]
+        return self._softmax_rows(self._pool(*self.windows(contexts))[0])[:, target]
+
+    def distribution(self, context: Sequence[int]) -> np.ndarray:
+        return self._softmax_rows(self._pool(*self.windows([context]))[0])[0]
 
     def save(self, path: str | Path) -> None:
         doc = {
@@ -256,64 +258,42 @@ def grad_prob_wrt_hidden(model: TinyLM, p: np.ndarray, target: int) -> np.ndarra
     return p[target] * (model.output_weights[:, target] - model.output_weights @ p)
 
 
-def grad_prob_wrt_embeddings(
-    model: TinyLM, context: Sequence[int], target: int
-) -> list[np.ndarray]:
-    """Analytic gradient of prob() w.r.t. each context position's embedding.
+def grad_prob_wrt_embeddings(model: TinyLM, context: Sequence[int], target: int) -> np.ndarray:
+    """Analytic gradient of prob() w.r.t. each context position's embedding,
+    one row per position (one `<bos>` row for an empty context).
 
     With h = sum_j a_j e_j over the window, dp_t/de_j = a_j * dp_t/dh
     (`grad_prob_wrt_hidden`). Positions that fell out of the window get
-    exact zero vectors.
+    exact zero rows.
     """
-    ids = list(context) if context else [BOS_ID]
-    k = min(len(ids), model.window)
-    start = len(ids) - k
-    g_hidden = grad_prob_wrt_hidden(model, model.distribution(ids), target)
-    grads = [np.zeros(model.dim) for _ in ids]
-    for j in range(k):
-        grads[start + j] = model.position_weights[j] * g_hidden
+    k = int(model.windows([context])[1].sum())
+    grads = np.zeros((max(len(context), 1), model.dim))
+    g_hidden = grad_prob_wrt_hidden(model, model.distribution(context), target)
+    grads[len(grads) - k :] = model.position_weights[:k, None] * g_hidden
     return grads
 
 
 @dataclass(frozen=True)
 class _Example:
-    """An example's loss positions, laid out over the run of tokens that
-    their windows read.
+    """An example's loss positions: their windows (`TinyLM.windows`), their
+    targets, and the distinct ids of the windows, the embedding rows a step
+    updates; `slot_rows` is each slot's index into `rows`."""
 
-    slots[i, p] is the window slot through which loss position p reads run
-    token i, or W (weight 0) where p does not read it. A position with an
-    empty context reads <bos>, appended as the last run token.
-    """
-
-    run: np.ndarray  # vocabulary id of each run token
-    slots: np.ndarray  # len(run) x positions
+    ids: np.ndarray  # positions x W
+    filled: np.ndarray  # positions x W
     targets: np.ndarray
-    rows: np.ndarray  # the distinct ids of run, the embedding rows a step updates
-    offsets: np.ndarray  # dim * (index into rows) of each run token
+    rows: np.ndarray
+    slot_rows: np.ndarray  # positions x W
 
     @classmethod
-    def of(cls, ex: TrainingExample, window: int, dim: int) -> Optional["_Example"]:
+    def of(cls, ex: TrainingExample, model: TinyLM) -> Optional["_Example"]:
         j = np.flatnonzero(ex.loss_mask)
         if not len(j):
             return None
-        k = np.minimum(j, window)  # window length, 0 for an empty context
-        lo, hi = int((j - k).min()), int(j.max())
-        slot = np.arange(lo, hi)[:, None] - (j - k)
-        slots = np.where((slot >= 0) & (slot < k), slot, window)
-        run = np.asarray(ex.tokens[lo:hi], dtype=np.intp)
-        if k.min() == 0:
-            run = np.append(run, BOS_ID)
-            slots = np.vstack([slots, np.where(k == 0, 0, window)])
-        rows, inverse = np.unique(run, return_inverse=True)
+        ids, filled = model.windows([ex.tokens[:p] for p in j])
+        rows, slot_rows = np.unique(ids, return_inverse=True)
         targets = np.asarray(ex.tokens, dtype=np.intp)[j]
-        return cls(run, slots, targets, rows, inverse * dim)
-
-    def pool(self, model: TinyLM) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Hidden vectors of the loss positions, with the slot weights
-        (run x positions) and run embeddings they came from."""
-        weights = np.append(model.position_weights, 0.0)[self.slots]
-        embs = model.embeddings[self.run]
-        return weights.T @ embs, weights, embs
+        return cls(ids, filled, targets, rows, slot_rows.reshape(ids.shape))
 
 
 # loss positions per output matmul in _corpus_nll; bounds the logits to a
@@ -325,7 +305,7 @@ def _corpus_nll(model: TinyLM, examples: Sequence[_Example]) -> float:
     """Mean NLL over all loss positions, one output matmul per chunk of them."""
     if not examples:
         return 0.0
-    hidden = np.concatenate([ex.pool(model)[0] for ex in examples])
+    hidden = np.concatenate([model._pool(ex.ids, ex.filled)[0] for ex in examples])
     targets = np.concatenate([ex.targets for ex in examples])
     nll = []
     for lo in range(0, len(targets), _NLL_CHUNK):
@@ -339,11 +319,10 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
     """SGD on the masked next-token NLL; deterministic for a given seed.
 
     One parameter update per example, from the gradients summed over its
-    unmasked positions, which are computed together as matmuls over the
-    run of tokens their windows read. That layout is fixed before the first
-    epoch, and an update writes only the embedding rows of the run. Masked
-    (False) positions contribute nothing, so an all-masked example leaves
-    the parameters untouched.
+    unmasked positions, which are computed together over their windows.
+    The windows are fixed before the first epoch, and an update writes only
+    the embedding rows they read. Masked (False) positions contribute
+    nothing, so an all-masked example leaves the parameters untouched.
     """
     for ex in examples:
         if any(t < 0 or t >= model.vocab_size for t in ex.tokens):
@@ -352,8 +331,8 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
     m = model.copy()
     m.loss_history = []
     rng = np.random.default_rng(config.seed)
-    lr, d, w = config.lr, m.dim, m.window
-    layouts = [_Example.of(ex, w, d) for ex in examples]
+    lr, d = config.lr, m.dim
+    layouts = [_Example.of(ex, m) for ex in examples]
     scored = [ex for ex in layouts if ex is not None]
     columns = np.arange(d)
     grad_u = np.empty_like(m.output_weights)  # reused: a fresh d x V array per step costs page faults
@@ -366,18 +345,18 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
                 ex = layouts[idx]
                 if ex is None:
                     continue
-                hidden, weights, embs = ex.pool(m)
+                hidden, weights, embs = m._pool(ex.ids, ex.filled)
                 dz = m._softmax_rows(hidden)
                 dz[np.arange(len(ex.targets)), ex.targets] -= 1.0  # dNLL/dlogits = p - onehot
                 dh = dz @ m.output_weights.T
-                # dNLL/da_s: e_i . dh_p summed over the (i, p) read through slot s
-                grad_a = np.bincount(ex.slots.ravel(), (embs @ dh.T).ravel(), w + 1)[:w]
-                # dNLL/de of each run token, summed onto its embedding row in run
-                # order (for a single position, the order of its slots)
-                grad_run = weights @ dh
-                grad_rows = np.bincount(
-                    (ex.offsets[:, None] + columns).ravel(), grad_run.ravel(), len(ex.rows) * d
-                )
+                # dNLL/da_j = e_j . dh summed over the positions that fill slot j
+                slot_dots = np.matmul(embs, dh[:, :, None])[:, :, 0]
+                grad_a = np.where(ex.filled, slot_dots, 0.0).sum(axis=0)
+                # dNLL/de = a_j dh for each slot, summed onto its embedding row
+                # in slot order (padding weighs 0)
+                grad_slots = weights[:, :, None] * dh[:, None, :]
+                index = ex.slot_rows[:, :, None] * d + columns
+                grad_rows = np.bincount(index.ravel(), grad_slots.ravel(), len(ex.rows) * d)
                 m.embeddings[ex.rows] -= lr * grad_rows.reshape(len(ex.rows), d)
                 m.position_weights -= lr * grad_a
                 np.dot(hidden.T, dz, out=grad_u)

@@ -1,7 +1,8 @@
 """Loop implementations kept as test oracles for the vectorized library code.
 
 Each function is the straightforward per-position / per-element version of
-a library routine: `train_loop` and `corpus_nll_loop` for `refmodel.train`,
+a library routine: `distribution_given_window` for the pooled forward of
+`refmodel.TinyLM`, `train_loop` and `corpus_nll_loop` for `refmodel.train`,
 `occlusion_loop` for `attribution.occlusion_importance`, `taylor_loop`
 for `attribution.taylor_importance` and `normalize_scores_bruteforce` for
 `attribution.normalize_scores`.
@@ -17,6 +18,7 @@ import numpy as np
 
 from crashlens.narrator import NormalizedCase
 from crashlens.refmodel import (
+    BOS_ID,
     TinyLM,
     TrainConfig,
     TrainingDivergedError,
@@ -34,6 +36,17 @@ def fact_values(normalized: NormalizedCase) -> list[str]:
         for person in veh.persons:
             out.extend(person.values())
     return out
+
+
+def distribution_given_window(model: TinyLM, window_embs: np.ndarray) -> np.ndarray:
+    """Next-token distribution from the embeddings of one window's tokens,
+    the reference forward that finite differences perturb."""
+    k = window_embs.shape[0]
+    hidden = model.position_weights[:k] @ window_embs
+    logits = model.output_weights.T @ hidden + model.output_bias
+    logits = logits - logits.max()
+    exp = np.exp(logits)
+    return exp / exp.sum()
 
 
 def corpus_nll_loop(model: TinyLM, examples: Sequence[TrainingExample]) -> float:
@@ -68,11 +81,11 @@ def train_loop(model: TinyLM, examples: Sequence[TrainingExample], config: Train
                 if not masked_in:
                     continue
                 touched = True
-                ids = m._window_ids(ex.tokens[:j])
+                ids = (list(ex.tokens[:j]) or [BOS_ID])[-w:]
                 k = len(ids)
                 embs = m.embeddings[ids]
                 hidden = m.position_weights[:k] @ embs
-                p = m.distribution_given_window(embs)
+                p = distribution_given_window(m, embs)
                 dz = p.copy()
                 dz[ex.tokens[j]] -= 1.0  # dNLL/dlogits = p - onehot
                 grad_c += dz

@@ -171,8 +171,9 @@ def test_extract_top_factors_excludes_unusual_and_caps():
         "s", [FactorTerm("weird", 9.0, 0)]
     )
     cats[AspectCategory.INFRASTRUCTURE] = CategorySummary(
-        "s", [FactorTerm(f"t{i}", 10.0 - i, i) for i in range(8)]
+        "s", [FactorTerm(f"t{i}", 10.0 - i, i) for i in reversed(range(8))]
     )
+    # FactorSummary orders the terms; extract_top_factors reads them in order
     summary = FactorSummary(caseno="x", categories=cats)
     top = extract_top_factors(summary, k=5)
     assert AspectCategory.UNUSUAL not in top

@@ -17,7 +17,7 @@ from crashlens.attribution import (
     taylor_importance,
 )
 from crashlens.refmodel import BOS_ID, UNK, TinyLM, Tokenizer
-from oracles import normalize_scores_bruteforce, occlusion_loop, taylor_loop
+from oracles import distribution_given_window, normalize_scores_bruteforce, occlusion_loop, taylor_loop
 
 
 def small_model(vocab: int = 10, dim: int = 4, window: int = 8, seed: int = 0) -> TinyLM:
@@ -107,8 +107,8 @@ def test_taylor_matches_directional_finite_difference():
         # scale token j's contribution by (1 - eps): first-order change is -eps * I
         perturbed = base.copy()
         perturbed[j] *= 1.0 - eps
-        delta = float(model.distribution_given_window(perturbed)[5]) - float(
-            model.distribution_given_window(base)[5]
+        delta = float(distribution_given_window(model, perturbed)[5]) - float(
+            distribution_given_window(model, base)[5]
         )
         assert delta / (-eps) == pytest.approx(values[j], rel=1e-4)
 

@@ -837,14 +837,17 @@ def test_diverging_train_ref_writes_one_json_line(pipeline, tmp_path):
         (["--b", "-1"], None),
         (["--display-divisor", "0"], None),
         (["--display-divisor", "nan"], None),
+        (["--display-divisor", "inf"], None),
+        (["--L", "5", "--b", "5"], None),
         ([], "nan"),
     ],
-    ids=["L-0", "b-negative", "divisor-0", "divisor-nan", "model-nan"],
+    ids=["L-0", "b-negative", "divisor-0", "divisor-nan", "divisor-inf", "b-at-L", "model-nan"],
 )
 def test_attribute_rejects_bad_scale_or_model_before_writing(pipeline, tmp_path, flags, model):
     """L, b and the display divisor are checked before the model is read (a
-    model path that does not exist is never opened); a model holding NaN is
-    a RefModelError."""
+    model path that does not exist is never opened): b at or above L would
+    leave no score, and an infinite divisor would annotate every word as 0.
+    A model holding NaN is a RefModelError."""
     d, _ = pipeline
     model_path = tmp_path / "missing.json"
     if model == "nan":

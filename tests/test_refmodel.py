@@ -21,7 +21,7 @@ from crashlens.refmodel import (
     train,
 )
 from crashlens.schema import Severity
-from oracles import train_loop
+from oracles import distribution_given_window, train_loop
 
 
 def fd_gradient(model: TinyLM, context: list[int], target: int, step: float = 1e-4):
@@ -38,8 +38,8 @@ def fd_gradient(model: TinyLM, context: list[int], target: int, step: float = 1e
             lo = base.copy()
             lo[j, c] -= step
             grads[start + j][c] = (
-                float(model.distribution_given_window(hi)[target])
-                - float(model.distribution_given_window(lo)[target])
+                float(distribution_given_window(model, hi)[target])
+                - float(distribution_given_window(model, lo)[target])
             ) / (2 * step)
     return grads
 
@@ -89,12 +89,30 @@ def test_window_truncates_left():
     assert np.array_equal(model.distribution(long), model.distribution(long[-3:]))
 
 
+def test_windows_match_plain_slicing():
+    """Empty, shorter than W, exactly W and longer than W: each row holds the
+    last W tokens (<bos> for none), left-aligned and padded with <bos>."""
+    model = TinyLM.init(15, dim=4, window=4, seed=3)
+    contexts = [[], [5, 6], [1, 2, 3, 4], [9, 8, 7, 6, 5, 4]]
+    ids, filled = model.windows(contexts)
+    assert ids.shape == filled.shape == (4, 4)
+    for row, fill, context in zip(ids, filled, contexts):
+        window = (list(context) or [BOS_ID])[-4:]
+        assert row.tolist() == window + [BOS_ID] * (4 - len(window))
+        assert fill.tolist() == [True] * len(window) + [False] * (4 - len(window))
+
+
 def test_batch_probs_matches_loop():
     model = TinyLM.init(18, dim=6, window=4, seed=5)
     contexts = [[1], [2, 3], [4, 5, 6, 7, 8], []]
     batched = model.batch_probs(contexts, target=9)
     singles = [prob(model, c, 9) for c in contexts]
     assert np.allclose(batched, singles, rtol=0, atol=1e-15)
+    # the per-window reference forward, on plainly sliced windows
+    reference = [
+        distribution_given_window(model, model.embeddings[(c or [BOS_ID])[-4:]])[9] for c in contexts
+    ]
+    assert np.allclose(batched, reference, rtol=0, atol=1e-15)
 
 
 def test_training_memorizes_toy_patterns():
