@@ -9,6 +9,7 @@ co-occurrence graph for Sankey export.
 from __future__ import annotations
 
 import enum
+import functools
 import html
 import json
 import re
@@ -66,6 +67,10 @@ _REPAIR_PROMPT = (
 
 class AnalyticsError(Exception):
     pass
+
+
+class ValidationError(AnalyticsError):
+    """A Sankey graph document that `validate_sankey` rejects."""
 
 
 @dataclass(frozen=True)
@@ -153,32 +158,78 @@ def load_grouping_rules(path: Optional[str | Path] = None) -> GroupingRules:
     return grouping
 
 
-def load_category_lexicon(path: Optional[str | Path] = None) -> dict[AspectCategory, list[str]]:
+class CategoryLexicon:
+    """Keyword lists per aspect, validated and compiled once.
+
+    `category(folded)` gives a lowercased, punctuation-stripped term the
+    first aspect, in declaration order, one of whose keywords it contains
+    (a plain keyword as a substring, an "re:" keyword by regex search), or
+    UNUSUAL; each distinct term is matched once. A keyword that is not a
+    non-empty string, or an "re:" keyword that does not compile, raises
+    AnalyticsError naming its category and index.
+    """
+
+    def __init__(self, keywords: Mapping[AspectCategory, Sequence[str]]):
+        self.keywords = {cat: tuple(keywords.get(cat, ())) for cat in AspectCategory}
+        self._rules: list[tuple[AspectCategory, list[str], list[re.Pattern]]] = []
+        for cat, entries in self.keywords.items():
+            plain, patterns = [], []
+            for i, keyword in enumerate(entries):
+                if not isinstance(keyword, str) or not keyword:
+                    raise AnalyticsError(
+                        f"category {cat.value!r} keyword {i}: {keyword!r} is not a non-empty string"
+                    )
+                if not keyword.startswith("re:"):
+                    plain.append(keyword)
+                    continue
+                try:
+                    patterns.append(re.compile(keyword[3:]))
+                except re.error as exc:
+                    raise AnalyticsError(f"category {cat.value!r} keyword {i}: {keyword!r}: {exc}") from exc
+            self._rules.append((cat, plain, patterns))
+        self._memo: dict[str, AspectCategory] = {}
+
+    def category(self, folded: str) -> AspectCategory:
+        cat = self._memo.get(folded)
+        if cat is None:
+            cat = next(
+                (
+                    c
+                    for c, plain, patterns in self._rules
+                    if any(k in folded for k in plain) or any(p.search(folded) for p in patterns)
+                ),
+                AspectCategory.UNUSUAL,
+            )
+            self._memo[folded] = cat
+        return cat
+
+
+def load_category_lexicon(path: Optional[str | Path] = None) -> CategoryLexicon:
     out: dict[AspectCategory, list[str]] = {}
     for key, keywords in load_yaml_section("category_lexicon.yaml", "categories", dict, path).items():
         if not isinstance(keywords, list):
             raise AnalyticsError(f"category {key!r}: keywords are not a list")
-        out[AspectCategory(key)] = [str(k) for k in keywords]
-    return out
+        out[AspectCategory(key)] = keywords
+    return CategoryLexicon(out)
+
+
+@functools.cache
+def _bundled_category_lexicon() -> CategoryLexicon:
+    return load_category_lexicon()
 
 
 _PUNCT_STRIP = ".,;:!?()'\"[]"
 
 
-def _match_keyword(keyword: str, word: str) -> bool:
-    if keyword.startswith("re:"):
-        return re.search(keyword[3:], word) is not None
-    return keyword in word
-
-
 def rule_based_factors(
     words: Sequence[WordAttribution],
-    category_lexicon: Optional[Mapping[AspectCategory, Sequence[str]]] = None,
+    category_lexicon: Optional[CategoryLexicon] = None,
     caseno: str = "",
 ) -> FactorSummary:
     """Deterministic offline categorizer: first matching category wins,
-    unmatched scored words land in the unusual/standout bucket."""
-    lexicon = category_lexicon if category_lexicon is not None else load_category_lexicon()
+    unmatched scored words land in the unusual/standout bucket. Without a
+    lexicon, the bundled one is used."""
+    lexicon = category_lexicon if category_lexicon is not None else _bundled_category_lexicon()
     buckets: dict[AspectCategory, dict[str, FactorTerm]] = {cat: {} for cat in AspectCategory}
     for word in words:
         if word.score <= 0:
@@ -187,15 +238,11 @@ def rule_based_factors(
         if not term:
             continue
         folded = term.lower()
-        category = AspectCategory.UNUSUAL
-        for cat in AspectCategory:
-            if any(_match_keyword(k, folded) for k in lexicon.get(cat, ())):
-                category = cat
-                break
-        existing = buckets[category].get(folded)
+        bucket = buckets[lexicon.category(folded)]
+        existing = bucket.get(folded)
         if existing is None or word.score > existing.score:
             position = existing.position if existing else word.char_span[0]
-            buckets[category][folded] = FactorTerm(
+            bucket[folded] = FactorTerm(
                 term=term, score=word.score, position=min(position, word.char_span[0])
             )
     categories = {}
@@ -236,7 +283,7 @@ def summarize_factors(
     annotated: str,
     client: ChatClient,
     caseno: str = "",
-    category_lexicon: Optional[Mapping[AspectCategory, Sequence[str]]] = None,
+    category_lexicon: Optional[CategoryLexicon] = None,
 ) -> FactorSummary:
     """LLM factor summary with one repair request; falls back to the rules
     when the reply cannot be repaired or the client is unavailable."""
@@ -314,42 +361,6 @@ def cooccurrence(
     return CooccurrenceGraph(nodes=nodes, links=links)
 
 
-SANKEY_SCHEMA = {
-    "type": "object",
-    "required": ["nodes", "links"],
-    "additionalProperties": False,
-    "properties": {
-        "nodes": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "aspect", "count", "color"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string", "minLength": 1},
-                    "aspect": {"enum": [cat.value for cat in AspectCategory]},
-                    "count": {"type": "integer", "minimum": 1},
-                    "color": {"type": "string", "pattern": "^#[0-9a-f]{6}$"},
-                },
-            },
-        },
-        "links": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["source", "target", "count"],
-                "additionalProperties": False,
-                "properties": {
-                    "source": {"type": "integer", "minimum": 0},
-                    "target": {"type": "integer", "minimum": 0},
-                    "count": {"type": "integer", "minimum": 1},
-                },
-            },
-        },
-    },
-}
-
-
 def graph_to_json(graph: CooccurrenceGraph) -> dict:
     return {
         "nodes": [
@@ -378,14 +389,56 @@ def graph_from_json(doc: Mapping) -> CooccurrenceGraph:
     return CooccurrenceGraph(nodes=nodes, links=links)
 
 
-def validate_sankey(doc: Mapping) -> None:
-    import jsonschema  # slow to import, and only sankey documents need it
+_COLOR_RE = re.compile("^#[0-9a-f]{6}$")
+_ASPECT_VALUES = frozenset(cat.value for cat in AspectCategory)
 
-    jsonschema.validate(instance=doc, schema=SANKEY_SCHEMA)
+
+def _sankey_integer(value: object, minimum: int) -> bool:
+    """JSON Schema's integer (an integral float counts, a bool does not) at or above `minimum`."""
+    if isinstance(value, float):
+        return value.is_integer() and value >= minimum
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _sankey_items(doc: dict, key: str, fields: tuple[str, ...]) -> list[dict]:
+    items = doc[key]
+    if not isinstance(items, list):
+        raise ValidationError(f"{key} is not an array")
+    for i, item in enumerate(items):
+        if not isinstance(item, dict) or set(item) != set(fields):
+            raise ValidationError(f"{key}[{i}] is not an object with exactly the keys {', '.join(fields)}")
+    return items
+
+
+def validate_sankey(doc: Mapping) -> None:
+    """A Sankey graph document is an object with exactly the keys `nodes` and
+    `links`. Each node has exactly a non-empty string `name`, an aspect value
+    `aspect`, an integer `count` >= 1 and a string `color` that `_COLOR_RE`
+    finds (a trailing newline passes, as under JSON Schema's `pattern`); each
+    link has exactly integer `source` and `target` node indices and an
+    integer `count` >= 1. Integers follow JSON Schema: an integral float
+    counts, a bool does not. Anything else raises ValidationError."""
+    if not isinstance(doc, dict) or set(doc) != {"nodes", "links"}:
+        raise ValidationError("document is not an object with exactly the keys nodes, links")
+    for i, node in enumerate(_sankey_items(doc, "nodes", ("name", "aspect", "count", "color"))):
+        name, aspect, color = node["name"], node["aspect"], node["color"]
+        if not isinstance(name, str) or not name:
+            raise ValidationError(f"nodes[{i}].name is not a non-empty string")
+        if not (isinstance(aspect, str) and aspect in _ASPECT_VALUES):
+            raise ValidationError(f"nodes[{i}].aspect {aspect!r} is not an aspect")
+        if not _sankey_integer(node["count"], 1):
+            raise ValidationError(f"nodes[{i}].count is not an integer >= 1")
+        if not (isinstance(color, str) and _COLOR_RE.search(color)):
+            raise ValidationError(f"nodes[{i}].color {color!r} does not match {_COLOR_RE.pattern!r}")
     n = len(doc["nodes"])
-    for link in doc["links"]:
-        if link["source"] >= n or link["target"] >= n:
-            raise jsonschema.ValidationError("link endpoint out of node range")
+    for i, link in enumerate(_sankey_items(doc, "links", ("source", "target", "count"))):
+        for key in ("source", "target"):
+            if not _sankey_integer(link[key], 0):
+                raise ValidationError(f"links[{i}].{key} is not an integer >= 0")
+            if link[key] >= n:
+                raise ValidationError("link endpoint out of node range")
+        if not _sankey_integer(link["count"], 1):
+            raise ValidationError(f"links[{i}].count is not an integer >= 1")
 
 
 def _sankey_html(doc: Mapping) -> str:

@@ -124,8 +124,9 @@ def _emit(summary: dict) -> None:
 
 
 def _attribution_record(doc: dict) -> dict:
-    string_fields(doc, "caseno", "annotated")  # what analyze and export read
-    return doc
+    """The two fields analyze and export read; the rest of the record is dropped."""
+    caseno, annotated = string_fields(doc, "caseno", "annotated")
+    return {"caseno": caseno, "annotated": annotated}
 
 
 def _read_jsonl(path: str | Path) -> list[dict]:
@@ -569,7 +570,6 @@ _HANDLED = (
     ("builtins", "KeyError"),
     ("json", "JSONDecodeError"),
     ("yaml", "YAMLError"),
-    ("jsonschema", "ValidationError"),
     (__name__, "CliError"),
     ("crashlens.schema", "SchemaError"),
     ("crashlens.narrator", "NarratorError"),

@@ -17,6 +17,8 @@ T = TypeVar("T")
 NULL_MARKERS = frozenset({"", "nan", "unknown", "n/a"})
 
 _ANNOTATION_RE = re.compile(r"(?<=\S)\[\d+\.\d{2}\]")
+_TAIL_RE = re.compile(r"\[(\d+\.\d{2})\]$")
+_WORD_RE = re.compile(r"\S+")
 
 
 class StrategyKind(enum.Enum):
@@ -146,16 +148,24 @@ def strip_annotations(annotated: str) -> str:
 
 
 def parse_annotated(annotated: str) -> tuple[str, list[WordAttribution]]:
-    """Invert annotate_narrative: recover the plain text and word scores."""
-    plain = strip_annotations(annotated)
-    plain_words = list(re.finditer(r"\S+", plain))
-    raw_words = [m.group(0) for m in re.finditer(r"\S+", annotated)]
-    if len(plain_words) != len(raw_words):
-        raise ValueError("annotation structure does not line up with the text")
-    tail = re.compile(r"^(.*)\[(\d+\.\d{2})\]$", re.DOTALL)
+    """Invert annotate_narrative: recover the plain text and word scores.
+
+    The plain text is `annotated` without its tags. Each of its
+    whitespace-separated words comes with its span in the plain text and the
+    score of the tag that ends its annotated form, or 0.0 when no tag does.
+    Only a tag that follows a non-space is removed, so no word vanishes and
+    the words of both texts pair up one to one.
+    """
     words = []
-    for span, raw in zip(plain_words, raw_words):
-        m = tail.match(raw)
-        score = float(m.group(2)) if m else 0.0
-        words.append(WordAttribution(word=span.group(0), char_span=span.span(), score=score))
-    return plain, words
+    removed = 0  # tag characters dropped before the current word
+    for m in _WORD_RE.finditer(annotated):
+        raw = m.group()
+        start = m.start() - removed
+        if "[" not in raw:
+            words.append(WordAttribution(raw, (start, start + len(raw)), 0.0))
+            continue
+        word = _ANNOTATION_RE.sub("", raw)
+        removed += len(raw) - len(word)
+        tail = _TAIL_RE.search(raw)
+        words.append(WordAttribution(word, (start, start + len(word)), float(tail.group(1)) if tail else 0.0))
+    return strip_annotations(annotated), words

@@ -59,6 +59,38 @@ def reference_model(pairs, corpus_tokenizer):
     return train(model, examples, TrainConfig(lr=0.003, epochs=12, seed=7))
 
 
+@pytest.fixture(scope="session")
+def chain_annotations(tmp_path_factory) -> dict[str, list[str]]:
+    """The `annotated` texts of `attribute --method occlusion` after the
+    offline chain at default settings, on the bundled corpus and on the
+    seed-1 200-case synth corpus."""
+    import json
+
+    from crashlens import synth
+
+    out = {}
+    for name in ("bundled", "synth-seed1"):
+        d = tmp_path_factory.mktemp(name)
+        if name == "bundled":
+            corpus = corpus_path("crashes").parent
+        else:
+            corpus = d / "corpus"
+            synth.write_corpus(corpus, n_cases=200, seed=1)
+        tables = [f"--{t}={corpus / f'{t}.csv'}" for t in ("crashes", "segments", "vehicles", "persons")]
+        narratives = str(d / "narratives.jsonl")
+        model = ["--model", str(d / "model.json"), "--tokenizer", str(d / "tok.json")]
+        for argv in (
+            ["ingest", *tables, "--out", str(d / "cases.jsonl")],
+            ["narrate", "--cases", str(d / "cases.jsonl"), "--out", narratives],
+            ["train-ref", "--narratives", narratives, "--out-model", model[1], "--out-tokenizer", model[3]],
+            ["attribute", "--narratives", narratives, *model, "--method", "occlusion", "--out", str(d / "attr.jsonl")],
+        ):
+            assert run_cli(argv)[0] == 0, argv
+        with open(d / "attr.jsonl", encoding="utf-8") as fh:
+            out[name] = [json.loads(line)["annotated"] for line in fh]
+    return out
+
+
 def run_cli(args: list[str]) -> tuple[int, str]:
     """Invoke the CLI in-process; returns (exit code, stdout text)."""
     import contextlib

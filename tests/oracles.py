@@ -5,17 +5,30 @@ a library routine: `distribution_given_window` for the pooled forward of
 `refmodel.TinyLM`, `train_loop` and `corpus_nll_loop` for `refmodel.train`,
 `occlusion_loop` for `attribution.occlusion_importance`, `taylor_loop`
 for `attribution.taylor_importance` and `normalize_scores_bruteforce` for
-`attribution.normalize_scores`.
+`attribution.normalize_scores`. `parse_annotated_scans` is the three-scan
+`util.parse_annotated`, `rule_based_factors_loop` matches every keyword of
+every word as `analytics.rule_based_factors` did before its lexicon
+memoized terms, and `SANKEY_SCHEMA` is the JSON Schema that, with its node
+range check, `analytics.validate_sankey` must agree with.
 `fact_values` lists what `narrator.render` must voice for a case.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+import re
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from crashlens.analytics import (
+    _ASPECT_LABELS,
+    _PUNCT_STRIP,
+    AspectCategory,
+    CategorySummary,
+    FactorSummary,
+    FactorTerm,
+)
 from crashlens.narrator import NormalizedCase
 from crashlens.refmodel import (
     BOS_ID,
@@ -26,6 +39,7 @@ from crashlens.refmodel import (
     grad_prob_wrt_embeddings,
     prob,
 )
+from crashlens.util import WordAttribution, strip_annotations
 
 
 def fact_values(normalized: NormalizedCase) -> list[str]:
@@ -135,3 +149,99 @@ def normalize_scores_bruteforce(values, L: int = 100, b: int = 1) -> list[list[i
             if scaled > b:
                 out[row][col] = scaled
     return out
+
+
+def parse_annotated_scans(annotated: str) -> tuple[str, list[WordAttribution]]:
+    """Strip the tags, then pair the words of the plain and annotated texts
+    and read each annotated word's trailing tag."""
+    plain = strip_annotations(annotated)
+    plain_words = list(re.finditer(r"\S+", plain))
+    raw_words = [m.group(0) for m in re.finditer(r"\S+", annotated)]
+    if len(plain_words) != len(raw_words):
+        raise ValueError("annotation structure does not line up with the text")
+    tail = re.compile(r"^(.*)\[(\d+\.\d{2})\]$", re.DOTALL)
+    words = []
+    for span, raw in zip(plain_words, raw_words):
+        m = tail.match(raw)
+        score = float(m.group(2)) if m else 0.0
+        words.append(WordAttribution(word=span.group(0), char_span=span.span(), score=score))
+    return plain, words
+
+
+def _match_keyword(keyword: str, word: str) -> bool:
+    if keyword.startswith("re:"):
+        return re.search(keyword[3:], word) is not None
+    return keyword in word
+
+
+def rule_based_factors_loop(
+    words: Sequence[WordAttribution],
+    keywords: Mapping[AspectCategory, Sequence[str]],
+    caseno: str = "",
+) -> FactorSummary:
+    """Every scored word matched against every keyword, category by category."""
+    buckets: dict[AspectCategory, dict[str, FactorTerm]] = {cat: {} for cat in AspectCategory}
+    for word in words:
+        if word.score <= 0:
+            continue
+        term = word.word.strip(_PUNCT_STRIP)
+        if not term:
+            continue
+        folded = term.lower()
+        category = AspectCategory.UNUSUAL
+        for cat in AspectCategory:
+            if any(_match_keyword(k, folded) for k in keywords.get(cat, ())):
+                category = cat
+                break
+        existing = buckets[category].get(folded)
+        if existing is None or word.score > existing.score:
+            position = existing.position if existing else word.char_span[0]
+            buckets[category][folded] = FactorTerm(
+                term=term, score=word.score, position=min(position, word.char_span[0])
+            )
+    categories = {}
+    for cat in AspectCategory:
+        terms = sorted(buckets[cat].values(), key=lambda t: (-t.score, t.position))
+        label = _ASPECT_LABELS[cat]
+        if terms:
+            summary = f"Notable {label} terms: {', '.join(t.term for t in terms[:5])}."
+        else:
+            summary = f"No notable {label} terms."
+        categories[cat] = CategorySummary(summary=summary, terms=terms)
+    return FactorSummary(caseno=caseno, categories=categories, source="rules")
+
+
+SANKEY_SCHEMA = {
+    "type": "object",
+    "required": ["nodes", "links"],
+    "additionalProperties": False,
+    "properties": {
+        "nodes": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["name", "aspect", "count", "color"],
+                "additionalProperties": False,
+                "properties": {
+                    "name": {"type": "string", "minLength": 1},
+                    "aspect": {"enum": [cat.value for cat in AspectCategory]},
+                    "count": {"type": "integer", "minimum": 1},
+                    "color": {"type": "string", "pattern": "^#[0-9a-f]{6}$"},
+                },
+            },
+        },
+        "links": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["source", "target", "count"],
+                "additionalProperties": False,
+                "properties": {
+                    "source": {"type": "integer", "minimum": 0},
+                    "target": {"type": "integer", "minimum": 0},
+                    "count": {"type": "integer", "minimum": 1},
+                },
+            },
+        },
+    },
+}

@@ -6,10 +6,14 @@ from collections import Counter
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crashlens import analytics
 from crashlens.analytics import (
     AnalyticsError,
     AspectCategory,
+    CategoryLexicon,
     CategorySummary,
     CooccurrenceGraph,
     FactorLink,
@@ -19,6 +23,7 @@ from crashlens.analytics import (
     GroupingRule,
     GroupingRules,
     UnavailableError,
+    ValidationError,
     cooccurrence,
     export_heatmap,
     export_sankey,
@@ -33,6 +38,8 @@ from crashlens.analytics import (
     validate_sankey,
 )
 from crashlens.attribution import WordAttribution, annotate_narrative
+from crashlens.util import parse_annotated
+from oracles import SANKEY_SCHEMA, parse_annotated_scans, rule_based_factors_loop
 
 
 def _w(word: str, score: float, pos: int = 0) -> WordAttribution:
@@ -287,17 +294,17 @@ def test_sankey_schema_rejects_bad_documents():
     )
     bad_color = json.loads(json.dumps(good))
     bad_color["nodes"][0]["color"] = "red"
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(ValidationError):
         validate_sankey(bad_color)
 
     bad_index = json.loads(json.dumps(good))
     bad_index["links"][0]["target"] = 99
-    with pytest.raises((jsonschema.ValidationError, AnalyticsError, ValueError)):
+    with pytest.raises(ValidationError):
         validate_sankey(bad_index)
 
     extra_key = json.loads(json.dumps(good))
     extra_key["nodes"][0]["mystery"] = 1
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(ValidationError):
         validate_sankey(extra_key)
 
 
@@ -422,4 +429,171 @@ def test_category_lexicon_loads_all_aspects():
         AspectCategory.BEHAVIORAL,
         AspectCategory.INFRASTRUCTURE,
     ):
-        assert lexicon[cat], cat
+        assert lexicon.keywords[cat], cat
+
+
+@pytest.mark.parametrize(
+    "entries, detail",
+    [
+        ({"environmental": ["dusk", "re:(dusk"]}, "category 'environmental' keyword 1"),
+        ({"behavioral": [1, None]}, "category 'behavioral' keyword 0"),
+        ({"infrastructure": ["lane", ""]}, "category 'infrastructure' keyword 1"),
+    ],
+    ids=["bad-regex", "non-string", "empty"],
+)
+def test_category_lexicon_rejects_bad_entries_at_load(tmp_path, entries, detail):
+    path = tmp_path / "lexicon.json"  # JSON is YAML
+    path.write_text(json.dumps({"categories": entries}))
+    with pytest.raises(AnalyticsError, match=detail):
+        load_category_lexicon(path)
+
+
+def test_bundled_category_lexicon_is_read_once(monkeypatch):
+    reads = []
+    load = analytics.load_yaml_section
+    monkeypatch.setattr(analytics, "load_yaml_section", lambda *a: reads.append(a) or load(*a))
+    analytics._bundled_category_lexicon.cache_clear()
+    rule_based_factors([_w("dusk", 2.0)])
+    rule_based_factors([_w("snow", 2.0)])
+    summarize_factors("the dusk[3.00] crash", ScriptedClient([UnavailableError("down")]))
+    assert len(reads) == 1
+
+
+def test_lexicon_memo_matches_keyword_loop_on_chain_records(chain_annotations):
+    lexicon = load_category_lexicon()
+    for records in chain_annotations.values():
+        for annotated in records:
+            plain, words = parse_annotated(annotated)
+            assert (plain, words) == parse_annotated_scans(annotated)
+            assert rule_based_factors(words, lexicon) == rule_based_factors_loop(words, lexicon.keywords)
+
+
+_WHITESPACE = [" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c", "\u2028"]
+_annotation_pieces = st.one_of(
+    st.sampled_from(_WHITESPACE),
+    st.text(st.sampled_from("abcDusk.,:[]()-0123456789\u00e9"), min_size=1, max_size=6),
+    st.sampled_from(["dusk", "Motorcycle", "intoxication,", "2005", "8:00", "lane.", "rain", "restraint"]),
+    st.tuples(st.integers(0, 10**5), st.integers(0, 99)).map(lambda t: f"[{t[0]}.{t[1]:02d}]"),
+    st.sampled_from(["[1.0]", "[.50]", "[\u0663.\u0661\u0662]", "[", "]"]),
+)
+
+
+# the bundled regexes are all anchored; these are not, and overlap
+_UNANCHORED = CategoryLexicon(
+    {
+        AspectCategory.ENVIRONMENTAL: ["re:us", "re:\\d\\.\\d"],
+        AspectCategory.BEHAVIORAL: ["a", "re:k$"],
+        AspectCategory.INFRASTRUCTURE: ["us", "re:^[0-9]"],
+    }
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_annotation_pieces, max_size=16).map("".join))
+def test_parse_and_rules_match_oracles_on_generated_annotations(annotated):
+    """Tags mid-word and back to back, multi-digit and non-ASCII-digit scores,
+    and non-ASCII whitespace."""
+    plain, words = parse_annotated(annotated)
+    assert (plain, words) == parse_annotated_scans(annotated)
+    for lexicon in (load_category_lexicon(), _UNANCHORED):
+        assert rule_based_factors(words, lexicon) == rule_based_factors_loop(words, lexicon.keywords)
+
+
+_ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 4),
+    st.sampled_from([0.0, 1.0, 2.0, 1.5, -1.0, float("nan"), float("inf"), 1e300]),
+    st.sampled_from(["", "dusk", "environmental", "other", "#4e79a7", "#4e79a7\n", "#4E79A7", "red", "#4e79a7 "]),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "name"]), st.integers(0, 2), max_size=2),
+)
+
+
+def _integral(low: int, high: int) -> st.SearchStrategy:
+    return st.integers(low, high) | st.integers(low, high).map(float)
+
+
+@st.composite
+def _valid_documents(draw) -> dict:
+    nodes = draw(
+        st.lists(
+            st.fixed_dictionaries(
+                {
+                    "name": st.sampled_from(["dusk", "impairment"]),
+                    "aspect": st.sampled_from([c.value for c in AspectCategory]),
+                    "count": _integral(1, 3),
+                    "color": st.sampled_from(["#4e79a7", "#e15759", "#4e79a7\n"]),
+                }
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    end = _integral(0, len(nodes) - 1)
+    links = st.fixed_dictionaries({"source": end, "target": end, "count": _integral(1, 3)})
+    return {"nodes": nodes, "links": draw(st.lists(links, max_size=4))}
+
+
+_DROP = object()
+
+
+def _edit(part: str, keys: list) -> st.SearchStrategy:
+    return st.tuples(st.just(part), st.integers(0, 3), st.sampled_from(keys), _ODD_VALUES | st.just(_DROP))
+
+
+# (part, item index, key, value): set or drop (_DROP) a key of the document
+# or of one node or link, or with key None replace the document or the item
+_edits = st.lists(
+    _edit("doc", ["nodes", "links", "mystery", None])
+    | _edit("nodes", ["name", "aspect", "count", "color", "mystery", None])
+    | _edit("links", ["source", "target", "count", "mystery", None]),
+    max_size=2,
+)
+
+
+def _edited(doc: dict, edits: list) -> object:
+    for part, index, key, value in edits:
+        if part == "doc":
+            target = doc
+        elif isinstance(doc, dict) and isinstance(doc.get(part), list) and doc[part]:
+            items = doc[part]
+            if key is None:
+                items[index % len(items)] = value
+                continue
+            target = items[index % len(items)]
+        else:
+            continue
+        if key is None:
+            doc = value
+        elif isinstance(target, dict) and value is _DROP:
+            target.pop(key, None)
+        elif isinstance(target, dict):
+            target[key] = value
+    return doc
+
+
+def _jsonschema_accepts(doc) -> bool:
+    if not jsonschema.Draft202012Validator(SANKEY_SCHEMA).is_valid(doc):
+        return False
+    n = len(doc["nodes"])
+    return all(link["source"] < n and link["target"] < n for link in doc["links"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_valid_documents(), _edits)
+def test_validate_sankey_agrees_with_jsonschema(doc, edits):
+    """Integral floats count as integers, bools do not, a colour may end in a
+    newline, nodes may be non-objects and aspects unhashable; the checker
+    raises nothing but ValidationError."""
+    doc = _edited(doc, edits)
+    try:
+        validate_sankey(doc)
+        accepted = True
+    except ValidationError:
+        accepted = False
+    assert accepted == _jsonschema_accepts(doc)
+
+
+def test_sankey_schema_oracle_is_a_valid_schema():
+    jsonschema.Draft202012Validator.check_schema(SANKEY_SCHEMA)

@@ -549,6 +549,7 @@ def _stage_argv(d: Path, tmp_path: Path, stage: str) -> list[str]:
             "--attributions", str(d / "attr_occ.jsonl"),
             "--caseno", "C0001",
         ],
+        "export-sankey": ["export", "--kind", "sankey", "--graph", str(d / "graph.json")],
     }[stage]
     return argv if stage == "train-ref" else argv + ["--out", str(tmp_path / "out")]
 
@@ -557,11 +558,12 @@ def _main_probe(argv: list[str]) -> str:
     return f"from crashlens.cli import main\nassert main({argv!r}) == 0"
 
 
-@pytest.mark.parametrize("stage", ["ingest", "narrate", "augment", "eval", "build-sft", "analyze", "export"])
+@pytest.mark.parametrize(
+    "stage", ["ingest", "narrate", "augment", "eval", "build-sft", "analyze", "export", "export-sankey"]
+)
 def test_offline_stages_load_no_numpy_or_requests(pipeline, tmp_path, stage):
     d, _ = pipeline
-    # jsonschema too: analyze --graph-out writes a graph it built, and only
-    # export --kind sankey validates one
+    # jsonschema too: export --kind sankey validates its graph without it
     probe = _main_probe(_stage_argv(d, tmp_path, stage))
     assert _loaded_after(probe, ("numpy", "requests", "jsonschema")) == []
 
@@ -608,9 +610,12 @@ def _main_error(argv: list[str], capsys) -> dict:
         ("--templates", "templates: [a]\n", "NarratorError"),
         ("--grouping-rules", "", "ValueError"),
         ("--category-lexicon", "categories: [a]\n", "ValueError"),
+        ("--category-lexicon", "categories:\n  environmental: ['re:(dusk']\n", "AnalyticsError"),
+        ("--category-lexicon", "categories:\n  behavioral: [1, null]\n", "AnalyticsError"),
     ],
     ids=["lexicon-empty", "lexicon-list", "lexicon-null-markers", "template-string",
-         "grouping-rules-empty", "category-lexicon-list"],
+         "grouping-rules-empty", "category-lexicon-list", "category-lexicon-bad-regex",
+         "category-lexicon-non-string"],
 )
 def test_malformed_data_file_is_one_json_error(pipeline, tmp_path, capsys, flag, text, error):
     d, _ = pipeline
