@@ -44,12 +44,10 @@ def main() -> None:
     pairs = [render(normalize(c, lexicon), templates) for c in integrate(tables).cases]
     tokenizer = Tokenizer.from_texts([p.descriptive for p in pairs])
 
-    examples = []
-    for pair in pairs:
-        ids = [BOS_ID] + tokenizer.encode(pair.descriptive) + [tokenizer.label_id(pair.label)]
-        examples.append(
-            TrainingExample(tokens=tuple(ids), loss_mask=tuple([False] * (len(ids) - 1) + [True]))
-        )
+    examples = [
+        TrainingExample((BOS_ID, *tokenizer.encode(p.descriptive)), tokenizer.label_id(p.label))
+        for p in pairs
+    ]
     model = train(
         TinyLM.init(tokenizer.size, dim=32, window=48, seed=7),
         examples,

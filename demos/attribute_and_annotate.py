@@ -3,9 +3,10 @@
 Two answers to the same question: occlusion (delete a token, watch the
 output probability move) and a first-order Taylor estimate from one
 gradient pass. The same TinyLM architecture serves twice here, with the
-objective picked by the loss mask: a full next-token mask for measuring
-how well the two methods agree, and a label-only mask for the classifier
-whose verdicts get annotated.
+objective picked by the training examples: every prefix of a narrative
+followed by its next word, for measuring how well the two methods agree,
+and each narrative followed by its label, for the classifier whose
+verdicts get annotated.
 """
 from __future__ import annotations
 
@@ -46,14 +47,12 @@ def main() -> None:
     print("training next-token model for the agreement check (a few seconds)...")
     lm_examples = []
     for pair in pairs:
-        ids = [BOS_ID] + tokenizer.encode(pair.descriptive)
-        lm_examples.append(
-            TrainingExample(tokens=tuple(ids), loss_mask=tuple([False] + [True] * (len(ids) - 1)))
-        )
+        ids = (BOS_ID, *tokenizer.encode(pair.descriptive))
+        lm_examples.extend(TrainingExample(ids[:j], ids[j]) for j in range(1, len(ids)))
     lm = train(
         TinyLM.init(tokenizer.size, dim=32, window=32, seed=7),
         lm_examples,
-        TrainConfig(lr=0.003, epochs=12, seed=7),
+        TrainConfig(lr=0.01, epochs=5, seed=7),
     )
     rng = np.random.default_rng(7)
     rhos = []
@@ -66,12 +65,10 @@ def main() -> None:
     print(f"median Spearman over 30 in-window sequences: {float(np.median(rhos)):.3f}")
 
     # part 2: explain a severity verdict and annotate the narrative
-    clf_examples = []
-    for pair in pairs:
-        ids = [BOS_ID] + tokenizer.encode(pair.descriptive) + [tokenizer.label_id(pair.label)]
-        clf_examples.append(
-            TrainingExample(tokens=tuple(ids), loss_mask=tuple([False] * (len(ids) - 1) + [True]))
-        )
+    clf_examples = [
+        TrainingExample((BOS_ID, *tokenizer.encode(p.descriptive)), tokenizer.label_id(p.label))
+        for p in pairs
+    ]
     clf = train(
         TinyLM.init(tokenizer.size, dim=32, window=48, seed=7),
         clf_examples,

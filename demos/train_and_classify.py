@@ -1,8 +1,8 @@
 """Train the small reference model to predict severity labels.
 
 The model is a windowed bag-of-embeddings next-token predictor in pure
-numpy. Appending one label token per narrative and masking the loss to
-that single position turns it into a classifier; the window has to be
+numpy. Training it to predict one label token after each narrative, and
+nothing else, turns it into a classifier; the window has to be
 wide enough that narratives sharing a tail but not a label stay apart.
 """
 from __future__ import annotations
@@ -37,11 +37,11 @@ def main() -> None:
     tokenizer = Tokenizer.from_texts([p.descriptive for p in pairs])
     print(f"vocabulary: {tokenizer.size} tokens")
 
-    examples = []
-    for pair in pairs:
-        ids = [BOS_ID] + tokenizer.encode(pair.descriptive) + [tokenizer.label_id(pair.label)]
-        mask = [False] * (len(ids) - 1) + [True]  # only the label position is scored
-        examples.append(TrainingExample(tokens=tuple(ids), loss_mask=tuple(mask)))
+    # the one target of each example is the label after the narrative
+    examples = [
+        TrainingExample((BOS_ID, *tokenizer.encode(p.descriptive)), tokenizer.label_id(p.label))
+        for p in pairs
+    ]
 
     model = TinyLM.init(tokenizer.size, dim=32, window=48, seed=7)
     trained = train(model, examples, TrainConfig(lr=0.05, epochs=60, seed=7))

@@ -245,16 +245,13 @@ def rule_based_factors(
             bucket[folded] = FactorTerm(
                 term=term, score=word.score, position=min(position, word.char_span[0])
             )
-    categories = {}
-    for cat in AspectCategory:
-        terms = sorted(buckets[cat].values(), key=lambda t: (-t.score, t.position))
-        label = _ASPECT_LABELS[cat]
-        if terms:
-            summary = f"Notable {label} terms: {', '.join(t.term for t in terms[:5])}."
-        else:
-            summary = f"No notable {label} terms."
-        categories[cat] = CategorySummary(summary=summary, terms=terms)
-    return FactorSummary(caseno=caseno, categories=categories, source="rules")
+    # FactorSummary sorts each category's terms; its summary names the top five
+    categories = {cat: CategorySummary("", list(terms.values())) for cat, terms in buckets.items()}
+    summary = FactorSummary(caseno=caseno, categories=categories, source="rules")
+    for cat, category in summary.categories.items():
+        top, label = ", ".join(t.term for t in category.terms[:5]), _ASPECT_LABELS[cat]
+        category.summary = f"Notable {label} terms: {top}." if top else f"No notable {label} terms."
+    return summary
 
 
 def _parse_factor_payload(completion: str, caseno: str) -> FactorSummary:

@@ -230,9 +230,8 @@ def cmd_train_ref(args: argparse.Namespace, get: Callable[[str], object]) -> int
     tokenizer = refmodel.Tokenizer.from_texts([p.descriptive for p in pairs])
     examples = []
     for pair in pairs:
-        ids = [refmodel.BOS_ID] + tokenizer.encode(pair.descriptive) + [tokenizer.label_id(pair.label)]
-        mask = [False] * (len(ids) - 1) + [True]  # loss on the label only
-        examples.append(refmodel.TrainingExample(tokens=tuple(ids), loss_mask=tuple(mask)))
+        context = (refmodel.BOS_ID, *tokenizer.encode(pair.descriptive))
+        examples.append(refmodel.TrainingExample(context, tokenizer.label_id(pair.label)))
     seed = int(get("seed"))
     model = refmodel.TinyLM.init(
         tokenizer.size, dim=int(get("dim")), window=int(get("window")), seed=seed

@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -233,12 +233,14 @@ class TinyLM:
 
 @dataclass(frozen=True)
 class TrainingExample:
-    tokens: tuple[int, ...]
-    loss_mask: tuple[bool, ...]
+    """A context and the one token after it, the only position the loss scores."""
 
-    def __post_init__(self):
-        if len(self.tokens) != len(self.loss_mask):
-            raise ValueError("tokens and loss_mask lengths differ")
+    context: tuple[int, ...]
+    target: int
+
+    @property
+    def loss_mask(self) -> tuple[bool, ...]:
+        return (False,) * len(self.context) + (True,)
 
 
 @dataclass(frozen=True)
@@ -273,67 +275,40 @@ def grad_prob_wrt_embeddings(model: TinyLM, context: Sequence[int], target: int)
     return grads
 
 
-@dataclass(frozen=True)
-class _Example:
-    """An example's loss positions: their windows (`TinyLM.windows`), their
-    targets, and the distinct ids of the windows, the embedding rows a step
-    updates; `slot_rows` is each slot's index into `rows`."""
-
-    ids: np.ndarray  # positions x W
-    filled: np.ndarray  # positions x W
-    targets: np.ndarray
-    rows: np.ndarray
-    slot_rows: np.ndarray  # positions x W
-
-    @classmethod
-    def of(cls, ex: TrainingExample, model: TinyLM) -> Optional["_Example"]:
-        j = np.flatnonzero(ex.loss_mask)
-        if not len(j):
-            return None
-        ids, filled = model.windows([ex.tokens[:p] for p in j])
-        rows, slot_rows = np.unique(ids, return_inverse=True)
-        targets = np.asarray(ex.tokens, dtype=np.intp)[j]
-        return cls(ids, filled, targets, rows, slot_rows.reshape(ids.shape))
-
-
-# loss positions per output matmul in _corpus_nll; bounds the logits to a
-# few MB whatever the corpus size
+# windows per pool and output matmul in _corpus_nll, a few MB whatever the corpus size
 _NLL_CHUNK = 1024
 
 
-def _corpus_nll(model: TinyLM, examples: Sequence[_Example]) -> float:
-    """Mean NLL over all loss positions, one output matmul per chunk of them."""
-    if not examples:
-        return 0.0
-    hidden = np.concatenate([model._pool(ex.ids, ex.filled)[0] for ex in examples])
-    targets = np.concatenate([ex.targets for ex in examples])
+def _corpus_nll(model: TinyLM, ids: np.ndarray, filled: np.ndarray, targets: np.ndarray) -> float:
+    """Mean NLL of each window's target, pooled and scored a chunk at a time."""
     nll = []
     for lo in range(0, len(targets), _NLL_CHUNK):
-        probs = model._softmax_rows(hidden[lo : lo + _NLL_CHUNK])
-        p = probs[np.arange(len(probs)), targets[lo : lo + _NLL_CHUNK]]
+        rows = slice(lo, lo + _NLL_CHUNK)
+        probs = model._softmax_rows(model._pool(ids[rows], filled[rows])[0])
+        p = probs[np.arange(len(probs)), targets[rows]]
         nll.append(-np.log(np.maximum(p, 1e-300)))
-    return float(np.concatenate(nll).mean())
+    return float(np.concatenate(nll).mean()) if nll else 0.0
 
 
 def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfig) -> TinyLM:
-    """SGD on the masked next-token NLL; deterministic for a given seed.
+    """SGD on the NLL of each example's target; deterministic for a given seed.
 
-    One parameter update per example, from the gradients summed over its
-    unmasked positions, which are computed together over their windows.
-    The windows are fixed before the first epoch, and an update writes only
-    the embedding rows they read. Masked (False) positions contribute
-    nothing, so an all-masked example leaves the parameters untouched.
+    One parameter update per example, from its one window. The windows are
+    laid out once before the first epoch, and an update writes only the
+    embedding rows its window reads.
     """
     for ex in examples:
-        if any(t < 0 or t >= model.vocab_size for t in ex.tokens):
+        if not all(0 <= t < model.vocab_size for t in (*ex.context, ex.target)):
             raise ValueError("example token id outside model vocabulary")
 
     m = model.copy()
     m.loss_history = []
     rng = np.random.default_rng(config.seed)
     lr, d = config.lr, m.dim
-    layouts = [_Example.of(ex, m) for ex in examples]
-    scored = [ex for ex in layouts if ex is not None]
+    ids, filled = m.windows([ex.context for ex in examples])
+    targets = np.array([ex.target for ex in examples], dtype=np.intp)
+    # per window: its distinct ids, the embedding rows a step updates, and each slot's index into them
+    uniques = [np.unique(row, return_inverse=True) for row in ids]
     columns = np.arange(d)
     grad_u = np.empty_like(m.output_weights)  # reused: a fresh d x V array per step costs page faults
 
@@ -342,28 +317,27 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             for idx in rng.permutation(len(examples)):
-                ex = layouts[idx]
-                if ex is None:
-                    continue
-                hidden, weights, embs = m._pool(ex.ids, ex.filled)
+                row = slice(idx, idx + 1)
+                hidden, weights, embs = m._pool(ids[row], filled[row])
                 dz = m._softmax_rows(hidden)
-                dz[np.arange(len(ex.targets)), ex.targets] -= 1.0  # dNLL/dlogits = p - onehot
+                dz[0, targets[idx]] -= 1.0  # dNLL/dlogits = p - onehot
                 dh = dz @ m.output_weights.T
-                # dNLL/da_j = e_j . dh summed over the positions that fill slot j
+                # dNLL/da_j = e_j . dh over the filled slots
                 slot_dots = np.matmul(embs, dh[:, :, None])[:, :, 0]
-                grad_a = np.where(ex.filled, slot_dots, 0.0).sum(axis=0)
+                grad_a = np.where(filled[row], slot_dots, 0.0)[0]
                 # dNLL/de = a_j dh for each slot, summed onto its embedding row
                 # in slot order (padding weighs 0)
+                rows, slot_rows = uniques[idx]
                 grad_slots = weights[:, :, None] * dh[:, None, :]
-                index = ex.slot_rows[:, :, None] * d + columns
-                grad_rows = np.bincount(index.ravel(), grad_slots.ravel(), len(ex.rows) * d)
-                m.embeddings[ex.rows] -= lr * grad_rows.reshape(len(ex.rows), d)
+                index = slot_rows[:, None] * d + columns
+                grad_rows = np.bincount(index.ravel(), grad_slots.ravel(), len(rows) * d)
+                m.embeddings[rows] -= lr * grad_rows.reshape(len(rows), d)
                 m.position_weights -= lr * grad_a
                 np.dot(hidden.T, dz, out=grad_u)
                 grad_u *= lr
                 m.output_weights -= grad_u
-                m.output_bias -= lr * dz.sum(axis=0)
-            nll = _corpus_nll(m, scored)
+                m.output_bias -= lr * dz[0]
+            nll = _corpus_nll(m, ids, filled, targets)
             if not np.isfinite(nll):
                 raise TrainingDivergedError(epoch)
             m.loss_history.append(nll)

@@ -6,8 +6,6 @@ import enum
 import json
 import os
 import re
-import tempfile
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
@@ -52,6 +50,8 @@ def load_yaml_section(name: str, key: str, kind: type, path: Optional[str | Path
     import yaml
 
     if path is None:
+        from importlib import resources
+
         raw = resources.files("crashlens.data").joinpath(name).read_text("utf-8")
     else:
         raw = Path(path).read_text("utf-8")
@@ -67,6 +67,8 @@ def _atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
     """Write `chunks` one by one into a sibling temp file, then rename it over
     `path`, so readers never see partials. If producing a chunk raises, the
     temp file is removed and `path` is left as it was."""
+    import tempfile
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")

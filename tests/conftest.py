@@ -47,16 +47,15 @@ def corpus_tokenizer(pairs):
 
 @pytest.fixture(scope="session")
 def reference_model(pairs, corpus_tokenizer):
-    """Next-token model over the corpus narratives; window covers the longest
-    diagnostic sequence used by the attribution tests."""
+    """Next-token model over the corpus narratives, one example per prefix of
+    each; window covers the longest diagnostic sequence used by the
+    attribution tests."""
     examples = []
     for pair in pairs:
-        ids = [BOS_ID] + corpus_tokenizer.encode(pair.descriptive)
-        examples.append(
-            TrainingExample(tokens=tuple(ids), loss_mask=tuple([False] + [True] * (len(ids) - 1)))
-        )
+        ids = (BOS_ID, *corpus_tokenizer.encode(pair.descriptive))
+        examples.extend(TrainingExample(ids[:j], ids[j]) for j in range(1, len(ids)))
     model = TinyLM.init(corpus_tokenizer.size, dim=32, window=32, seed=7)
-    return train(model, examples, TrainConfig(lr=0.003, epochs=12, seed=7))
+    return train(model, examples, TrainConfig(lr=0.01, epochs=5, seed=7))
 
 
 @pytest.fixture(scope="session")

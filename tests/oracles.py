@@ -1,6 +1,6 @@
 """Loop implementations kept as test oracles for the vectorized library code.
 
-Each function is the straightforward per-position / per-element version of
+Each function is the straightforward per-example / per-element version of
 a library routine: `distribution_given_window` for the pooled forward of
 `refmodel.TinyLM`, `train_loop` and `corpus_nll_loop` for `refmodel.train`,
 `occlusion_loop` for `attribution.occlusion_importance`, `taylor_loop`
@@ -65,19 +65,13 @@ def distribution_given_window(model: TinyLM, window_embs: np.ndarray) -> np.ndar
 
 def corpus_nll_loop(model: TinyLM, examples: Sequence[TrainingExample]) -> float:
     total = 0.0
-    count = 0
     for ex in examples:
-        for j, masked_in in enumerate(ex.loss_mask):
-            if not masked_in:
-                continue
-            p = prob(model, ex.tokens[:j], ex.tokens[j])
-            total -= np.log(max(p, 1e-300))
-            count += 1
-    return total / count if count else 0.0
+        total -= np.log(max(prob(model, ex.context, ex.target), 1e-300))
+    return total / len(examples) if examples else 0.0
 
 
 def train_loop(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfig) -> TinyLM:
-    """One forward and backward pass per loss position, into dense gradients."""
+    """One forward and backward pass per example, into dense gradients."""
     m = model.copy()
     m.loss_history = []
     rng = np.random.default_rng(config.seed)
@@ -86,34 +80,22 @@ def train_loop(model: TinyLM, examples: Sequence[TrainingExample], config: Train
     for epoch in range(config.epochs):
         for idx in rng.permutation(len(examples)):
             ex = examples[idx]
+            ids = (list(ex.context) or [BOS_ID])[-w:]
+            k = len(ids)
+            embs = m.embeddings[ids]
+            hidden = m.position_weights[:k] @ embs
+            dz = distribution_given_window(m, embs)
+            dz[ex.target] -= 1.0  # dNLL/dlogits = p - onehot
+            dh = m.output_weights @ dz
             grad_e = np.zeros((v, d))
+            for slot, tok in enumerate(ids):
+                grad_e[tok] += m.position_weights[slot] * dh
             grad_a = np.zeros(w)
-            grad_u = np.zeros((d, v))
-            grad_c = np.zeros(v)
-            touched = False
-            for j, masked_in in enumerate(ex.loss_mask):
-                if not masked_in:
-                    continue
-                touched = True
-                ids = (list(ex.tokens[:j]) or [BOS_ID])[-w:]
-                k = len(ids)
-                embs = m.embeddings[ids]
-                hidden = m.position_weights[:k] @ embs
-                p = distribution_given_window(m, embs)
-                dz = p.copy()
-                dz[ex.tokens[j]] -= 1.0  # dNLL/dlogits = p - onehot
-                grad_c += dz
-                grad_u += np.outer(hidden, dz)
-                dh = m.output_weights @ dz
-                grad_a[:k] += embs @ dh
-                for slot, tok in enumerate(ids):
-                    grad_e[tok] += m.position_weights[slot] * dh
-            if not touched:
-                continue
+            grad_a[:k] = embs @ dh
             m.embeddings -= config.lr * grad_e
             m.position_weights -= config.lr * grad_a
-            m.output_weights -= config.lr * grad_u
-            m.output_bias -= config.lr * grad_c
+            m.output_weights -= config.lr * np.outer(hidden, dz)
+            m.output_bias -= config.lr * dz
         nll = corpus_nll_loop(m, examples)
         if not np.isfinite(nll):
             raise TrainingDivergedError(epoch)

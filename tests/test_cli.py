@@ -516,10 +516,12 @@ def test_package_root_imports_no_dependencies():
 )
 def test_cli_start_loads_no_heavy_dependencies(code):
     modules = ("numpy", "requests", "jsonschema", "yaml", "concurrent.futures") + STAGE_MODULES
-    # dataclasses pulls in inspect; a bare interpreter may load either
-    # through its site hooks already
-    preloaded = _loaded_after("pass", ("dataclasses", "inspect"))
-    modules += tuple(m for m in ("dataclasses", "inspect") if m not in preloaded)
+    # dataclasses pulls in inspect, and only writes and bundled data files
+    # need tempfile and importlib.resources; a bare interpreter may load any
+    # of them through its site hooks already
+    lazy = ("dataclasses", "inspect", "tempfile", "importlib.resources")
+    preloaded = _loaded_after("pass", lazy)
+    modules += tuple(m for m in lazy if m not in preloaded)
     assert _loaded_after(code, modules) == []
 
 
