@@ -2,9 +2,9 @@
 
 The attribute stage explains one target token per narrative: the severity
 label the model prefers after `<bos>` and the narrative's words. Two routes
-score every context token for that target: exact occlusion, which literally
-deletes the token and re-runs the model on each distinct window that
-leaves, and a first-order Taylor approximation from one gradient pass. Raw
+score every context token for that target: exact occlusion, which deletes
+the token and scores what is left, all deletions at once from running sums,
+and a first-order Taylor approximation from one gradient pass. Raw
 importances are normalized to integers in (b, L] and read off per word: the
 tokenizer makes one token per whitespace word, so word n of the narrative
 is context token n + 1 (token 0 is `<bos>`).
@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .refmodel import BOS_ID, TinyLM, Tokenizer, grad_prob_wrt_hidden
+from .refmodel import BOS_ID, TinyLM, Tokenizer, grad_prob_wrt_hidden, prob
 
 # The annotated-narrative format lives in util, so that analytics reads it
 # without loading numpy; its names stay importable from here.
@@ -33,25 +33,24 @@ class ScoreMatrix(NamedTuple):
 def occlusion_importance(model: TinyLM, context: Sequence[int], target: int) -> np.ndarray:
     """Exact leave-one-out importance: for each context token, the drop in
     p(target | context) when that token is removed; the sequence really
-    shortens.
-
-    The model reads only the last W tokens, so removing a token before that
-    window leaves the window as it was and scores exactly 0, while removing
-    one inside it pulls the window back by one token. There are therefore
-    at most W + 1 distinct windows, and only those are scored.
+    shortens. Removing an in-window token keeps the slots of the tokens on
+    one side of it and moves the others by one, so each pooled vector is a
+    prefix running sum plus a suffix one, and one product scores them all.
     """
-    context = list(context)
-    n = len(context)
-    first = max(n - model.window, 0)  # first position inside the window
-    variants = [context[first:]]
-    variants += [context[max(first - 1, 0) : q] + context[q + 1 :] for q in range(first, n)]
-    # an empty context reads as <bos>; equal variants are scored once
-    distinct: dict[tuple[int, ...], int] = {}
-    rows = [distinct.setdefault(tuple(v) or (BOS_ID,), len(distinct)) for v in variants]
-    probs = model.batch_probs(list(distinct), target)
+    ids = np.asarray(context, dtype=np.intp)
+    n = len(ids)
+    if n < 2:  # removing the one token leaves the empty context, read as <bos>
+        return np.full(n, prob(model, ids, target) - prob(model, [], target))
+    first = max(n - model.window, 0)  # tokens before the window leave it as it was: exactly 0
+    embs = model.embeddings[ids[max(first - 1, 0) :]]  # every token that holds a slot after one deletion
+    a = model.position_weights[: len(embs) - 1, None]
+    # row r removes embs[r]: the tokens before it keep slot p, the ones after move to p - 1
+    before = np.cumsum(np.vstack([np.zeros(model.dim), a * embs[:-1]]), axis=0)
+    after = np.cumsum(np.vstack([a * embs[1:], np.zeros(model.dim)])[::-1], axis=0)[::-1]
     values = np.zeros(n)
-    values[first:] = probs[rows[0]] - probs[rows[1:]]
-    return values
+    values[first:] = prob(model, ids, target) - model._softmax_rows((before + after)[first - n :])[:, target]
+    # removing any copy in a run of equal tokens leaves one sequence: each takes the first copy's value
+    return values[np.maximum.accumulate(np.where(np.r_[True, ids[1:] != ids[:-1]], np.arange(n), 0))]
 
 
 def taylor_importance(model: TinyLM, context: Sequence[int], target: int) -> np.ndarray:

@@ -294,6 +294,9 @@ def cmd_attribute(args: argparse.Namespace, get: Callable[[str], object]) -> int
 
 
 def cmd_analyze(args: argparse.Namespace, get: Callable[[str], object]) -> int:
+    top_k = int(get("top_k"))
+    if top_k < 1:  # terms[:k] would silently drop every factor
+        raise ValueError(f"need top_k >= 1; got {top_k}")
     from . import analytics
     from .augment import bounded_map
 
@@ -314,7 +317,7 @@ def cmd_analyze(args: argparse.Namespace, get: Callable[[str], object]) -> int:
     out_records = []
     per_case_grouped = []
     for rec, summary in zip(records, summaries):
-        top = analytics.extract_top_factors(summary, k=int(get("top_k")))
+        top = analytics.extract_top_factors(summary, k=top_k)
         grouped = analytics.semantic_group(top, rules)
         per_case_grouped.append(grouped)
         out_records.append(

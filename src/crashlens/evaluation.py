@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .augment import ChatClient, UnavailableError, bounded_map
+from .augment import ChatClient, UnavailableError, _check_temperature, bounded_map
 from .narrator import NarrativePair
 from .schema import Severity
 from .util import StrategyKind  # re-exported; in util so the CLI parser need not import this module
@@ -252,7 +252,9 @@ def run_evaluation(
     jobs: int = 1,
 ) -> tuple[list[Prediction], list[Severity]]:
     """One prediction per pair, in order; an unavailable client costs only
-    that case, which is recorded as an empty completion (a failed parse)."""
+    that case, which is recorded as an empty completion (a failed parse).
+    A temperature outside [0, 2] fails before any request, as in `augment`."""
+    _check_temperature(temperature)
 
     def predict(pair: NarrativePair) -> Prediction:
         system, user = build_prompt(strategy, pair.descriptive)

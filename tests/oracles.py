@@ -3,7 +3,8 @@
 Each function is the straightforward per-example / per-element version of
 a library routine: `distribution_given_window` for the pooled forward of
 `refmodel.TinyLM`, `train_loop` and `corpus_nll_loop` for `refmodel.train`,
-`occlusion_loop` for `attribution.occlusion_importance`, `taylor_loop`
+`occlusion_loop` and `occlusion_variants` (which scores each distinct window
+the deletions leave) for `attribution.occlusion_importance`, `taylor_loop`
 for `attribution.taylor_importance` and `normalize_scores_bruteforce` for
 `attribution.normalize_scores`. `parse_annotated_scans` is the three-scan
 `util.parse_annotated`, `rule_based_factors_loop` matches every keyword of
@@ -109,6 +110,27 @@ def occlusion_loop(model: TinyLM, context: Sequence[int], target: int) -> np.nda
     variants = [context] + [context[:q] + context[q + 1 :] for q in range(len(context))]
     probs = np.array([prob(model, variant, target) for variant in variants])
     return probs[0] - probs[1:]
+
+
+def occlusion_variants(model: TinyLM, context: Sequence[int], target: int) -> np.ndarray:
+    """The windows that the deletions leave, each distinct one scored once.
+
+    Removing a token before the window leaves the window as it was, and
+    removing one inside it pulls the window back by one token, so there are
+    at most W + 1 distinct windows; `batch_probs` scores them in one batch.
+    """
+    context = list(context)
+    n = len(context)
+    first = max(n - model.window, 0)
+    variants = [context[first:]]
+    variants += [context[max(first - 1, 0) : q] + context[q + 1 :] for q in range(first, n)]
+    # an empty context reads as <bos>; equal variants are scored once
+    distinct: dict[tuple[int, ...], int] = {}
+    rows = [distinct.setdefault(tuple(v) or (BOS_ID,), len(distinct)) for v in variants]
+    probs = model.batch_probs(list(distinct), target)
+    values = np.zeros(n)
+    values[first:] = probs[rows[0]] - probs[rows[1:]]
+    return values
 
 
 def taylor_loop(model: TinyLM, context: Sequence[int], target: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from crashlens.attribution import (
     taylor_importance,
 )
 from crashlens.refmodel import BOS_ID, UNK, TinyLM, Tokenizer
-from oracles import distribution_given_window, normalize_scores_bruteforce, occlusion_loop, taylor_loop
+from oracles import (
+    distribution_given_window,
+    normalize_scores_bruteforce,
+    occlusion_loop,
+    occlusion_variants,
+    taylor_loop,
+)
 
 
 def small_model(vocab: int = 10, dim: int = 4, window: int = 8, seed: int = 0) -> TinyLM:
@@ -76,6 +83,69 @@ def test_occlusion_matches_loop_oracle():
         # probabilities <= 1 from batched vs single-row matmuls: a few ulps apart
         assert np.allclose(ours, oracle, rtol=0, atol=1e-14)
         assert not ours[: max(len(context) - window, 0)].any()
+
+
+OCCLUSION_KINDS = ("tiny", "short", "full", "one-over", "two-over", "long", "straddle")
+
+
+def _occlusion_contexts(rng: np.random.Generator, vocab: int, window: int, kind: str) -> list[int]:
+    """A random context of one length kind: 0 to 2 tokens, shorter than W,
+    W, W + 1, W + 2, at least 2W, or longer than W with a run of equal
+    tokens across the window's first slot."""
+    lengths = {
+        "tiny": int(rng.integers(0, 3)),
+        "short": int(rng.integers(0, window)),
+        "full": window,
+        "one-over": window + 1,
+        "two-over": window + 2,
+        "long": int(rng.integers(2 * window, 3 * window + 1)),
+        "straddle": int(rng.integers(window + 2, 2 * window + 3)),
+    }
+    n = lengths[kind]
+    context = [int(t) for t in rng.integers(0, vocab, size=n)]
+    if kind == "straddle":
+        first = n - window
+        lo, hi = int(rng.integers(0, first)), int(rng.integers(first + 1, n + 1))
+        context[lo:hi] = [int(rng.integers(0, vocab))] * (hi - lo)
+    return context
+
+
+@pytest.mark.parametrize("kind", OCCLUSION_KINDS)
+def test_occlusion_closed_form_matches_variant_route(kind):
+    rng = np.random.default_rng(OCCLUSION_KINDS.index(kind))
+    worst = 0.0
+    for trial in range(60):
+        # small vocabularies make runs of equal tokens common
+        vocab, window = int(rng.integers(3, 20)), int(rng.integers(1, 12))
+        model = small_model(vocab=vocab, dim=int(rng.integers(1, 9)), window=window, seed=trial)
+        context = _occlusion_contexts(rng, vocab, window, kind)
+        target = int(rng.integers(0, vocab))
+        ours = occlusion_importance(model, context, target)
+        oracle = occlusion_variants(model, context, target)
+        assert ours.shape == oracle.shape == (len(context),)
+        worst = max(worst, float(np.abs(ours - oracle).max(initial=0.0)))
+        first = max(len(context) - window, 0)
+        assert not ours[:first].any()  # never computed, exactly 0
+        for q in range(1, len(context)):
+            if context[q] == context[q - 1]:  # one sequence whichever copy goes
+                assert ours[q] == ours[q - 1]
+    print(f"{kind}: largest |closed form - variant route| = {worst:.2e}")
+    assert worst <= 1e-15
+
+
+def test_occlusion_memory_stays_small_at_a_full_window():
+    """At W = 400 the scores come from running sums over the context, not a
+    W x d window per deletion (~43 MiB at this size)."""
+    model = TinyLM.init(935, dim=32, window=400, seed=0)
+    context = [int(t) for t in np.random.default_rng(0).integers(0, 935, size=391)]
+    tracemalloc.start()
+    try:
+        occlusion_importance(model, context, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"occlusion peak at W=400, n=391: {peak / 2**20:.1f} MiB")
+    assert peak <= 8 * 2**20
 
 
 def test_taylor_zero_embedding_scores_zero():

@@ -666,6 +666,29 @@ def test_augment_temperature_out_of_range_is_value_error(pipeline, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("temperature", ["-3", "2.5"])
+def test_eval_temperature_out_of_range_is_value_error(pipeline, tmp_path, capsys, temperature):
+    """eval follows augment's temperature policy, checked before any request."""
+    d, _ = pipeline
+    out = tmp_path / "pred.jsonl"
+    argv = ["eval", "--offline", "--narratives", str(d / "narratives.jsonl"), "--strategy", "zs",
+            "--temperature", temperature, "--out", str(out)]
+    err = _main_error(argv, capsys)
+    assert err == {"error": "ValueError", "detail": f"temperature {float(temperature)} outside [0, 2]"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("top_k", ["0", "-2"])
+def test_analyze_top_k_below_one_is_value_error(pipeline, tmp_path, capsys, top_k):
+    """A top-k below 1 would keep no factor; it is rejected before any record is read."""
+    d, _ = pipeline
+    out = tmp_path / "factors.jsonl"
+    argv = ["analyze", "--offline", "--attributions", str(d / "attr_occ.jsonl"), "--top-k", top_k, "--out", str(out)]
+    err = _main_error(argv, capsys)
+    assert err == {"error": "ValueError", "detail": f"need top_k >= 1; got {top_k}"}
+    assert not out.exists()
+
+
 def _one_error_line(proc: subprocess.CompletedProcess) -> dict:
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
