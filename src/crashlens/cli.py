@@ -565,12 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
 # error of a module that was never imported cannot have been raised, so a
 # class joins the handled set only once its module is loaded.
 _HANDLED = (
-    ("builtins", "FileNotFoundError"),
-    ("builtins", "NotADirectoryError"),
-    ("builtins", "PermissionError"),
+    ("builtins", "OSError"),
     ("builtins", "ValueError"),
     ("builtins", "KeyError"),
-    ("json", "JSONDecodeError"),
     ("yaml", "YAMLError"),
     (__name__, "CliError"),
     ("crashlens.schema", "SchemaError"),

@@ -6,8 +6,9 @@ Everything is float64 numpy with closed-form gradients, so attribution math
 downstream can be checked against finite differences to tight tolerances.
 Every pass reads one window layout, `TinyLM.windows`: one row of W token ids
 per context, left-aligned and padded with `<bos>`, whose padding slots weigh
-0 in the one pooled forward. Scoring one context, scoring many, the
-per-epoch NLL and training all go through it.
+0 in the one pooled forward. Scoring one context, scoring many and the
+per-epoch NLL go through that forward; training slices each row to its
+filled slots once, so an SGD step touches only the tokens it reads.
 """
 
 from __future__ import annotations
@@ -172,13 +173,11 @@ class TinyLM:
             filled[i, : len(window)] = True
         return ids, filled
 
-    def _pool(self, ids: np.ndarray, filled: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _pool(self, ids: np.ndarray, filled: np.ndarray) -> np.ndarray:
         """Hidden vectors of a `windows` layout, h = sum_j a_j e_j over the
-        filled slots, with the slot weights (padding weighs 0) and slot
-        embeddings they came from."""
+        filled slots (padding weighs 0)."""
         weights = np.where(filled, self.position_weights, 0.0)
-        embs = self.embeddings[ids]
-        return np.matmul(weights[:, None, :], embs)[:, 0], weights, embs
+        return np.matmul(weights[:, None, :], self.embeddings[ids])[:, 0]
 
     def _softmax_rows(self, hidden: np.ndarray) -> np.ndarray:
         probs = hidden @ self.output_weights
@@ -190,10 +189,10 @@ class TinyLM:
 
     def batch_probs(self, contexts: Sequence[Sequence[int]], target: int) -> np.ndarray:
         """p(target | context) for many contexts: one gather, one output matmul."""
-        return self._softmax_rows(self._pool(*self.windows(contexts))[0])[:, target]
+        return self._softmax_rows(self._pool(*self.windows(contexts)))[:, target]
 
     def distribution(self, context: Sequence[int]) -> np.ndarray:
-        return self._softmax_rows(self._pool(*self.windows([context]))[0])[0]
+        return self._softmax_rows(self._pool(*self.windows([context])))[0]
 
     def save(self, path: str | Path) -> None:
         doc = {
@@ -284,7 +283,7 @@ def _corpus_nll(model: TinyLM, ids: np.ndarray, filled: np.ndarray, targets: np.
     nll = []
     for lo in range(0, len(targets), _NLL_CHUNK):
         rows = slice(lo, lo + _NLL_CHUNK)
-        probs = model._softmax_rows(model._pool(ids[rows], filled[rows])[0])
+        probs = model._softmax_rows(model._pool(ids[rows], filled[rows]))
         p = probs[np.arange(len(probs)), targets[rows]]
         nll.append(-np.log(np.maximum(p, 1e-300)))
     return float(np.concatenate(nll).mean()) if nll else 0.0
@@ -294,8 +293,9 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
     """SGD on the NLL of each example's target; deterministic for a given seed.
 
     One parameter update per example, from its one window. The windows are
-    laid out once before the first epoch, and an update writes only the
-    embedding rows its window reads.
+    laid out once before the first epoch and sliced to their filled slots,
+    so a step reads and writes only the k tokens of its window: the
+    embedding rows they index and the first k slot weights.
     """
     for ex in examples:
         if not all(0 <= t < model.vocab_size for t in (*ex.context, ex.target)):
@@ -307,8 +307,9 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
     lr, d = config.lr, m.dim
     ids, filled = m.windows([ex.context for ex in examples])
     targets = np.array([ex.target for ex in examples], dtype=np.intp)
+    windows = [row[:k] for row, k in zip(ids, filled.sum(axis=1))]  # views of the filled slots
     # per window: its distinct ids, the embedding rows a step updates, and each slot's index into them
-    uniques = [np.unique(row, return_inverse=True) for row in ids]
+    uniques = [np.unique(window, return_inverse=True) for window in windows]
     columns = np.arange(d)
     grad_u = np.empty_like(m.output_weights)  # reused: a fresh d x V array per step costs page faults
 
@@ -317,26 +318,24 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             for idx in rng.permutation(len(examples)):
-                row = slice(idx, idx + 1)
-                hidden, weights, embs = m._pool(ids[row], filled[row])
-                dz = m._softmax_rows(hidden)
-                dz[0, targets[idx]] -= 1.0  # dNLL/dlogits = p - onehot
-                dh = dz @ m.output_weights.T
-                # dNLL/da_j = e_j . dh over the filled slots
-                slot_dots = np.matmul(embs, dh[:, :, None])[:, :, 0]
-                grad_a = np.where(filled[row], slot_dots, 0.0)[0]
-                # dNLL/de = a_j dh for each slot, summed onto its embedding row
-                # in slot order (padding weighs 0)
+                window = windows[idx]
+                k = len(window)
+                embs = m.embeddings[window]
+                hidden = m.position_weights[:k] @ embs
+                dz = m._softmax_rows(hidden[None])[0]
+                dz[targets[idx]] -= 1.0  # dNLL/dlogits = p - onehot
+                dh = m.output_weights @ dz
+                # dNLL/de = a_j dh for each slot, summed onto its embedding row in slot order
                 rows, slot_rows = uniques[idx]
-                grad_slots = weights[:, :, None] * dh[:, None, :]
                 index = slot_rows[:, None] * d + columns
+                grad_slots = m.position_weights[:k, None] * dh
                 grad_rows = np.bincount(index.ravel(), grad_slots.ravel(), len(rows) * d)
                 m.embeddings[rows] -= lr * grad_rows.reshape(len(rows), d)
-                m.position_weights -= lr * grad_a
-                np.dot(hidden.T, dz, out=grad_u)
+                m.position_weights[:k] -= lr * (embs @ dh)  # dNLL/da_j = e_j . dh
+                np.dot(hidden[:, None], dz[None], out=grad_u)
                 grad_u *= lr
                 m.output_weights -= grad_u
-                m.output_bias -= lr * dz[0]
+                m.output_bias -= lr * dz
             nll = _corpus_nll(m, ids, filled, targets)
             if not np.isfinite(nll):
                 raise TrainingDivergedError(epoch)

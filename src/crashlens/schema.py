@@ -44,9 +44,9 @@ class DuplicateKeyError(SchemaError):
 
 
 class InsufficientMajorityError(SchemaError):
-    def __init__(self, requested: int, available: int):
+    def __init__(self, requested: float, available: int):
         super().__init__(
-            f"downsampling needs {requested} majority cases but only {available} exist"
+            f"downsampling needs {requested:g} majority cases but only {available} exist"
         )
         self.requested = requested
         self.available = available
@@ -457,10 +457,11 @@ def stratified_downsample(
 
     round(target_ratio * |minority|) majority cases are drawn uniformly
     without replacement with the seeded generator; input order is preserved
-    among survivors.
+    among survivors. The ratio must be finite and positive, and the product
+    at most |majority|.
     """
-    if target_ratio <= 0:
-        raise ValueError("target_ratio must be positive")
+    if not (math.isfinite(target_ratio) and target_ratio > 0):
+        raise ValueError(f"target_ratio must be a finite positive number, not {target_ratio}")
     by_class: dict[Severity, list[int]] = {Severity.MINOR: [], Severity.SEVERE: []}
     for i, case in enumerate(cases):
         by_class[case.crash.severity].append(i)
@@ -471,13 +472,14 @@ def stratified_downsample(
     else:
         minority, majority = Severity.SEVERE, Severity.MINOR
 
-    n_keep = round(target_ratio * len(by_class[minority]))
+    # compared before rounding: the product of a finite ratio can still be inf
+    wanted = target_ratio * len(by_class[minority])
     majority_idx = by_class[majority]
-    if n_keep > len(majority_idx):
-        raise InsufficientMajorityError(n_keep, len(majority_idx))
+    if wanted > len(majority_idx):
+        raise InsufficientMajorityError(wanted, len(majority_idx))
 
     rng = Random(seed)
-    kept = set(rng.sample(majority_idx, n_keep)) | set(by_class[minority])
+    kept = set(rng.sample(majority_idx, round(wanted))) | set(by_class[minority])
     return [case for i, case in enumerate(cases) if i in kept]
 
 

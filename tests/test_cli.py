@@ -203,6 +203,45 @@ def test_missing_input_file_reports_json_error(tmp_path, capsys):
     assert err["error"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("narrate-cases-dir", "IsADirectoryError"),
+        ("ingest-crashes-dir", "IsADirectoryError"),
+        ("config-dir", "IsADirectoryError"),
+        ("out-under-a-file", "FileExistsError"),
+    ],
+    ids=["narrate-cases-dir", "ingest-crashes-dir", "config-dir", "out-under-a-file"],
+)
+def test_unusable_path_is_one_json_error(tmp_path, capsys, case, error):
+    """A directory where a file is read, or an output path under a regular
+    file, is an OSError: one JSON line on stderr, exit 1."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    argv = _ingest_args(tmp_path / "out.jsonl")
+    if case == "narrate-cases-dir":
+        argv = ["narrate", "--cases", str(tmp_path), "--out", str(tmp_path / "out.jsonl")]
+    elif case == "ingest-crashes-dir":
+        argv[argv.index("--crashes") + 1] = str(tmp_path)
+    elif case == "config-dir":
+        argv += ["--config", str(tmp_path)]
+    else:
+        argv[argv.index("--out") + 1] = str(blocker / "out.jsonl")
+    assert _main_error(argv, capsys)["error"] == error
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "ratio, error",
+    [("inf", "ValueError"), ("nan", "ValueError"), ("1e308", "InsufficientMajorityError")],
+)
+def test_ingest_balance_ratio_it_cannot_meet_is_one_json_error(tmp_path, capsys, ratio, error):
+    out = tmp_path / "cases.jsonl"
+    argv = _ingest_args(out) + ["--balance", "--target-ratio", ratio]
+    assert _main_error(argv, capsys)["error"] == error
+    assert not out.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     from crashlens.cli import main
 

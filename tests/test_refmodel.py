@@ -130,13 +130,13 @@ def test_training_memorizes_toy_patterns():
 
 
 def _random_examples(rng, n, vocab, window):
-    """Examples whose contexts run from one token to about twice the window."""
-    examples = []
-    for _ in range(n):
-        length = int(rng.integers(2, 2 * window + 3))
-        tokens = [BOS_ID] + [int(t) for t in rng.integers(1, vocab, size=length - 1)]
-        examples.append(TrainingExample(tuple(tokens[:-1]), tokens[-1]))
-    return examples
+    """Examples whose contexts run from 0 to 2W + 1 tokens: always one empty,
+    one of exactly W and one of 2W + 1, the rest drawn from that range."""
+    lengths = [0, window, 2 * window + 1, *rng.integers(0, 2 * window + 2, size=n - 3)]
+    return [
+        TrainingExample(tuple(int(t) for t in rng.integers(0, vocab, size=length)), int(rng.integers(vocab)))
+        for length in lengths
+    ]
 
 
 def _params(model: TinyLM):
@@ -145,7 +145,7 @@ def _params(model: TinyLM):
 
 def test_train_matches_loop_oracle_exactly_on_label_only_masks():
     rng = np.random.default_rng(31)
-    for trial in range(4):
+    for trial in range(60):
         vocab, window = int(rng.integers(6, 30)), int(rng.integers(2, 10))
         examples = _random_examples(rng, 12, vocab, window)
         model = TinyLM.init(vocab, dim=5, window=window, seed=trial)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from datetime import datetime
 
@@ -251,11 +252,23 @@ def test_downsample_tie_treats_severe_as_minority():
 
 
 def test_downsample_rejects_impossible_ratio():
+    """A ratio must be finite and positive, and its product with the minority
+    count, taken before rounding, at most the majority count; 1e308 * 2
+    overflows to inf."""
     cases = severity_cases(n_minor=4, n_severe=2)
-    with pytest.raises(InsufficientMajorityError):
-        stratified_downsample(cases, target_ratio=5.0, seed=0)
-    with pytest.raises(ValueError):
-        stratified_downsample(cases, target_ratio=0.0, seed=0)
+    for ratio, error in [
+        (5.0, InsufficientMajorityError),
+        (2.1, InsufficientMajorityError),
+        (1e308, InsufficientMajorityError),
+        (0.0, ValueError),
+        (math.inf, ValueError),
+        (-math.inf, ValueError),
+        (math.nan, ValueError),
+    ]:
+        with pytest.raises(Exception) as err:
+            stratified_downsample(cases, target_ratio=ratio, seed=0)
+        assert type(err.value) is error, ratio
+    assert stratified_downsample(cases, target_ratio=2.0, seed=0) == cases
 
 
 def test_case_serialization_round_trip(cases, tmp_path):
