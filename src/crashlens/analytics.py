@@ -465,16 +465,18 @@ def _sankey_html(doc: Mapping) -> str:
     ]
     out_off = {i: 0.0 for i in geom}
     in_off = {i: 0.0 for i in geom}
+    out_total, in_total = Counter(), Counter()  # each node's summed link counts, out and in
+    for link in doc["links"]:
+        out_total[link["source"]] += link["count"]
+        in_total[link["target"]] += link["count"]
     for link in doc["links"]:
         s, t = link["source"], link["target"]
         if s not in geom or t not in geom:
             continue
         sx, sy, sh = geom[s]
         tx, ty, th = geom[t]
-        s_total = max(sum(l["count"] for l in doc["links"] if l["source"] == s), 1)
-        t_total = max(sum(l["count"] for l in doc["links"] if l["target"] == t), 1)
-        w_s = sh * link["count"] / s_total
-        w_t = th * link["count"] / t_total
+        w_s = sh * link["count"] / max(out_total[s], 1)
+        w_t = th * link["count"] / max(in_total[t], 1)
         y0 = sy + out_off[s] + w_s / 2
         y1 = ty + in_off[t] + w_t / 2
         out_off[s] += w_s

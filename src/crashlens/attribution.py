@@ -60,13 +60,12 @@ def taylor_importance(model: TinyLM, context: Sequence[int], target: int) -> np.
     a_j * dp/dh, so the scores are a * (E[window] @ dp/dh). Tokens before
     the window score exactly 0.
     """
-    n = len(context)
-    values = np.zeros(n)
-    if n:  # an empty context reads <bos>, which has no row
-        first = max(n - model.window, 0)
-        embs = model.embeddings[list(context[first:])]
-        g_hidden = grad_prob_wrt_hidden(model, model.distribution(context), target)
-        values[first:] = model.position_weights[: n - first] * (embs @ g_hidden)
+    window = model.window_of(context)
+    k = len(window)
+    g_hidden = grad_prob_wrt_hidden(model, model.distribution(context), target)
+    values = np.zeros(len(context))
+    # an empty context reads <bos> alone, which is no context token: values[-1:] is empty then
+    values[len(values) - k :] = model.position_weights[:k] * (model.embeddings[window] @ g_hidden)
     return values
 
 

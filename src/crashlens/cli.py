@@ -148,6 +148,8 @@ def _chat_client(get: Callable[[str], object]) -> ChatClient:
 def cmd_ingest(args: argparse.Namespace, get: Callable[[str], object]) -> int:
     from . import schema
 
+    if get("balance"):  # a bad ratio fails before the tables load
+        schema.check_target_ratio(float(get("target_ratio")))
     tables = schema.load_tables(
         args.crashes, args.segments, args.vehicles, args.persons, column_maps=get("column_maps")
     )
@@ -224,6 +226,8 @@ def cmd_train_ref(args: argparse.Namespace, get: Callable[[str], object]) -> int
     from . import refmodel
     from .narrator import read_pairs
 
+    seed = int(get("seed"))
+    config = refmodel.TrainConfig(lr=float(get("lr")), epochs=int(get("epochs")), seed=seed)
     pairs = read_pairs(args.narratives)
     if not pairs:
         raise CliError("no narratives to train on")
@@ -232,11 +236,9 @@ def cmd_train_ref(args: argparse.Namespace, get: Callable[[str], object]) -> int
     for pair in pairs:
         context = (refmodel.BOS_ID, *tokenizer.encode(pair.descriptive))
         examples.append(refmodel.TrainingExample(context, tokenizer.label_id(pair.label)))
-    seed = int(get("seed"))
     model = refmodel.TinyLM.init(
         tokenizer.size, dim=int(get("dim")), window=int(get("window")), seed=seed
     )
-    config = refmodel.TrainConfig(lr=float(get("lr")), epochs=int(get("epochs")), seed=seed)
     trained = refmodel.train(model, examples, config)
     trained.save(args.out_model)
     tokenizer.save(args.out_tokenizer)
@@ -244,7 +246,7 @@ def cmd_train_ref(args: argparse.Namespace, get: Callable[[str], object]) -> int
         {
             "examples": len(examples),
             "vocab": tokenizer.size,
-            "final_nll": round(trained.loss_history[-1], 6) if trained.loss_history else None,
+            "final_nll": round(trained.loss_history[-1], 6),
             "model": str(args.out_model),
             "tokenizer": str(args.out_tokenizer),
         }

@@ -4,11 +4,11 @@ The model embeds the last `window` context tokens, mixes them with learned
 per-slot weights, and maps the pooled vector through a linear-softmax head.
 Everything is float64 numpy with closed-form gradients, so attribution math
 downstream can be checked against finite differences to tight tolerances.
-Every pass reads one window layout, `TinyLM.windows`: one row of W token ids
-per context, left-aligned and padded with `<bos>`, whose padding slots weigh
-0 in the one pooled forward. Scoring one context, scoring many and the
-per-epoch NLL go through that forward; training slices each row to its
-filled slots once, so an SGD step touches only the tokens it reads.
+One rule says which tokens the model reads, `TinyLM.window_of`: the last W
+ids of a context, `<bos>` alone for an empty one. One pooled forward,
+`TinyLM.hidden`, weighs that window's k tokens by the first k slot weights.
+Scoring a context, the per-epoch NLL and training all read one window per
+context, so no pass pads a window to W or gathers a slot it does not read.
 """
 
 from __future__ import annotations
@@ -161,23 +161,14 @@ class TinyLM:
             loss_history=list(self.loss_history),
         )
 
-    def windows(self, contexts: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-        """The one window layout every pass reads: row i holds the last W
-        tokens of context i (`<bos>` for an empty context), left-aligned and
-        padded with `<bos>`; `filled` marks the slots that hold them."""
-        ids = np.full((len(contexts), self.window), BOS_ID, dtype=np.intp)
-        filled = np.zeros(ids.shape, dtype=bool)
-        for i, context in enumerate(contexts):
-            window = list(context[-self.window :]) or [BOS_ID]
-            ids[i, : len(window)] = window
-            filled[i, : len(window)] = True
-        return ids, filled
+    def window_of(self, context: Sequence[int]) -> np.ndarray:
+        """The tokens the model reads after `context`: its last W ids, or
+        `<bos>` alone for an empty context."""
+        return np.array(list(context[-self.window :]) or [BOS_ID], dtype=np.intp)
 
-    def _pool(self, ids: np.ndarray, filled: np.ndarray) -> np.ndarray:
-        """Hidden vectors of a `windows` layout, h = sum_j a_j e_j over the
-        filled slots (padding weighs 0)."""
-        weights = np.where(filled, self.position_weights, 0.0)
-        return np.matmul(weights[:, None, :], self.embeddings[ids])[:, 0]
+    def hidden(self, window: np.ndarray) -> np.ndarray:
+        """The pooled vector of one window's k tokens, h = sum_j a_j e_j."""
+        return self.position_weights[: len(window)] @ self.embeddings[window]
 
     def _softmax_rows(self, hidden: np.ndarray) -> np.ndarray:
         probs = hidden @ self.output_weights
@@ -188,11 +179,11 @@ class TinyLM:
         return probs
 
     def batch_probs(self, contexts: Sequence[Sequence[int]], target: int) -> np.ndarray:
-        """p(target | context) for many contexts: one gather, one output matmul."""
-        return self._softmax_rows(self._pool(*self.windows(contexts)))[:, target]
+        """p(target | context) for each context."""
+        return np.array([self.distribution(context)[target] for context in contexts])
 
     def distribution(self, context: Sequence[int]) -> np.ndarray:
-        return self._softmax_rows(self._pool(*self.windows([context])))[0]
+        return self._softmax_rows(self.hidden(self.window_of(context))[None])[0]
 
     def save(self, path: str | Path) -> None:
         doc = {
@@ -248,6 +239,10 @@ class TrainConfig:
     epochs: int = 40
     seed: int = 0
 
+    def __post_init__(self):
+        if not (self.epochs >= 1 and np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"need epochs >= 1 and a finite lr > 0; got {self.epochs} and {self.lr}")
+
 
 def prob(model: TinyLM, context: Sequence[int], target: int) -> float:
     """Softmax probability of `target` after `context` (empty context = BOS)."""
@@ -267,35 +262,27 @@ def grad_prob_wrt_embeddings(model: TinyLM, context: Sequence[int], target: int)
     (`grad_prob_wrt_hidden`). Positions that fell out of the window get
     exact zero rows.
     """
-    k = int(model.windows([context])[1].sum())
+    k = len(model.window_of(context))
     grads = np.zeros((max(len(context), 1), model.dim))
     g_hidden = grad_prob_wrt_hidden(model, model.distribution(context), target)
     grads[len(grads) - k :] = model.position_weights[:k, None] * g_hidden
     return grads
 
 
-# windows per pool and output matmul in _corpus_nll, a few MB whatever the corpus size
-_NLL_CHUNK = 1024
-
-
-def _corpus_nll(model: TinyLM, ids: np.ndarray, filled: np.ndarray, targets: np.ndarray) -> float:
-    """Mean NLL of each window's target, pooled and scored a chunk at a time."""
-    nll = []
-    for lo in range(0, len(targets), _NLL_CHUNK):
-        rows = slice(lo, lo + _NLL_CHUNK)
-        probs = model._softmax_rows(model._pool(ids[rows], filled[rows]))
-        p = probs[np.arange(len(probs)), targets[rows]]
-        nll.append(-np.log(np.maximum(p, 1e-300)))
-    return float(np.concatenate(nll).mean()) if nll else 0.0
+def _corpus_nll(model: TinyLM, windows: Sequence[np.ndarray], targets: np.ndarray) -> float:
+    """Mean NLL of each window's target, scored in one output matmul."""
+    probs = model._softmax_rows(np.stack([model.hidden(window) for window in windows]))
+    p = probs[np.arange(len(targets)), targets]
+    return float(-np.log(np.maximum(p, 1e-300)).mean())
 
 
 def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfig) -> TinyLM:
     """SGD on the NLL of each example's target; deterministic for a given seed.
 
-    One parameter update per example, from its one window. The windows are
-    laid out once before the first epoch and sliced to their filled slots,
-    so a step reads and writes only the k tokens of its window: the
-    embedding rows they index and the first k slot weights.
+    One parameter update per example, from its window (`window_of`, taken
+    once before the first epoch): a step pools the k rows it gathers, as
+    `TinyLM.hidden` does, and writes only those embedding rows and the
+    first k slot weights.
     """
     for ex in examples:
         if not all(0 <= t < model.vocab_size for t in (*ex.context, ex.target)):
@@ -305,9 +292,8 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
     m.loss_history = []
     rng = np.random.default_rng(config.seed)
     lr, d = config.lr, m.dim
-    ids, filled = m.windows([ex.context for ex in examples])
+    windows = [m.window_of(ex.context) for ex in examples]
     targets = np.array([ex.target for ex in examples], dtype=np.intp)
-    windows = [row[:k] for row, k in zip(ids, filled.sum(axis=1))]  # views of the filled slots
     # per window: its distinct ids, the embedding rows a step updates, and each slot's index into them
     uniques = [np.unique(window, return_inverse=True) for window in windows]
     columns = np.arange(d)
@@ -336,7 +322,7 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
                 grad_u *= lr
                 m.output_weights -= grad_u
                 m.output_bias -= lr * dz
-            nll = _corpus_nll(m, ids, filled, targets)
+            nll = _corpus_nll(m, windows, targets)
             if not np.isfinite(nll):
                 raise TrainingDivergedError(epoch)
             m.loss_history.append(nll)

@@ -450,6 +450,11 @@ def integrate(tables: TableSet) -> IntegrationResult:
     return IntegrationResult(cases, report)
 
 
+def check_target_ratio(target_ratio: float) -> None:
+    if not (math.isfinite(target_ratio) and target_ratio > 0):
+        raise ValueError(f"target_ratio must be a finite positive number, not {target_ratio}")
+
+
 def stratified_downsample(
     cases: Sequence[CrashCase], target_ratio: float, seed: int
 ) -> list[CrashCase]:
@@ -460,8 +465,7 @@ def stratified_downsample(
     among survivors. The ratio must be finite and positive, and the product
     at most |majority|.
     """
-    if not (math.isfinite(target_ratio) and target_ratio > 0):
-        raise ValueError(f"target_ratio must be a finite positive number, not {target_ratio}")
+    check_target_ratio(target_ratio)
     by_class: dict[Severity, list[int]] = {Severity.MINOR: [], Severity.SEVERE: []}
     for i, case in enumerate(cases):
         by_class[case.crash.severity].append(i)

@@ -117,7 +117,7 @@ def occlusion_variants(model: TinyLM, context: Sequence[int], target: int) -> np
 
     Removing a token before the window leaves the window as it was, and
     removing one inside it pulls the window back by one token, so there are
-    at most W + 1 distinct windows; `batch_probs` scores them in one batch.
+    at most W + 1 distinct windows; `batch_probs` scores each of them.
     """
     context = list(context)
     n = len(context)

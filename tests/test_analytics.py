@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from collections import Counter
 
 import jsonschema
@@ -329,6 +330,30 @@ def test_export_sankey_writes_json_and_html(tmp_path):
     # repeated export is byte-stable
     export_sankey(graph, html_path=tmp_path / "again.html")
     assert (tmp_path / "again.html").read_text() == html
+
+
+def test_sankey_links_split_a_node_by_their_counts(tmp_path):
+    """A node with outgoing links of counts 1 and 3 gives them bands of
+    height h/4 and 3h/4, stacked from its top; their two targets share a
+    column in the same 1 : 3 proportion, so the stroke widths are 1 : 3 too."""
+    graph = CooccurrenceGraph(
+        nodes=[
+            FactorNode("dusk", AspectCategory.ENVIRONMENTAL, 4),
+            FactorNode("speeding", AspectCategory.BEHAVIORAL, 1),
+            FactorNode("impairment", AspectCategory.BEHAVIORAL, 3),
+        ],
+        links=[FactorLink(0, 1, 1), FactorLink(0, 2, 3)],
+    )
+    export_sankey(graph, html_path=tmp_path / "graph.html")
+    html = (tmp_path / "graph.html").read_text()
+    rects = re.findall(r'<rect x="[\d.]+" y="([\d.]+)" width="\d+" height="([\d.]+)"', html)
+    links = re.findall(r'<path d="M[\d.]+,([\d.]+) .*? stroke-width="([\d.]+)"', html)
+    (top, height), (_, h_one), (_, h_three) = [tuple(map(float, m)) for m in rects]
+    assert h_three == 3 * h_one
+    (y_one, width_one), (y_three, width_three) = [tuple(map(float, m)) for m in links]
+    # each link's stroke is centred on its band: offsets h/8 and h/4 + 3h/8 below the top
+    assert (y_one - top, y_three - top) == (height / 8, height / 4 + 3 * height / 8)
+    assert width_three == 3 * width_one
 
 
 def test_export_heatmap_colors_by_threshold(tmp_path):

@@ -242,6 +242,16 @@ def test_ingest_balance_ratio_it_cannot_meet_is_one_json_error(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_ingest_balance_checks_the_ratio_before_loading_tables(tmp_path, capsys):
+    """The crashes path does not exist: a ValueError, not a FileNotFoundError,
+    shows that the ratio is read first."""
+    out = tmp_path / "cases.jsonl"
+    argv = _ingest_args(out) + ["--balance", "--target-ratio", "inf"]
+    argv[argv.index("--crashes") + 1] = str(tmp_path / "missing.csv")
+    assert _main_error(argv, capsys)["error"] == "ValueError"
+    assert not out.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     from crashlens.cli import main
 
@@ -886,6 +896,22 @@ def test_train_ref_rejects_an_empty_dimension(pipeline, tmp_path, flag):
     assert err["error"] == "RefModelError"
     assert "must be >= 1" in err["detail"]
     assert not (tmp_path / "model.json").exists() and not (tmp_path / "tok.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--epochs", "0"), ("--epochs", "-3"), ("--lr", "0"), ("--lr", "-0.05"), ("--lr", "inf"), ("--lr", "nan")],
+)
+def test_train_ref_rejects_an_untrainable_config_before_reading(tmp_path, capsys, flag, value):
+    """No epoch, or a learning rate that cannot descend: a ValueError before
+    the narratives are read (this path does not exist), and no model."""
+    argv = [
+        "train-ref", "--narratives", str(tmp_path / "missing.jsonl"),
+        "--out-model", str(tmp_path / "model.json"), "--out-tokenizer", str(tmp_path / "tok.json"),
+        flag, value,
+    ]
+    assert _main_error(argv, capsys)["error"] == "ValueError"
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_diverging_train_ref_writes_one_json_line(pipeline, tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from crashlens.refmodel import (
     TrainConfig,
     TrainingDivergedError,
     TrainingExample,
+    _corpus_nll,
     classify,
     grad_prob_wrt_embeddings,
     label_token,
@@ -90,16 +92,44 @@ def test_window_truncates_left():
 
 
 def test_windows_match_plain_slicing():
-    """Empty, shorter than W, exactly W and longer than W: each row holds the
-    last W tokens (<bos> for none), left-aligned and padded with <bos>."""
+    """Empty, shorter than W, exactly W and longer than W: the window is the
+    last W tokens as intp ids, <bos> alone for none."""
     model = TinyLM.init(15, dim=4, window=4, seed=3)
-    contexts = [[], [5, 6], [1, 2, 3, 4], [9, 8, 7, 6, 5, 4]]
-    ids, filled = model.windows(contexts)
-    assert ids.shape == filled.shape == (4, 4)
-    for row, fill, context in zip(ids, filled, contexts):
-        window = (list(context) or [BOS_ID])[-4:]
-        assert row.tolist() == window + [BOS_ID] * (4 - len(window))
-        assert fill.tolist() == [True] * len(window) + [False] * (4 - len(window))
+    for context in ([], [5, 6], [1, 2, 3, 4], [9, 8, 7, 6, 5, 4]):
+        window = model.window_of(context)
+        assert window.dtype == np.intp
+        assert window.tolist() == (list(context) or [BOS_ID])[-4:]
+
+
+@pytest.mark.parametrize("window", [48, 400])
+def test_distribution_equals_the_window_oracle_bit_for_bit(window):
+    """Contexts of 0 to 2W + 1 tokens at dim 32: the forward pools only the
+    window's k tokens, as the oracle does (a tiny model hides the summation
+    order that padding to W changes)."""
+    rng = np.random.default_rng(window)
+    model = TinyLM.init(300, dim=32, window=window, seed=1)
+    for _ in range(200):
+        context = rng.integers(0, 300, size=int(rng.integers(0, 2 * window + 2))).tolist()
+        reference = distribution_given_window(model, model.embeddings[(context or [BOS_ID])[-window:]])
+        assert np.array_equal(model.distribution(context), reference)
+
+
+def test_corpus_nll_memory_follows_the_contexts_at_a_full_window():
+    """At W = 400 the per-epoch NLL stacks one hidden vector per window and
+    scores them in one product; it gathers no W x d slot tensor per context
+    (20.2 MiB at this size, 32% of it padding)."""
+    rng = np.random.default_rng(0)
+    model = TinyLM.init(935, dim=32, window=400, seed=0)
+    windows = [model.window_of(rng.integers(0, 935, size=int(rng.integers(150, 392)))) for _ in range(200)]
+    targets = rng.integers(0, 935, size=200)
+    tracemalloc.start()
+    try:
+        _corpus_nll(model, windows, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"corpus NLL peak at W=400 over 200 contexts: {peak / 2**20:.1f} MiB")
+    assert peak <= 4 * 2**20
 
 
 def test_batch_probs_matches_loop():
