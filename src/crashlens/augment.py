@@ -24,19 +24,29 @@ if TYPE_CHECKING:
 T = TypeVar("T")
 R = TypeVar("R")
 
+# A pattern led by `\b` gives `re` no first character to skip ahead to, so
+# each pattern below opens with a digit or a lookahead on its first letters.
+
 # each null marker as a whole word; the empty one cannot show in a text
+_MARKERS = sorted(m for m in NULL_MARKERS if m)
+# equivalent: every alternative opens with one of the lookahead's letters
 NULL_MARKER_RE = re.compile(
-    "|".join(rf"\b{re.escape(m)}\b" for m in sorted(NULL_MARKERS) if m), re.IGNORECASE
+    "(?=[%s])(?:%s)"
+    % ("".join(sorted({re.escape(m[0]) for m in _MARKERS})), "|".join(rf"\b{re.escape(m)}\b" for m in _MARKERS)),
+    re.IGNORECASE,
 )
 
 _MONTHS = (
     "January|February|March|April|May|June|July|August|September|October|November|December"
 )
-_DATE_RE = re.compile(rf"\b({_MONTHS})\s+(\d{{1,2}}),\s+(\d{{4}})\b")
-_ISO_DATE_RE = re.compile(r"\b(\d{4})-(\d{2})-(\d{2})\b")
-_CLOCK_AMPM_RE = re.compile(r"\b(\d{1,2}):(\d{2})\s*([APap])\.?[Mm]\.?\b")
-_CLOCK_RE = re.compile(r"\b(\d{1,2}):(\d{2})\b")
-_HOUR_AMPM_RE = re.compile(r"\b(\d{1,2})\s*([APap])\.?[Mm]\.?\b")
+# equivalent: every month opens with one of the lookahead's letters
+_DATE_RE = re.compile(rf"(?=[ADFJMNOS])\b({_MONTHS})\s+(\d{{1,2}}),\s+(\d{{4}})\b")
+# equivalent to `\b(\d{4})`: a digit is a word character, so `\b` before it means no word character does
+_ISO_DATE_RE = re.compile(r"(\d(?<!\w\d)\d{3})-(\d{2})-(\d{2})\b")
+# `(\d(?<!\w\d)\d?)` is `\b(\d{1,2})` in the three clock patterns, for the same reason
+_CLOCK_AMPM_RE = re.compile(r"(\d(?<!\w\d)\d?):(\d{2})\s*([APap])\.?[Mm]\.?\b")
+_CLOCK_RE = re.compile(r"(\d(?<!\w\d)\d?):(\d{2})\b")
+_HOUR_AMPM_RE = re.compile(r"(\d(?<!\w\d)\d?)\s*([APap])\.?[Mm]\.?\b")
 _NUMBER_RE = re.compile(r"\d+(?:,\d{3})*(?:\.\d+)?")
 _MONTH_INDEX = {name: i + 1 for i, name in enumerate(_MONTHS.split("|"))}
 
@@ -268,45 +278,62 @@ def _text_facts(text: str) -> _TextFacts:
 _MERIDIEMS = frozenset({"AM", "PM"})
 
 
+_STRIP = ".,;:!?()'\""
+# the whitespace before a token and the token, if its first character past
+# leading punctuation may be a capital (`isupper` decides)
+_CAP_TOKEN_RE = re.compile(rf"\s([{re.escape(_STRIP)}]*[^\W\d_a-z]\S*)")
+
+
+def _starts_sentence(text: str, i: int) -> bool:
+    """Whether the last non-space character before text[i] ends a
+    sentence, or there is none."""
+    while i > 0 and text[i - 1].isspace():
+        i -= 1
+    return i == 0 or text[i - 1] in ".!?"
+
+
 def _proper_noun_runs(text: str) -> list[str]:
     """Capitalized runs and standalone capitalized words, skipping sentence
-    starts. Meridiems are exempt: the clock-form constraint owns those."""
+    starts. Meridiems are exempt: the clock-form constraint owns those.
+
+    A run is capitalized tokens one character apart; trailing punctuation
+    ends it.
+    """
     runs: list[str] = []
-    for sentence in re.split(r"(?<=[.!?])\s+", text):
-        tokens = list(re.finditer(r"\S+", sentence))
-        current: list[str] = []
+    current: list[str] = []
+    end = 0  # where the last token of `current` ends
 
-        def flush() -> None:
-            if len(current) >= 2:
-                runs.append(" ".join(current))
-            elif len(current) == 1 and current[0] not in _MERIDIEMS:
-                runs.append(current[0])
-            current.clear()
+    def flush() -> None:
+        if len(current) >= 2:
+            runs.append(" ".join(current))
+        elif len(current) == 1 and current[0] not in _MERIDIEMS:
+            runs.append(current[0])
+        current.clear()
 
-        prev_end = None
-        for i, m in enumerate(tokens):
-            word = m.group(0)
-            bare = word.strip(".,;:!?()'\"")
-            is_cap = bool(bare) and bare[0].isalpha() and bare[0].isupper()
-            adjacent = prev_end is not None and m.start() == prev_end + 1
-            # the first word of a sentence is capitalized by convention, not meaning
-            if is_cap and i > 0:
-                if current and not adjacent:
-                    flush()
-                current.append(bare)
-            else:
-                flush()
-            if bare and not word.endswith(bare):
-                # trailing punctuation terminates the entity
-                flush()
-            prev_end = m.end()
-        flush()
+    padded = " " + text  # so the first token follows whitespace too
+    for m in _CAP_TOKEN_RE.finditer(padded):
+        word = m.group(1)
+        start = m.start(1)
+        if current and start != end + 1:
+            flush()
+        bare = word.strip(_STRIP)
+        # the first word of a sentence is capitalized by convention, not meaning
+        if not (bare[0].isalpha() and bare[0].isupper()) or _starts_sentence(padded, start):
+            flush()
+            continue
+        current.append(bare)
+        end = m.end()
+        if word[-1] in _STRIP:
+            flush()
+    flush()
     return runs
 
 
 def verify_preservation(original: str, augmented: str) -> ConstraintReport:
     """Mechanically check each constraint; report offending tokens per failure."""
-    orig, aug = _text_facts(original), _text_facts(augmented)
+    orig = _text_facts(original)
+    # the facts are a function of the text, so an unchanged rewrite reuses them
+    aug = orig if augmented == original else _text_facts(augmented)
     aug_times = iter(aug.times)
     offending = {
         ConstraintKind.NUMBERS: sorted((orig.numbers - aug.numbers).elements()),
@@ -339,12 +366,15 @@ def augment_batch(
     """Rewrite a batch, order-preserving.
 
     Any record whose rewrite fails verification (or whose request fails
-    outright) comes back as the byte-identical original with the report
-    flagging why. A temperature outside [0, 2] raises before any request.
+    outright, or that is blank) comes back as the byte-identical original
+    with the report flagging why. A temperature outside [0, 2] raises
+    before any request.
     """
     _check_temperature(temperature)
 
     def one(narrative: str) -> tuple[str, ConstraintReport]:
+        if not narrative.strip():  # `augment` rejects it; the rest of the batch goes on
+            return narrative, ConstraintReport(results=[], error="ValueError: narrative is empty")
         try:
             completion = augment(narrative, client, temperature)
         except (UnavailableError, EmptyCompletionError) as exc:

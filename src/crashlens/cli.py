@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
@@ -20,6 +21,7 @@ from .util import (
     StrategyKind,
     atomic_write_json,
     atomic_write_jsonl,
+    iter_jsonl,
     parse_annotated,
     read_jsonl,
     string_fields,
@@ -190,7 +192,7 @@ def cmd_narrate(args: argparse.Namespace, get: Callable[[str], object]) -> int:
 
 
 def cmd_augment(args: argparse.Namespace, get: Callable[[str], object]) -> int:
-    from .augment import augment_batch
+    from .augment import ConstraintKind, augment_batch
     from .narrator import read_pairs
 
     pairs = read_pairs(args.narratives)
@@ -200,10 +202,13 @@ def cmd_augment(args: argparse.Namespace, get: Callable[[str], object]) -> int:
     )
     records = []
     fallbacks = 0
+    failed = dict.fromkeys((kind.value for kind in ConstraintKind), 0)
     for pair, (text, report) in zip(pairs, results):
         ok = report.error is None and report.passed
         if not ok:
             fallbacks += 1
+        for r in report.failures:
+            failed[r.kind.value] += 1
         records.append(
             {
                 "caseno": pair.caseno,
@@ -218,7 +223,9 @@ def cmd_augment(args: argparse.Namespace, get: Callable[[str], object]) -> int:
             }
         )
     atomic_write_jsonl(args.out, records)
-    _emit({"narratives": len(records), "fallbacks": fallbacks, "out": str(args.out)})
+    _emit(
+        {"narratives": len(records), "fallbacks": fallbacks, "failed_constraints": failed, "out": str(args.out)}
+    )
     return 0
 
 
@@ -374,8 +381,9 @@ def cmd_export(args: argparse.Namespace, get: Callable[[str], object]) -> int:
         return 0
     if not args.attributions or not args.caseno:
         raise CliError("--attributions and --caseno are required for heatmap export")
-    records = _read_jsonl(args.attributions)
-    rec = next((r for r in records if r["caseno"] == args.caseno), None)
+    # the first record for the case; the lines after it are not read
+    with closing(iter_jsonl(args.attributions, _attribution_record)) as records:
+        rec = next((r for r in records if r["caseno"] == args.caseno), None)
     if rec is None:
         raise CliError(f"caseno {args.caseno!r} not found in attributions")
     analytics.export_heatmap(

@@ -7,7 +7,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -103,12 +103,12 @@ def string_fields(doc: dict, *keys: str) -> list[str]:
     return [doc[key] for key in keys]
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
+def iter_jsonl(path: str | Path, parse: Callable[[dict], T]) -> Iterator[T]:
     """Each non-blank line of a JSONL file, as a JSON object passed through
-    `parse`. A line that is not a JSON object, or that `parse` rejects with
-    a KeyError, TypeError or ValueError, raises ParseError naming the line.
+    `parse`, read as the caller asks for it. A line that is not a JSON
+    object, or that `parse` rejects with a KeyError, TypeError or
+    ValueError, raises ParseError naming the line.
     """
-    records = []
     with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh, 1):
             if not line.strip():
@@ -117,12 +117,17 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
                 doc = json.loads(line)
                 if not isinstance(doc, dict):
                     raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-                records.append(parse(doc))
+                record = parse(doc)
             except KeyError as exc:
                 raise ParseError(i, f"missing key {exc}") from exc
             except (TypeError, ValueError) as exc:
                 raise ParseError(i, str(exc)) from exc
-    return records
+            yield record
+
+
+def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
+    """Every record of `iter_jsonl`."""
+    return list(iter_jsonl(path, parse))
 
 
 class WordAttribution(NamedTuple):

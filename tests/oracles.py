@@ -12,13 +12,19 @@ every word as `analytics.rule_based_factors` did before its lexicon
 memoized terms, and `SANKEY_SCHEMA` is the JSON Schema that, with its node
 range check, `analytics.validate_sankey` must agree with.
 `fact_values` lists what `narrator.render` must voice for a case.
+`verify_preservation_scans` is `augment.verify_preservation` as it was
+before its patterns became digit-led and its proper-noun pass visited only
+capitalized tokens: `\\b`-led patterns (kept in `SCAN_PATTERNS` under the
+names of their rewritten forms), a sentence split, and every token of
+every sentence.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Mapping, Sequence
+from collections import Counter
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +36,16 @@ from crashlens.analytics import (
     FactorSummary,
     FactorTerm,
 )
+from crashlens.augment import (
+    _MERIDIEMS,
+    _MONTH_INDEX,
+    _MONTHS,
+    _NUMBER_RE,
+    ConstraintKind,
+    ConstraintReport,
+    ConstraintResult,
+    _TextFacts,
+)
 from crashlens.narrator import NormalizedCase
 from crashlens.refmodel import (
     BOS_ID,
@@ -40,7 +56,7 @@ from crashlens.refmodel import (
     grad_prob_wrt_embeddings,
     prob,
 )
-from crashlens.util import WordAttribution, strip_annotations
+from crashlens.util import NULL_MARKERS, WordAttribution, strip_annotations
 
 
 def fact_values(normalized: NormalizedCase) -> list[str]:
@@ -249,3 +265,114 @@ SANKEY_SCHEMA = {
         },
     },
 }
+
+
+# the verifier's patterns as they were, each led by `\b`
+SCAN_PATTERNS = {
+    "NULL_MARKER_RE": re.compile(
+        "|".join(rf"\b{re.escape(m)}\b" for m in sorted(NULL_MARKERS) if m), re.IGNORECASE
+    ),
+    "_DATE_RE": re.compile(rf"\b({_MONTHS})\s+(\d{{1,2}}),\s+(\d{{4}})\b"),
+    "_ISO_DATE_RE": re.compile(r"\b(\d{4})-(\d{2})-(\d{2})\b"),
+    "_CLOCK_AMPM_RE": re.compile(r"\b(\d{1,2}):(\d{2})\s*([APap])\.?[Mm]\.?\b"),
+    "_CLOCK_RE": re.compile(r"\b(\d{1,2}):(\d{2})\b"),
+    "_HOUR_AMPM_RE": re.compile(r"\b(\d{1,2})\s*([APap])\.?[Mm]\.?\b"),
+}
+
+
+def _canonical_times_scans(text: str) -> tuple[list[str], str]:
+    found: list[tuple[int, str]] = []
+    out = text
+
+    def grab(pattern: re.Pattern, to_token: Callable[[re.Match], str]) -> None:
+        nonlocal out
+
+        def blank(m: re.Match) -> str:
+            found.append((m.start(), to_token(m)))
+            return " " * (m.end() - m.start())
+
+        out = pattern.sub(blank, out)
+
+    def ampm_token(m: re.Match) -> str:
+        hour = int(m.group(1)) % 12
+        if m.group(3).lower() == "p":
+            hour += 12
+        return f"T{hour:02d}:{m.group(2)}"
+
+    grab(SCAN_PATTERNS["_CLOCK_AMPM_RE"], ampm_token)
+    grab(SCAN_PATTERNS["_CLOCK_RE"], lambda m: f"T{int(m.group(1)):02d}:{m.group(2)}")
+
+    def hour_token(m: re.Match) -> str:
+        hour = int(m.group(1)) % 12
+        if m.group(2).lower() == "p":
+            hour += 12
+        return f"T{hour:02d}:00"
+
+    grab(SCAN_PATTERNS["_HOUR_AMPM_RE"], hour_token)
+    found.sort(key=lambda pair: pair[0])
+    return [token for _, token in found], out
+
+
+def _canonical_dates_scans(text: str) -> list[str]:
+    dates = [
+        f"D{m.group(3)}-{_MONTH_INDEX[m.group(1)]:02d}-{int(m.group(2)):02d}"
+        for m in SCAN_PATTERNS["_DATE_RE"].finditer(text)
+    ]
+    dates.extend(
+        f"D{m.group(1)}-{m.group(2)}-{m.group(3)}" for m in SCAN_PATTERNS["_ISO_DATE_RE"].finditer(text)
+    )
+    return dates
+
+
+def _text_facts_scans(text: str) -> _TextFacts:
+    times, residual = _canonical_times_scans(text)
+    numbers = Counter(m.group(0).replace(",", "") for m in _NUMBER_RE.finditer(residual))
+    numbers.update(times)
+    return _TextFacts(times, numbers, Counter(_canonical_dates_scans(text)) + Counter(times))
+
+
+def proper_noun_runs_scans(text: str) -> list[str]:
+    """Split into sentences, then walk every token of each one."""
+    runs: list[str] = []
+    for sentence in re.split(r"(?<=[.!?])\s+", text):
+        tokens = list(re.finditer(r"\S+", sentence))
+        current: list[str] = []
+
+        def flush() -> None:
+            if len(current) >= 2:
+                runs.append(" ".join(current))
+            elif len(current) == 1 and current[0] not in _MERIDIEMS:
+                runs.append(current[0])
+            current.clear()
+
+        prev_end = None
+        for i, m in enumerate(tokens):
+            word = m.group(0)
+            bare = word.strip(".,;:!?()'\"")
+            is_cap = bool(bare) and bare[0].isalpha() and bare[0].isupper()
+            adjacent = prev_end is not None and m.start() == prev_end + 1
+            if is_cap and i > 0:
+                if current and not adjacent:
+                    flush()
+                current.append(bare)
+            else:
+                flush()
+            if bare and not word.endswith(bare):
+                flush()
+            prev_end = m.end()
+        flush()
+    return runs
+
+
+def verify_preservation_scans(original: str, augmented: str) -> ConstraintReport:
+    """Both texts' facts extracted afresh, with the `\\b`-led patterns."""
+    orig, aug = _text_facts_scans(original), _text_facts_scans(augmented)
+    aug_times = iter(aug.times)
+    offending = {
+        ConstraintKind.NUMBERS: sorted((orig.numbers - aug.numbers).elements()),
+        ConstraintKind.DATES_TIMES: sorted((orig.dates_times - aug.dates_times).elements()),
+        ConstraintKind.PROPER_NOUNS: [r for r in proper_noun_runs_scans(original) if r not in augmented],
+        ConstraintKind.NO_NULL_MARKERS: [m.group(0) for m in SCAN_PATTERNS["NULL_MARKER_RE"].finditer(augmented)],
+        ConstraintKind.CHRONOLOGY: [t for t in orig.times if not any(t == a for a in aug_times)],
+    }
+    return ConstraintReport([ConstraintResult(k, not offending[k], offending[k]) for k in ConstraintKind])

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from crashlens import augment as augment_module
 from crashlens.augment import (
     SYSTEM_PROMPT,
     ConstraintKind,
@@ -16,6 +21,7 @@ from crashlens.augment import (
     augment_batch,
     verify_preservation,
 )
+from crashlens.augment import _proper_noun_runs
 
 ORIGINAL = (
     "On June 29, 2022, at 8:00 PM, a traffic accident occurred on Alternate "
@@ -250,3 +256,103 @@ def test_non_json_reply_falls_back_without_retrying(sleeps):
 def test_empty_completion_rejected():
     with pytest.raises(EmptyCompletionError):
         augment(ORIGINAL, StubChatClient(transform=lambda _: "   "), 0.1)
+
+
+def test_blank_narrative_falls_back_in_a_batch_but_raises_alone():
+    results = augment_batch([ORIGINAL, " \t\n", ORIGINAL], StubChatClient(), 0.1)
+    assert [text for text, _ in results] == [ORIGINAL, " \t\n", ORIGINAL]
+    blank = results[1][1]
+    assert not blank.passed and blank.results == [] and "narrative is empty" in blank.error
+    assert results[0][1].passed and results[2][1].passed
+    with pytest.raises(ValueError, match="narrative is empty"):
+        augment("   ", StubChatClient(), 0.1)
+
+
+# Texts made of what the verifier reads: clock forms (one inside a word,
+# one with seconds), dates in both forms, numbers, null markers in any case
+# and with punctuation, and capitalized words with leading or trailing
+# punctuation, a non-ASCII capital, a capital that is not a letter and a
+# sentence end glued to the next word; between them, any whitespace.
+_FACT_FRAGMENTS = [
+    "8:00 PM", "12:30:45 PM", "9:15pm", "10:05 a.m.", "a7:30", "7:30", "0:00", "99:99", "8 PM", "11AM", "5 p.m",
+    "June 29, 2022", "May  3,\t2021", "Mayday 3, 2021", "October 5, 2021", "August 1, 1999", "xMarch 2, 2002", "2022-06-29", "x2022-06-29", "12022-06-29",
+    "22.4", "1,234.5", "60", "007", "\u0663\u0660",
+    "N/A", "n/a.", "(N/A)", "UNKNOWN", "unknown,", "nan", "NaN", "nano",
+    "Route", "Ford", "Ford Focus.", "(Ford)", "(Ford", "Ford)", "'O'Brien", "\"Smith\"", "Élan", "élan", "ÉTAT",
+    "\u216b", "_Ford", "U.S.", "St. Mary", "Chelan,", "Washington", "The", "A", "AM", "PM", "Mr.",
+    "on", "the", "milepost", "Ford.Focus", "?", ".", "!", "(", "",
+]
+_SPACES = [" ", " ", "  ", "\t", "\n", " \n ", "\u00a0", ""]
+_texts = st.lists(st.tuples(st.sampled_from(_FACT_FRAGMENTS), st.sampled_from(_SPACES)), max_size=24).map(
+    lambda parts: "".join(f + w for f, w in parts)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts, st.one_of(st.none(), _texts))
+def test_verify_preservation_matches_the_scan_oracle(original, rewrite):
+    """The whole report, kinds and offending lists in order; `None` stands
+    for a rewrite equal to its original."""
+    augmented = original if rewrite is None else rewrite
+    assert verify_preservation(original, augmented) == oracles.verify_preservation_scans(original, augmented)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts)
+def test_proper_noun_runs_match_the_sentence_split_oracle(text):
+    assert _proper_noun_runs(text) == oracles.proper_noun_runs_scans(text)
+
+
+_pattern_text = st.lists(
+    st.one_of(
+        st.text(st.sampled_from("0123456789\u0663:-., \t\naApPmM_xé/"), min_size=1, max_size=8),
+        st.sampled_from(_FACT_FRAGMENTS + ["Jun", "NAN", "n/a/b", "xnan", "unknownx"]),
+        st.sampled_from(augment_module._MONTHS.split("|")).map(lambda month: f"{month} 9, 2020"),
+    ),
+    max_size=16,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pattern_text)
+def test_rewritten_patterns_find_what_their_word_boundary_forms_find(text):
+    for name, original in oracles.SCAN_PATTERNS.items():
+        rewritten = getattr(augment_module, name)
+        got = [(m.span(), m.groups()) for m in rewritten.finditer(text)]
+        assert got == [(m.span(), m.groups()) for m in original.finditer(text)], name
+
+
+@pytest.fixture(scope="module")
+def synth_narratives(tmp_path_factory):
+    """The descriptive texts of the seed-1 200-case synth corpus."""
+    from crashlens import narrator, schema, synth
+
+    corpus = tmp_path_factory.mktemp("synth") / "corpus"
+    synth.write_corpus(corpus, n_cases=200, seed=1)
+    tables = schema.load_tables(*(corpus / f"{t}.csv" for t in ("crashes", "segments", "vehicles", "persons")))
+    lexicon, templates = narrator.load_lexicon(), narrator.load_templates()
+    return [narrator.render(narrator.normalize(c, lexicon), templates).descriptive for c in schema.integrate(tables).cases]
+
+
+def _mutated(text: str, rng: random.Random) -> str:
+    """PM spelled p.m., a word with a digit dropped, a capitalized word
+    lowered and, now and then, a null marker added."""
+    words = text.replace("PM", "p.m.").split(" ")
+    del words[rng.choice([i for i, w in enumerate(words) if any(c.isdigit() for c in w)])]
+    i = rng.choice([i for i, w in enumerate(words) if w[:1].isupper()])
+    words[i] = words[i].lower()
+    if rng.random() < 0.2:
+        words.insert(rng.randrange(len(words)), "N/A")
+    return " ".join(words)
+
+
+def test_synth_narratives_verify_as_the_scan_oracle_does(synth_narratives):
+    rng = random.Random(1)
+    assert len(synth_narratives) == 200
+    failed = set()
+    for text in synth_narratives:
+        for augmented in (text, _mutated(text, rng)):
+            report = verify_preservation(text, augmented)
+            assert report == oracles.verify_preservation_scans(text, augmented)
+            failed.update(r.kind for r in report.failures)
+    assert failed == set(ConstraintKind)  # the mutations reach every check

@@ -991,3 +991,93 @@ def test_summaries_count_what_a_dead_endpoint_cost(pipeline, tmp_path, monkeypat
     analyze, evaluate = summaries[5], summaries[8]
     assert analyze["fallbacks"] == 0
     assert evaluate["failed_parses"] == 0
+
+
+def _write_narratives(path: Path, texts: list[str]) -> None:
+    atomic_write_jsonl(
+        path,
+        [
+            {"caseno": f"K{i}", "descriptive": text, "outcome": "", "label": "NoApparentOrMinor"}
+            for i, text in enumerate(texts)
+        ],
+    )
+
+
+def test_augment_blank_narrative_falls_back_alone(tmp_path):
+    narratives, out = tmp_path / "narratives.jsonl", tmp_path / "aug.jsonl"
+    _write_narratives(narratives, ["A crash on Route 9 at 8:00 PM.", "   ", "The road in Chelan was dry."])
+    code, summary = run_cli(["augment", "--offline", "--narratives", str(narratives), "--out", str(out)])
+    assert code == 0
+    assert json.loads(summary)["fallbacks"] == 1
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["caseno"] for r in records] == ["K0", "K1", "K2"]
+    assert [r["passed"] for r in records] == [True, False, True]
+    assert [r["error"] is not None for r in records] == [False, True, False]
+    assert records[1]["augmented"] == "   " and records[1]["failures"] == []
+
+
+def test_augment_summary_counts_failed_constraints(tmp_path, monkeypatch):
+    """A rewrite that drops one record's milepost fails NumbersPreserved
+    alone, and the summary counts it there and nowhere else."""
+    from crashlens import cli
+    from crashlens.augment import StubChatClient
+
+    narratives, out = tmp_path / "narratives.jsonl", tmp_path / "aug.jsonl"
+    texts = ["The crash was at milepost 22.4 on a dry road.", "The crash was at milepost 7 on a wet road."]
+    _write_narratives(narratives, texts)
+    drop = StubChatClient(transform=lambda user: user.replace("milepost 22.4", "the milepost"))
+    monkeypatch.setattr(cli, "_chat_client", lambda get: drop)
+    code, summary = run_cli(["augment", "--narratives", str(narratives), "--out", str(out)])
+    assert code == 0
+    doc = json.loads(summary)
+    assert doc["fallbacks"] == 1
+    assert doc["failed_constraints"] == {
+        "NumbersPreserved": 1,
+        "DatesTimesPreserved": 0,
+        "ProperNounsPreserved": 0,
+        "NoNullMarkers": 0,
+        "ChronologyPreserved": 0,
+    }
+    assert list(doc) == ["narratives", "fallbacks", "failed_constraints", "out"]
+
+
+def _attribution_lines(pipeline_dir: Path) -> list[str]:
+    return (pipeline_dir / "attr_occ.jsonl").read_text().splitlines(keepends=True)
+
+
+def _export_heatmap(attributions: Path, caseno: str, out: Path) -> list[str]:
+    return [
+        "export", "--kind", "heatmap", "--attributions", str(attributions), "--caseno", caseno, "--out", str(out),
+    ]
+
+
+def test_heatmap_export_stops_at_the_first_matching_record(pipeline, tmp_path):
+    """A malformed line after the case's record is never read, and the page
+    equals the one rendered from the whole, valid file."""
+    d, _ = pipeline
+    lines = _attribution_lines(d)
+    attributions = tmp_path / "attr.jsonl"
+    attributions.write_text("".join(lines[:2]) + "{not json\n" + "".join(lines[2:]))
+    caseno, out, whole = json.loads(lines[1])["caseno"], tmp_path / "heat.html", tmp_path / "whole.html"
+    assert run_cli(_export_heatmap(attributions, caseno, out))[0] == 0
+    assert run_cli(_export_heatmap(d / "attr_occ.jsonl", caseno, whole))[0] == 0
+    assert out.read_bytes() == whole.read_bytes()
+
+
+def test_heatmap_export_reports_a_malformed_line_before_the_match(pipeline, tmp_path, capsys):
+    d, _ = pipeline
+    lines = _attribution_lines(d)
+    attributions = tmp_path / "attr.jsonl"
+    attributions.write_text(lines[0] + "[1, 2]\n" + "".join(lines[1:]))
+    out = tmp_path / "heat.html"
+    err = _main_error(_export_heatmap(attributions, json.loads(lines[1])["caseno"], out), capsys)
+    assert err["error"] == "ParseError" and err["detail"].startswith("line 2:")
+    assert not out.exists()
+
+
+def test_heatmap_export_of_a_missing_caseno_is_a_cli_error(pipeline, tmp_path, capsys):
+    d, _ = pipeline
+    out = tmp_path / "heat.html"
+    err = _main_error(_export_heatmap(d / "attr_occ.jsonl", "NOPE", out), capsys)
+    assert err == {"error": "CliError", "detail": "caseno 'NOPE' not found in attributions"}
+    assert not out.exists()
