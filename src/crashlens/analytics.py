@@ -471,8 +471,6 @@ def _sankey_html(doc: Mapping) -> str:
         in_total[link["target"]] += link["count"]
     for link in doc["links"]:
         s, t = link["source"], link["target"]
-        if s not in geom or t not in geom:
-            continue
         sx, sy, sh = geom[s]
         tx, ty, th = geom[t]
         w_s = sh * link["count"] / max(out_total[s], 1)
@@ -489,8 +487,6 @@ def _sankey_html(doc: Mapping) -> str:
             f'stroke="{color}" stroke-width="{max((w_s + w_t) / 2, 1.0):.1f}" fill="none" opacity="0.35"/>'
         )
     for i, node in enumerate(doc["nodes"]):
-        if i not in geom:
-            continue
         x, y, h = geom[i]
         parts.append(
             f'<rect x="{x:.1f}" y="{y:.1f}" width="{col_w:.0f}" height="{h:.1f}" fill="{node["color"]}"/>'

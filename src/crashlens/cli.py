@@ -5,6 +5,11 @@ output files are written atomically. Errors surface as one JSON line on
 stderr with exit code 1; argparse keeps its usual exit code 2 for bad flags.
 Each stage imports its modules inside its `cmd_*` function, so a call loads
 only what its own stage runs and `--help` loads this module and `util` only.
+
+Every setting is declared once, in `SETTINGS`: its default and the commands
+that take it as a `--flag`. `main` fills each setting a flag left unset from
+the `--config` file, then from the default, so a `cmd_*` reads typed values
+from `args` alone.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import os
 import sys
 from contextlib import closing
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .util import (
     StrategyKind,
@@ -32,30 +37,33 @@ if TYPE_CHECKING:
 
 DEFAULT_TARGET_RATIO = 2654 / 1779
 
-_CONFIG_DEFAULTS: dict[str, object] = {
-    "lexicon": None,
-    "templates": None,
-    "grouping_rules": None,
-    "category_lexicon": None,
-    "column_maps": None,
-    "L": 100,
-    "b": 1,
-    "target_ratio": DEFAULT_TARGET_RATIO,
-    "temperature": 0.1,
-    "endpoint": "",
-    "offline": False,
-    "seed": 0,
-    "jobs": 1,
-    "display_divisor": 20.0,
-    "threshold_hi": 3.0,
-    "top_k": 5,
-    "dim": 32,
+# Every setting once: its default, the commands whose `--name` flag sets it
+# ("*" for all; underscores become dashes in the flag) and the flag's help if
+# it has one. A config file may give any setting.
+SETTINGS: dict[str, tuple] = {
+    "seed": (0, "*"),
+    "offline": (False, "*", "use the deterministic stub chat client"),
+    "jobs": (1, "*"),
+    "balance": (False, "ingest", "downsample the majority class"),
+    "target_ratio": (DEFAULT_TARGET_RATIO, "ingest"),
+    "column_maps": (None, ""),  # config file only
+    "lexicon": (None, "narrate"),
+    "templates": (None, "narrate"),
+    "dim": (32, "train-ref"),
     # the label is predicted from the final window, so it must be wide
     # enough to keep same-tail narratives with different labels apart
-    "window": 48,
-    "epochs": 60,
-    "lr": 0.05,
-    "balance": False,
+    "window": (48, "train-ref"),
+    "epochs": (60, "train-ref"),
+    "lr": (0.05, "train-ref"),
+    "L": (100, "attribute"),
+    "b": (1, "attribute"),
+    "display_divisor": (20.0, "attribute"),
+    "grouping_rules": (None, "analyze"),
+    "category_lexicon": (None, "analyze"),
+    "top_k": (5, "analyze"),
+    "threshold_hi": (3.0, "export"),
+    "temperature": (0.1, "augment eval"),
+    "endpoint": ("", "augment analyze eval"),
 }
 
 
@@ -63,10 +71,23 @@ class CliError(Exception):
     pass
 
 
+def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
+    """The `--name` flags of the settings `command` takes; each defaults to
+    None so that `main` can tell an unset flag from a given one."""
+    for key, (default, commands, *help) in SETTINGS.items():
+        if command not in commands.split():
+            continue
+        if isinstance(default, bool):
+            kind: dict = {"action": "store_true"}
+        else:
+            kind = {"type": str if default is None else type(default)}
+        parser.add_argument("--" + key.replace("_", "-"), default=None, help=next(iter(help), None), **kind)
+
+
 def _config_types(key: str) -> tuple[type, ...]:
     """The types a config file may give `key`: its default's, with an int
     allowed for a float; the data-file paths are strings."""
-    default = _CONFIG_DEFAULTS[key]
+    default = SETTINGS[key][0]
     if key == "column_maps":
         return (dict,)
     if default is None:
@@ -87,8 +108,8 @@ def _check_column_maps(maps: dict) -> None:
 
 def load_config(path: Optional[str]) -> dict[str, object]:
     """Defaults, overlaid with the YAML config; unknown keys and values of
-    the wrong type are fatal."""
-    cfg = dict(_CONFIG_DEFAULTS)
+    the wrong type are fatal, and an int given for a float is a float."""
+    cfg = {key: setting[0] for key, setting in SETTINGS.items()}
     if path is None:
         return cfg
     import yaml
@@ -97,7 +118,7 @@ def load_config(path: Optional[str]) -> dict[str, object]:
     if not isinstance(doc, dict):
         raise CliError(f"config {path} must be a mapping")
     for key, value in doc.items():
-        if key not in _CONFIG_DEFAULTS:
+        if key not in SETTINGS:
             raise CliError(f"unknown config key {key!r}")
         types = _config_types(key)
         # bool is an int subclass: a bool fits only a bool default, and only a bool does
@@ -106,19 +127,8 @@ def load_config(path: Optional[str]) -> dict[str, object]:
             raise CliError(f"config key {key!r} must be {names}, not {type(value).__name__}")
         if key == "column_maps":
             _check_column_maps(value)
-        cfg[key] = value
+        cfg[key] = float(value) if float in types else value
     return cfg
-
-
-def _getter(args: argparse.Namespace, cfg: dict[str, object]) -> Callable[[str], object]:
-    # explicitly passed flags win over the config file, which wins over defaults
-    def get(key: str) -> object:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        return cfg.get(key)
-
-    return get
 
 
 def _emit(summary: dict) -> None:
@@ -136,29 +146,28 @@ def _read_jsonl(path: str | Path) -> list[dict]:
     return read_jsonl(path, _attribution_record)
 
 
-def _chat_client(get: Callable[[str], object]) -> ChatClient:
+def _chat_client(args: argparse.Namespace) -> ChatClient:
     from .augment import HttpChatClient, StubChatClient
 
-    if get("offline"):
+    if args.offline:
         return StubChatClient()
-    endpoint = str(get("endpoint") or "")
-    if not endpoint and not os.environ.get("CRASHLENS_CHAT_ENDPOINT"):
+    if not args.endpoint and not os.environ.get("CRASHLENS_CHAT_ENDPOINT"):
         raise CliError("no chat endpoint configured; pass --offline to use the stub client")
-    return HttpChatClient(endpoint=endpoint or None)
+    return HttpChatClient(endpoint=args.endpoint or None)
 
 
-def cmd_ingest(args: argparse.Namespace, get: Callable[[str], object]) -> int:
+def cmd_ingest(args: argparse.Namespace) -> int:
     from . import schema
 
-    if get("balance"):  # a bad ratio fails before the tables load
-        schema.check_target_ratio(float(get("target_ratio")))
+    if args.balance:  # a bad ratio fails before the tables load
+        schema.check_target_ratio(args.target_ratio)
     tables = schema.load_tables(
-        args.crashes, args.segments, args.vehicles, args.persons, column_maps=get("column_maps")
+        args.crashes, args.segments, args.vehicles, args.persons, column_maps=args.column_maps
     )
     result = schema.integrate(tables)
     cases = result.cases
-    if get("balance"):
-        cases = schema.stratified_downsample(cases, float(get("target_ratio")), int(get("seed")))
+    if args.balance:
+        cases = schema.stratified_downsample(cases, args.target_ratio, args.seed)
     atomic_write_jsonl(args.out, [schema.case_to_dict(c) for c in cases])
     _emit(
         {
@@ -174,12 +183,12 @@ def cmd_ingest(args: argparse.Namespace, get: Callable[[str], object]) -> int:
     return 0
 
 
-def cmd_narrate(args: argparse.Namespace, get: Callable[[str], object]) -> int:
+def cmd_narrate(args: argparse.Namespace) -> int:
     from . import narrator, schema
 
     cases = schema.deserialize_cases(args.cases)
-    lexicon = narrator.load_lexicon(get("lexicon"))
-    templates = narrator.load_templates(get("templates"))
+    lexicon = narrator.load_lexicon(args.lexicon)
+    templates = narrator.load_templates(args.templates)
     pairs = []
     n_warnings = 0
     for case in cases:
@@ -191,21 +200,18 @@ def cmd_narrate(args: argparse.Namespace, get: Callable[[str], object]) -> int:
     return 0
 
 
-def cmd_augment(args: argparse.Namespace, get: Callable[[str], object]) -> int:
+def cmd_augment(args: argparse.Namespace) -> int:
     from .augment import ConstraintKind, augment_batch
     from .narrator import read_pairs
 
     pairs = read_pairs(args.narratives)
-    client = _chat_client(get)
-    results = augment_batch(
-        [p.descriptive for p in pairs], client, float(get("temperature")), jobs=int(get("jobs") or 1)
-    )
+    client = _chat_client(args)
+    results = augment_batch([p.descriptive for p in pairs], client, args.temperature, jobs=args.jobs)
     records = []
     fallbacks = 0
     failed = dict.fromkeys((kind.value for kind in ConstraintKind), 0)
     for pair, (text, report) in zip(pairs, results):
-        ok = report.error is None and report.passed
-        if not ok:
+        if not report.passed:
             fallbacks += 1
         for r in report.failures:
             failed[r.kind.value] += 1
@@ -214,7 +220,7 @@ def cmd_augment(args: argparse.Namespace, get: Callable[[str], object]) -> int:
                 "caseno": pair.caseno,
                 "original": pair.descriptive,
                 "augmented": text,
-                "passed": ok,
+                "passed": report.passed,
                 "failures": [
                     {"constraint": r.kind.value, "offending": r.offending}
                     for r in report.failures
@@ -229,12 +235,11 @@ def cmd_augment(args: argparse.Namespace, get: Callable[[str], object]) -> int:
     return 0
 
 
-def cmd_train_ref(args: argparse.Namespace, get: Callable[[str], object]) -> int:
+def cmd_train_ref(args: argparse.Namespace) -> int:
     from . import refmodel
     from .narrator import read_pairs
 
-    seed = int(get("seed"))
-    config = refmodel.TrainConfig(lr=float(get("lr")), epochs=int(get("epochs")), seed=seed)
+    config = refmodel.TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed)
     pairs = read_pairs(args.narratives)
     if not pairs:
         raise CliError("no narratives to train on")
@@ -243,9 +248,7 @@ def cmd_train_ref(args: argparse.Namespace, get: Callable[[str], object]) -> int
     for pair in pairs:
         context = (refmodel.BOS_ID, *tokenizer.encode(pair.descriptive))
         examples.append(refmodel.TrainingExample(context, tokenizer.label_id(pair.label)))
-    model = refmodel.TinyLM.init(
-        tokenizer.size, dim=int(get("dim")), window=int(get("window")), seed=seed
-    )
+    model = refmodel.TinyLM.init(tokenizer.size, dim=args.dim, window=args.window, seed=args.seed)
     trained = refmodel.train(model, examples, config)
     trained.save(args.out_model)
     tokenizer.save(args.out_tokenizer)
@@ -261,8 +264,8 @@ def cmd_train_ref(args: argparse.Namespace, get: Callable[[str], object]) -> int
     return 0
 
 
-def cmd_attribute(args: argparse.Namespace, get: Callable[[str], object]) -> int:
-    L, b, divisor = int(get("L")), int(get("b")), float(get("display_divisor"))
+def cmd_attribute(args: argparse.Namespace) -> int:
+    L, b, divisor = args.L, args.b, args.display_divisor
     # b >= L would zero every score, and an infinite divisor every annotation
     if not (L >= 1 and 0 <= b < L and 0 < divisor < float("inf")):
         raise ValueError(
@@ -302,17 +305,16 @@ def cmd_attribute(args: argparse.Namespace, get: Callable[[str], object]) -> int
     return 0
 
 
-def cmd_analyze(args: argparse.Namespace, get: Callable[[str], object]) -> int:
-    top_k = int(get("top_k"))
-    if top_k < 1:  # terms[:k] would silently drop every factor
-        raise ValueError(f"need top_k >= 1; got {top_k}")
+def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.top_k < 1:  # terms[:k] would silently drop every factor
+        raise ValueError(f"need top_k >= 1; got {args.top_k}")
     from . import analytics
     from .augment import bounded_map
 
     records = _read_jsonl(args.attributions)
-    rules = analytics.load_grouping_rules(get("grouping_rules"))
-    lexicon = analytics.load_category_lexicon(get("category_lexicon"))
-    client = None if get("offline") else _chat_client(get)
+    rules = analytics.load_grouping_rules(args.grouping_rules)
+    lexicon = analytics.load_category_lexicon(args.category_lexicon)
+    client = None if args.offline else _chat_client(args)
 
     def summarize(rec: dict) -> analytics.FactorSummary:
         if client is None:
@@ -322,11 +324,11 @@ def cmd_analyze(args: argparse.Namespace, get: Callable[[str], object]) -> int:
             rec["annotated"], client, caseno=rec["caseno"], category_lexicon=lexicon
         )
 
-    summaries = bounded_map(summarize, records, int(get("jobs") or 1))
+    summaries = bounded_map(summarize, records, args.jobs)
     out_records = []
     per_case_grouped = []
     for rec, summary in zip(records, summaries):
-        top = analytics.extract_top_factors(summary, k=top_k)
+        top = analytics.extract_top_factors(summary, k=args.top_k)
         grouped = analytics.semantic_group(top, rules)
         per_case_grouped.append(grouped)
         out_records.append(
@@ -361,7 +363,7 @@ def cmd_analyze(args: argparse.Namespace, get: Callable[[str], object]) -> int:
     return 0
 
 
-def cmd_export(args: argparse.Namespace, get: Callable[[str], object]) -> int:
+def cmd_export(args: argparse.Namespace) -> int:
     from . import analytics
 
     if args.kind == "sankey":
@@ -381,19 +383,19 @@ def cmd_export(args: argparse.Namespace, get: Callable[[str], object]) -> int:
         return 0
     if not args.attributions or not args.caseno:
         raise CliError("--attributions and --caseno are required for heatmap export")
+    if not args.threshold_hi > 0:  # an unscored word scores 0, so it would be red
+        raise ValueError(f"need threshold_hi > 0; got {args.threshold_hi}")
     # the first record for the case; the lines after it are not read
     with closing(iter_jsonl(args.attributions, _attribution_record)) as records:
         rec = next((r for r in records if r["caseno"] == args.caseno), None)
     if rec is None:
         raise CliError(f"caseno {args.caseno!r} not found in attributions")
-    analytics.export_heatmap(
-        rec["annotated"], float(get("threshold_hi")), args.out, caseno=args.caseno
-    )
+    analytics.export_heatmap(rec["annotated"], args.threshold_hi, args.out, caseno=args.caseno)
     _emit({"kind": "heatmap", "caseno": args.caseno, "out": str(args.out)})
     return 0
 
 
-def cmd_eval(args: argparse.Namespace, get: Callable[[str], object]) -> int:
+def cmd_eval(args: argparse.Namespace) -> int:
     from . import evaluation
     from .narrator import read_pairs
     from .schema import Severity
@@ -418,13 +420,9 @@ def cmd_eval(args: argparse.Namespace, get: Callable[[str], object]) -> int:
         eval_pairs = pairs
     if not eval_pairs:
         raise CliError("no narratives left to evaluate")
-    client = _chat_client(get)
+    client = _chat_client(args)
     predictions, golds = evaluation.run_evaluation(
-        eval_pairs,
-        strategy,
-        client,
-        temperature=float(get("temperature")),
-        jobs=int(get("jobs") or 1),
+        eval_pairs, strategy, client, temperature=args.temperature, jobs=args.jobs
     )
     report = evaluation.compute_metrics(predictions, golds)
     atomic_write_jsonl(
@@ -468,7 +466,7 @@ def cmd_eval(args: argparse.Namespace, get: Callable[[str], object]) -> int:
     return 0
 
 
-def cmd_build_sft(args: argparse.Namespace, get: Callable[[str], object]) -> int:
+def cmd_build_sft(args: argparse.Namespace) -> int:
     from . import evaluation
     from .narrator import read_pairs
 
@@ -482,9 +480,7 @@ def cmd_build_sft(args: argparse.Namespace, get: Callable[[str], object]) -> int
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="YAML config file; explicit flags override it")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--offline", action="store_true", default=None, help="use the deterministic stub chat client")
-    common.add_argument("--jobs", type=int, default=None)
+    _add_settings(common, "*")
 
     parser = argparse.ArgumentParser(prog="crashlens", description="Crash narrative pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -495,32 +491,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vehicles", required=True)
     p.add_argument("--persons", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--balance", action="store_true", default=None, help="downsample the majority class")
-    p.add_argument("--target-ratio", dest="target_ratio", type=float, default=None)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("narrate", parents=[common], help="render cases into narrative pairs")
     p.add_argument("--cases", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lexicon", default=None)
-    p.add_argument("--templates", default=None)
     p.set_defaults(func=cmd_narrate)
 
     p = sub.add_parser("augment", parents=[common], help="constrained narrative rewrites")
     p.add_argument("--narratives", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--endpoint", default=None)
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("train-ref", parents=[common], help="train the reference classifier")
     p.add_argument("--narratives", required=True)
     p.add_argument("--out-model", dest="out_model", required=True)
     p.add_argument("--out-tokenizer", dest="out_tokenizer", required=True)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
     p.set_defaults(func=cmd_train_ref)
 
     p = sub.add_parser("attribute", parents=[common], help="token attribution for model decisions")
@@ -530,19 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--method", choices=["occlusion", "taylor"], required=True)
     p.add_argument("--caseno", default=None, help="restrict to one case")
-    p.add_argument("--L", dest="L", type=int, default=None)
-    p.add_argument("--b", dest="b", type=int, default=None)
-    p.add_argument("--display-divisor", dest="display_divisor", type=float, default=None)
     p.set_defaults(func=cmd_attribute)
 
     p = sub.add_parser("analyze", parents=[common], help="factor summaries, grouping, co-occurrence")
     p.add_argument("--attributions", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--graph-out", dest="graph_out", default=None)
-    p.add_argument("--grouping-rules", dest="grouping_rules", default=None)
-    p.add_argument("--category-lexicon", dest="category_lexicon", default=None)
-    p.add_argument("--top-k", dest="top_k", type=int, default=None)
-    p.add_argument("--endpoint", default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("export", parents=[common], help="render sankey or heatmap HTML")
@@ -551,7 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", default=None)
     p.add_argument("--attributions", default=None)
     p.add_argument("--caseno", default=None)
-    p.add_argument("--threshold-hi", dest="threshold_hi", type=float, default=None)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("eval", parents=[common], help="prompted severity classification")
@@ -559,8 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=[k.value for k in StrategyKind], required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--metrics-out", dest="metrics_out", default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--endpoint", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("build-sft", parents=[common], help="masked fine-tuning dataset")
@@ -568,6 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_sft)
 
+    # each command's own settings follow its other flags
+    for name, p in sub.choices.items():
+        _add_settings(p, name)
     return parser
 
 
@@ -597,8 +576,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        return args.func(args, _getter(args, cfg))
+        # a flag wins over the config file, which wins over the default
+        for key, value in load_config(args.config).items():
+            if getattr(args, key, None) is None:
+                setattr(args, key, value)
+        return args.func(args)
     except _handled() as exc:
         print(
             json.dumps({"error": type(exc).__name__, "detail": str(exc)}, ensure_ascii=False),

@@ -254,21 +254,6 @@ def grad_prob_wrt_hidden(model: TinyLM, p: np.ndarray, target: int) -> np.ndarra
     return p[target] * (model.output_weights[:, target] - model.output_weights @ p)
 
 
-def grad_prob_wrt_embeddings(model: TinyLM, context: Sequence[int], target: int) -> np.ndarray:
-    """Analytic gradient of prob() w.r.t. each context position's embedding,
-    one row per position (one `<bos>` row for an empty context).
-
-    With h = sum_j a_j e_j over the window, dp_t/de_j = a_j * dp_t/dh
-    (`grad_prob_wrt_hidden`). Positions that fell out of the window get
-    exact zero rows.
-    """
-    k = len(model.window_of(context))
-    grads = np.zeros((max(len(context), 1), model.dim))
-    g_hidden = grad_prob_wrt_hidden(model, model.distribution(context), target)
-    grads[len(grads) - k :] = model.position_weights[:k, None] * g_hidden
-    return grads
-
-
 def _corpus_nll(model: TinyLM, windows: Sequence[np.ndarray], targets: np.ndarray) -> float:
     """Mean NLL of each window's target, scored in one output matmul."""
     probs = model._softmax_rows(np.stack([model.hidden(window) for window in windows]))

@@ -5,12 +5,14 @@ a library routine: `distribution_given_window` for the pooled forward of
 `refmodel.TinyLM`, `train_loop` and `corpus_nll_loop` for `refmodel.train`,
 `occlusion_loop` and `occlusion_variants` (which scores each distinct window
 the deletions leave) for `attribution.occlusion_importance`, `taylor_loop`
-for `attribution.taylor_importance` and `normalize_scores_bruteforce` for
-`attribution.normalize_scores`. `parse_annotated_scans` is the three-scan
-`util.parse_annotated`, `rule_based_factors_loop` matches every keyword of
-every word as `analytics.rule_based_factors` did before its lexicon
-memoized terms, and `SANKEY_SCHEMA` is the JSON Schema that, with its node
-range check, `analytics.validate_sankey` must agree with.
+for `attribution.taylor_importance` (through `grad_prob_wrt_embeddings`,
+the gradient of `refmodel.prob` w.r.t. each position's embedding) and
+`normalize_scores_bruteforce` for `attribution.normalize_scores`.
+`parse_annotated_scans` is the three-scan `util.parse_annotated`,
+`rule_based_factors_loop` matches every keyword of every word as
+`analytics.rule_based_factors` did before its lexicon memoized terms, and
+`SANKEY_SCHEMA` is the JSON Schema that, with its node range check,
+`analytics.validate_sankey` must agree with.
 `fact_values` lists what `narrator.render` must voice for a case.
 `verify_preservation_scans` is `augment.verify_preservation` as it was
 before its patterns became digit-led and its proper-noun pass visited only
@@ -53,7 +55,7 @@ from crashlens.refmodel import (
     TrainConfig,
     TrainingDivergedError,
     TrainingExample,
-    grad_prob_wrt_embeddings,
+    grad_prob_wrt_hidden,
     prob,
 )
 from crashlens.util import NULL_MARKERS, WordAttribution, strip_annotations
@@ -78,6 +80,21 @@ def distribution_given_window(model: TinyLM, window_embs: np.ndarray) -> np.ndar
     logits = logits - logits.max()
     exp = np.exp(logits)
     return exp / exp.sum()
+
+
+def grad_prob_wrt_embeddings(model: TinyLM, context: Sequence[int], target: int) -> np.ndarray:
+    """Analytic gradient of prob() w.r.t. each context position's embedding,
+    one row per position (one `<bos>` row for an empty context).
+
+    With h = sum_j a_j e_j over the window, dp_t/de_j = a_j * dp_t/dh
+    (`grad_prob_wrt_hidden`). Positions that fell out of the window get
+    exact zero rows.
+    """
+    k = len(model.window_of(context))
+    grads = np.zeros((max(len(context), 1), model.dim))
+    g_hidden = grad_prob_wrt_hidden(model, model.distribution(context), target)
+    grads[len(grads) - k :] = model.position_weights[:k, None] * g_hidden
+    return grads
 
 
 def corpus_nll_loop(model: TinyLM, examples: Sequence[TrainingExample]) -> float:

@@ -38,7 +38,7 @@ from crashlens.evaluation import (
     render_sft,
 )
 from crashlens.narrator import load_lexicon, load_templates, normalize, render
-from crashlens.refmodel import BOS_ID, TinyLM, grad_prob_wrt_embeddings
+from crashlens.refmodel import BOS_ID, TinyLM
 from crashlens.schema import (
     CrashRecord,
     RoadSegment,
@@ -48,7 +48,7 @@ from crashlens.schema import (
     stratified_downsample,
 )
 from tablegen import random_tables, severity_cases
-from oracles import fact_values, normalize_scores_bruteforce
+from oracles import fact_values, grad_prob_wrt_embeddings, normalize_scores_bruteforce
 from test_refmodel import fd_gradient
 
 FIXTURES = Path(__file__).parent / "fixtures" / "prompts"

@@ -459,7 +459,7 @@ def test_analyze_jobs_match_serial_and_fall_back_per_record(pipeline, tmp_path, 
     d, _ = pipeline
     probes = []
 
-    def client(get):
+    def client(args):
         probes.append(OverlapProbe(StubChatClient(transform=_factor_reply)))
         return probes[-1]
 
@@ -497,7 +497,7 @@ def test_eval_unavailable_case_costs_only_that_case(pipeline, tmp_path, monkeypa
             raise UnavailableError("transport failed after 4 attempts")
         return "Serious injury or fatal"
 
-    monkeypatch.setattr(cli, "_chat_client", lambda get: StubChatClient(transform=answer))
+    monkeypatch.setattr(cli, "_chat_client", lambda args: StubChatClient(transform=answer))
     out = tmp_path / "pred.jsonl"
     code, summary = run_cli(
         ["eval", "--narratives", str(d / "narratives.jsonl"), "--strategy", "zs", "--out", str(out)]
@@ -977,7 +977,7 @@ def test_summaries_count_what_a_dead_endpoint_cost(pipeline, tmp_path, monkeypat
     def down(user: str) -> str:
         raise UnavailableError("transport failed after 4 attempts")
 
-    monkeypatch.setattr(cli, "_chat_client", lambda get: StubChatClient(transform=down))
+    monkeypatch.setattr(cli, "_chat_client", lambda args: StubChatClient(transform=down))
     code, out = run_cli(
         ["eval", "--narratives", str(d / "narratives.jsonl"), "--strategy", "zs", "--out", str(tmp_path / "p.jsonl")]
     )
@@ -1026,7 +1026,7 @@ def test_augment_summary_counts_failed_constraints(tmp_path, monkeypatch):
     texts = ["The crash was at milepost 22.4 on a dry road.", "The crash was at milepost 7 on a wet road."]
     _write_narratives(narratives, texts)
     drop = StubChatClient(transform=lambda user: user.replace("milepost 22.4", "the milepost"))
-    monkeypatch.setattr(cli, "_chat_client", lambda get: drop)
+    monkeypatch.setattr(cli, "_chat_client", lambda args: drop)
     code, summary = run_cli(["augment", "--narratives", str(narratives), "--out", str(out)])
     assert code == 0
     doc = json.loads(summary)
@@ -1081,3 +1081,212 @@ def test_heatmap_export_of_a_missing_caseno_is_a_cli_error(pipeline, tmp_path, c
     err = _main_error(_export_heatmap(d / "attr_occ.jsonl", "NOPE", out), capsys)
     assert err == {"error": "CliError", "detail": "caseno 'NOPE' not found in attributions"}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["0", "-1", "nan"])
+def test_heatmap_threshold_at_or_below_zero_is_value_error(pipeline, tmp_path, capsys, threshold):
+    """An unscored word scores 0, so a threshold at or below 0 would paint
+    every word red, and nan would paint none."""
+    d, _ = pipeline
+    out = tmp_path / "heat.html"
+    argv = _export_heatmap(d / "attr_occ.jsonl", "C0001", out) + ["--threshold-hi", threshold]
+    err = _main_error(argv, capsys)
+    assert err == {"error": "ValueError", "detail": f"need threshold_hi > 0; got {float(threshold)}"}
+    assert not out.exists()
+
+
+def test_heatmap_infinite_threshold_paints_no_word_red(pipeline, tmp_path):
+    d, _ = pipeline
+    out = tmp_path / "heat.html"
+    assert run_cli(_export_heatmap(d / "attr_occ.jsonl", "C0001", out) + ["--threshold-hi", "inf"])[0] == 0
+    page = out.read_text()
+    assert 'class="hi"' not in page and 'class="mid"' in page
+
+
+# Each command's flags as (dest, type, action), recorded from the parser
+# before its settings flags came from one table; a flag without a type
+# passes its text through, as `str` does.
+_STORE, _STORE_TRUE = "_StoreAction", "_StoreTrueAction"
+_COMMON_FLAGS = {
+    "--config": ("config", "str", _STORE),
+    "--seed": ("seed", "int", _STORE),
+    "--offline": ("offline", None, _STORE_TRUE),
+    "--jobs": ("jobs", "int", _STORE),
+}
+CLI_SURFACE = {
+    "ingest": {
+        "--crashes": ("crashes", "str", _STORE),
+        "--segments": ("segments", "str", _STORE),
+        "--vehicles": ("vehicles", "str", _STORE),
+        "--persons": ("persons", "str", _STORE),
+        "--out": ("out", "str", _STORE),
+        "--balance": ("balance", None, _STORE_TRUE),
+        "--target-ratio": ("target_ratio", "float", _STORE),
+    },
+    "narrate": {
+        "--cases": ("cases", "str", _STORE),
+        "--out": ("out", "str", _STORE),
+        "--lexicon": ("lexicon", "str", _STORE),
+        "--templates": ("templates", "str", _STORE),
+    },
+    "augment": {
+        "--narratives": ("narratives", "str", _STORE),
+        "--out": ("out", "str", _STORE),
+        "--temperature": ("temperature", "float", _STORE),
+        "--endpoint": ("endpoint", "str", _STORE),
+    },
+    "train-ref": {
+        "--narratives": ("narratives", "str", _STORE),
+        "--out-model": ("out_model", "str", _STORE),
+        "--out-tokenizer": ("out_tokenizer", "str", _STORE),
+        "--dim": ("dim", "int", _STORE),
+        "--window": ("window", "int", _STORE),
+        "--epochs": ("epochs", "int", _STORE),
+        "--lr": ("lr", "float", _STORE),
+    },
+    "attribute": {
+        "--narratives": ("narratives", "str", _STORE),
+        "--model": ("model", "str", _STORE),
+        "--tokenizer": ("tokenizer", "str", _STORE),
+        "--out": ("out", "str", _STORE),
+        "--method": ("method", "str", _STORE),
+        "--caseno": ("caseno", "str", _STORE),
+        "--L": ("L", "int", _STORE),
+        "--b": ("b", "int", _STORE),
+        "--display-divisor": ("display_divisor", "float", _STORE),
+    },
+    "analyze": {
+        "--attributions": ("attributions", "str", _STORE),
+        "--out": ("out", "str", _STORE),
+        "--graph-out": ("graph_out", "str", _STORE),
+        "--grouping-rules": ("grouping_rules", "str", _STORE),
+        "--category-lexicon": ("category_lexicon", "str", _STORE),
+        "--top-k": ("top_k", "int", _STORE),
+        "--endpoint": ("endpoint", "str", _STORE),
+    },
+    "export": {
+        "--kind": ("kind", "str", _STORE),
+        "--out": ("out", "str", _STORE),
+        "--graph": ("graph", "str", _STORE),
+        "--attributions": ("attributions", "str", _STORE),
+        "--caseno": ("caseno", "str", _STORE),
+        "--threshold-hi": ("threshold_hi", "float", _STORE),
+    },
+    "eval": {
+        "--narratives": ("narratives", "str", _STORE),
+        "--strategy": ("strategy", "str", _STORE),
+        "--out": ("out", "str", _STORE),
+        "--metrics-out": ("metrics_out", "str", _STORE),
+        "--temperature": ("temperature", "float", _STORE),
+        "--endpoint": ("endpoint", "str", _STORE),
+    },
+    "build-sft": {
+        "--narratives": ("narratives", "str", _STORE),
+        "--out": ("out", "str", _STORE),
+    },
+}
+
+
+def test_every_command_keeps_its_flags():
+    import argparse
+
+    from crashlens.cli import build_parser
+
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: {
+            option: (a.dest, None if a.nargs == 0 else (a.type or str).__name__, type(a).__name__)
+            for a in command._actions
+            if not isinstance(a, argparse._HelpAction)
+            for option in a.option_strings
+        }
+        for name, command in sub.choices.items()
+    }
+    assert surface == {name: {**_COMMON_FLAGS, **flags} for name, flags in CLI_SURFACE.items()}
+
+
+# Each setting as (config text, config value, flag text, flag value); a
+# store_true flag has no text. column_maps has no flag.
+_SETTING_VALUES = {
+    "seed": ("3", 3, "4", 4),
+    "offline": ("true", True, None, True),
+    "jobs": ("3", 3, "2", 2),
+    "balance": ("true", True, None, True),
+    "target_ratio": ("2", 2.0, "1.5", 1.5),
+    "column_maps": ("{crash: {date: CRASH_DATE}}", {"crash": {"date": "CRASH_DATE"}}, None, None),
+    "lexicon": ("a.yaml", "a.yaml", "b.yaml", "b.yaml"),
+    "templates": ("a.yaml", "a.yaml", "b.yaml", "b.yaml"),
+    "dim": ("16", 16, "8", 8),
+    "window": ("64", 64, "400", 400),
+    "epochs": ("3", 3, "5", 5),
+    "lr": ("1", 1.0, "0.005", 0.005),
+    "L": ("50", 50, "20", 20),
+    "b": ("0", 0, "2", 2),
+    "display_divisor": ("10", 10.0, "2.5", 2.5),
+    "grouping_rules": ("a.yaml", "a.yaml", "b.yaml", "b.yaml"),
+    "category_lexicon": ("a.yaml", "a.yaml", "b.yaml", "b.yaml"),
+    "top_k": ("3", 3, "7", 7),
+    "threshold_hi": ("4", 4.0, "inf", float("inf")),
+    "temperature": ("0", 0.0, "0.7", 0.7),
+    "endpoint": ("http://localhost:1/v1", "http://localhost:1/v1", "http://localhost:2/v1", "http://localhost:2/v1"),
+}
+
+# what each command's parser requires besides its settings
+_REQUIRED_FLAGS = {
+    "ingest": ["--crashes", "c", "--segments", "s", "--vehicles", "v", "--persons", "p", "--out", "o"],
+    "narrate": ["--cases", "c", "--out", "o"],
+    "augment": ["--narratives", "n", "--out", "o"],
+    "train-ref": ["--narratives", "n", "--out-model", "m", "--out-tokenizer", "t"],
+    "attribute": ["--narratives", "n", "--model", "m", "--tokenizer", "t", "--out", "o", "--method", "taylor"],
+    "analyze": ["--attributions", "a", "--out", "o"],
+    "export": ["--kind", "heatmap", "--out", "o"],
+    "eval": ["--narratives", "n", "--strategy", "zs", "--out", "o"],
+    "build-sft": ["--narratives", "n", "--out", "o"],
+}
+
+_SETTING_FLAGS = [
+    (command, option, dest)
+    for command, flags in CLI_SURFACE.items()
+    for option, (dest, _, _) in {**_COMMON_FLAGS, **flags}.items()
+    if dest in _SETTING_VALUES
+] + [("ingest", None, "column_maps")]
+
+
+@pytest.mark.parametrize(
+    "command, option, key", _SETTING_FLAGS, ids=[f"{c}-{k}" for c, _, k in _SETTING_FLAGS]
+)
+def test_each_setting_reaches_its_stage_from_flag_then_config_then_default(
+    tmp_path, monkeypatch, command, option, key
+):
+    """The stage's `args` holds the default with neither flag nor config,
+    the config file's value (an int given for a float arrives as a float)
+    without the flag, and the flag's value with both."""
+    from crashlens import cli
+
+    config_text, config_value, flag_text, flag_value = _SETTING_VALUES[key]
+    seen = []
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), lambda args: seen.append(getattr(args, key)) or 0)
+
+    def run(config: str | None, *flag: str) -> None:
+        argv = [command, *_REQUIRED_FLAGS[command], *flag]
+        if config is not None:
+            path = tmp_path / "cfg.yaml"
+            path.write_text(f"{key}: {config}\n")
+            argv += ["--config", str(path)]
+        assert cli.main(argv) == 0
+
+    run(None)
+    run(config_text)
+    expected = [cli.SETTINGS[key][0], config_value]
+    if option is not None:
+        # a store_true flag can only say true, so it must win over a false in the file
+        run("false" if flag_text is None else config_text, option, *([] if flag_text is None else [flag_text]))
+        expected.append(flag_value)
+    assert seen == expected
+    assert [type(v) for v in seen] == [type(v) for v in expected]
+
+
+def test_every_setting_has_a_precedence_case():
+    from crashlens.cli import SETTINGS
+
+    assert {key for _, _, key in _SETTING_FLAGS} == set(_SETTING_VALUES) == set(SETTINGS)

@@ -17,13 +17,12 @@ from crashlens.refmodel import (
     TrainingExample,
     _corpus_nll,
     classify,
-    grad_prob_wrt_embeddings,
     label_token,
     prob,
     train,
 )
 from crashlens.schema import Severity
-from oracles import distribution_given_window, train_loop
+from oracles import distribution_given_window, grad_prob_wrt_embeddings, train_loop
 
 
 def fd_gradient(model: TinyLM, context: list[int], target: int, step: float = 1e-4):
