@@ -9,17 +9,17 @@ text so factual integrity never regresses.
 from __future__ import annotations
 
 import enum
+import json
 import os
 import re
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence, TypeVar
+from typing import Callable, Optional, Protocol, Sequence, TypeVar
+from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
 from .util import NULL_MARKERS
-
-if TYPE_CHECKING:
-    import requests
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -93,6 +93,8 @@ class ChatClient(Protocol):
 # HttpChatClient's transport retries: attempts, sleeping BACKOFF_BASE_S * 2**k between them
 MAX_ATTEMPTS = 4
 BACKOFF_BASE_S = 0.5
+# after this many sends in a row used up their attempts, a client sends no more
+BREAKER_AFTER = 3
 
 
 class StubChatClient:
@@ -112,11 +114,21 @@ class StubChatClient:
 
 
 class HttpChatClient:
-    """Minimal chat-completion client (system/user roles, temperature).
+    """Minimal chat-completion client (system/user roles, temperature) over
+    the standard library's `http.client`.
 
+    Each thread keeps one keep-alive connection for all its sends, so a
+    `bounded_map` over `jobs` threads holds at most `jobs` connections.
     Transport failures and 5xx replies are retried MAX_ATTEMPTS times in all;
     a 4xx reply or a malformed body fails at once, since a retry would get
-    the same answer.
+    the same answer. A reused connection that the server closed while idle
+    fails before any reply; the request then goes again at once on a fresh
+    connection, and that is not an attempt. Once BREAKER_AFTER sends in a
+    row have used up their attempts, the endpoint counts as dead and each
+    later send fails at once; any reply below 500 ends a row. The
+    `*_proxy` environment variables are honoured: an http endpoint is
+    reached through its proxy in absolute form, an https one through a
+    CONNECT tunnel.
     """
 
     def __init__(
@@ -125,24 +137,102 @@ class HttpChatClient:
         api_key: Optional[str] = None,
         model_name: str = "gpt-4o",
         timeout: float = 60.0,
-        session: Optional[requests.Session] = None,
     ):
         self.endpoint = endpoint or os.environ.get("CRASHLENS_CHAT_ENDPOINT", "")
         self.api_key = api_key or os.environ.get("CRASHLENS_CHAT_API_KEY", "")
         self.model_name = model_name
         self.timeout = timeout
-        if session is None:
-            import requests  # slow to import, and only a live client needs it
-
-            session = requests.Session()
-        self.session = session
         if not self.endpoint:
             raise ValueError("no chat endpoint configured (CRASHLENS_CHAT_ENDPOINT)")
+        url = _split_url(self.endpoint, "chat endpoint", ("http", "https"))
+        self._https = url.scheme == "https"
+        self._address = (url.hostname, url.port)
+        self._target = urlunsplit(("", "", url.path or "/", url.query, ""))
+        self._headers = {"Content-Type": "application/json"}
+        if self.api_key:
+            self._headers["Authorization"] = f"Bearer {self.api_key}"
+        self._proxy = _proxy_for(url.scheme, url.hostname)
+        self._tunnel_headers: dict[str, str] = {}
+        if self._proxy is not None:
+            auth = _proxy_auth(self._proxy)
+            # an https request is tunnelled, so only the CONNECT may carry
+            # the proxy's credentials; a plain one names its absolute URL
+            (self._tunnel_headers if self._https else self._headers).update(auth)
+            if not self._https:
+                self._target = urlunsplit((url.scheme, url.netloc, url.path or "/", url.query, ""))
+        self._local = threading.local()  # .conn: the thread's connection
+        self._open: set = set()  # every thread's connection, for `close`
+        self._lock = threading.Lock()
+        self._exhausted = 0  # sends in a row that used up their attempts
+        self._last_failure = ""
+
+    def close(self) -> None:
+        """Close the connection of every thread; call it with no send in
+        flight. A later send opens a new one."""
+        with self._lock:
+            conns, self._open = self._open, set()
+            self._local = threading.local()
+        for conn in conns:
+            conn.close()
+
+    def _connect(self):
+        """A new connection to the endpoint or to its proxy, this thread's from now on."""
+        import http.client
+
+        cls = http.client.HTTPSConnection if self._https else http.client.HTTPConnection
+        if self._proxy is None:
+            conn = cls(*self._address, timeout=self.timeout)
+        else:
+            conn = cls(self._proxy.hostname, self._proxy.port, timeout=self.timeout)
+            if self._https:
+                conn.set_tunnel(*self._address, headers=self._tunnel_headers)
+        with self._lock:
+            self._open.add(conn)
+        self._local.conn = conn
+        return conn
+
+    def _drop(self, conn) -> None:
+        conn.close()
+        self._local.conn = None
+        with self._lock:
+            self._open.discard(conn)
+
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """One POST on this thread's connection: (status, body). A transport
+        error closes and drops the connection."""
+        import http.client
+
+        conn = getattr(self._local, "conn", None)
+        reused = conn is not None
+        if conn is None:
+            conn = self._connect()
+        try:
+            try:
+                conn.request("POST", self._target, body, self._headers)
+                resp = conn.getresponse()
+            # no status line came back (http.client.RemoteDisconnected is a
+            # ConnectionResetError): on a reused connection the server closed
+            # it while idle, so the request goes again on a fresh one
+            except (ConnectionResetError, BrokenPipeError):
+                if not reused:
+                    raise
+                self._drop(conn)
+                conn = self._connect()
+                conn.request("POST", self._target, body, self._headers)
+                resp = conn.getresponse()
+            return resp.status, resp.read()
+        except (OSError, http.client.HTTPException):
+            self._drop(conn)
+            raise
 
     def send(self, system: str, user: str, temperature: float) -> str:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        import http.client
+
+        if self._exhausted >= BREAKER_AFTER:
+            raise UnavailableError(
+                f"endpoint unavailable: {self._exhausted} requests in a row failed after "
+                f"{MAX_ATTEMPTS} attempts (last: {self._last_failure})"
+            )
         payload = {
             "model": self.model_name,
             "temperature": temperature,
@@ -151,25 +241,67 @@ class HttpChatClient:
                 {"role": "user", "content": user},
             ],
         }
+        body = json.dumps(payload).encode("utf-8")
         failure = ""
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 time.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
             try:
-                resp = self.session.post(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
-            except OSError as exc:  # every requests exception is an OSError
+                status, data = self._post(body)
+            except (OSError, http.client.HTTPException) as exc:
                 failure = f"{type(exc).__name__}: {exc}"
                 continue
-            if resp.status_code >= 500:
-                failure = f"server error {resp.status_code}"
+            if status >= 500:
+                failure = f"server error {status}"
                 continue
-            if resp.status_code >= 400:
-                raise UnavailableError(f"request rejected: {resp.status_code} {resp.text[:200]}")
+            with self._lock:
+                self._exhausted = 0
+            if status >= 400:
+                raise UnavailableError(f"request rejected: {status} {data.decode('utf-8', errors='replace')[:200]}")
             try:
-                return resp.json()["choices"][0]["message"]["content"]
+                return json.loads(data)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise UnavailableError(f"malformed completion payload: {exc}") from exc
+        with self._lock:
+            self._exhausted += 1
+            self._last_failure = failure
         raise UnavailableError(f"transport failed after {MAX_ATTEMPTS} attempts: {failure}")
+
+
+def _split_url(text: str, what: str, schemes: tuple[str, ...]) -> SplitResult:
+    """`text` split, if it is a URL of one of `schemes` with a host and a
+    valid port; otherwise ValueError."""
+    url = urlsplit(text)
+    if url.scheme not in schemes or not url.hostname:
+        forms = " or ".join(f"{scheme}://" for scheme in schemes)
+        raise ValueError(f"{what} {text!r} is not an {forms} URL with a host")
+    url.port  # raises ValueError for a port that is not a number in range
+    return url
+
+
+def _proxy_for(scheme: str, host: str) -> Optional[SplitResult]:
+    """The http proxy that the `*_proxy` environment variables name for
+    `scheme` and `host`, as `requests` picks it, or None."""
+    # most environments set none, and then urllib.request is not imported
+    if not any(key.lower().endswith("_proxy") for key in os.environ):
+        return None
+    from urllib.request import getproxies, proxy_bypass
+
+    proxies = getproxies()
+    proxy = proxies.get(scheme) or proxies.get("all")
+    if not proxy or proxy_bypass(host):
+        return None
+    return _split_url(proxy if "://" in proxy else "http://" + proxy, f"{scheme} proxy", ("http",))
+
+
+def _proxy_auth(proxy: SplitResult) -> dict[str, str]:
+    """The Proxy-Authorization header for the credentials in `proxy`'s URL, if any."""
+    if proxy.username is None:
+        return {}
+    import base64
+
+    credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+    return {"Proxy-Authorization": "Basic " + base64.b64encode(credentials.encode("latin-1")).decode("ascii")}
 
 
 def _check_temperature(temperature: float) -> None:

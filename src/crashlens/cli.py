@@ -127,7 +127,12 @@ def load_config(path: Optional[str]) -> dict[str, object]:
             raise CliError(f"config key {key!r} must be {names}, not {type(value).__name__}")
         if key == "column_maps":
             _check_column_maps(value)
-        cfg[key] = float(value) if float in types else value
+        if float in types:
+            try:
+                value = float(value)
+            except OverflowError:
+                raise CliError(f"config key {key!r} is too large for a float") from None
+        cfg[key] = value
     return cfg
 
 

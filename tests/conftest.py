@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import sys
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from importlib import resources
 from pathlib import Path
 
@@ -123,6 +125,111 @@ class OverlapProbe:
         elif nth == 2:
             self._second.set()
         return self.inner.send(system, user, temperature)
+
+
+DROP = "drop"  # a scripted outcome: close the connection without replying
+
+
+def completion_body(text: str) -> bytes:
+    return json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+
+
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def finish(self) -> None:
+        super().finish()
+        with self.server.lock:
+            self.server.closed += 1
+
+    def do_POST(self) -> None:  # noqa: N802 (http.server naming)
+        server = self.server
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with server.lock:
+            server.posts += 1
+            server.targets.append(self.path)
+            server.headers.append(dict(self.headers))
+            outcome = server.outcomes.pop(0) if server.outcomes else server.rest
+        if outcome == DROP:
+            self.close_connection = True
+            return
+        status, body = outcome or (200, completion_body(payload["messages"][1]["content"]))
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        # a silent close: the reply said nothing of it
+        self.close_connection = server.close_after_reply
+
+    def do_CONNECT(self) -> None:  # noqa: N802
+        """A proxy's tunnel request: kept, and refused."""
+        with self.server.lock:
+            self.server.targets.append(self.path)
+            self.server.headers.append(dict(self.headers))
+        self.send_response(403)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+        self.close_connection = True
+
+    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
+        pass
+
+
+class ScriptedServer(ThreadingHTTPServer):
+    """A chat endpoint on 127.0.0.1. Each POST takes the next scripted
+    outcome, then `rest` for every later POST: a (status, body) pair, or
+    DROP. Without either it echoes the user turn as the completion. It
+    counts the POSTs and the connections it accepted and saw closed, and
+    keeps each request's target and headers; it refuses a CONNECT, after
+    keeping its target and headers too."""
+
+    daemon_threads = True
+
+    def __init__(self, outcomes=(), rest=None, close_after_reply=False):
+        super().__init__(("127.0.0.1", 0), _ScriptedHandler)
+        self.outcomes = list(outcomes)
+        self.rest = rest
+        self.close_after_reply = close_after_reply
+        self.lock = threading.Lock()
+        self.posts = self.connections = self.closed = 0
+        self.targets: list[str] = []
+        self.headers: list[dict] = []
+        threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True).start()
+
+    @property
+    def origin(self) -> str:
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
+
+    @property
+    def url(self) -> str:
+        return self.origin + "/v1/chat/completions"
+
+
+@pytest.fixture
+def scripted(monkeypatch):
+    """Starts ScriptedServers, stopped at teardown; the `*_proxy`
+    variables are cleared so that requests go to them direct."""
+    import os
+
+    for key in [k for k in os.environ if k.lower().endswith("_proxy")]:
+        monkeypatch.delenv(key)
+    servers = []
+
+    def start(outcomes=(), rest=None, close_after_reply=False) -> ScriptedServer:
+        servers.append(ScriptedServer(outcomes, rest, close_after_reply))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
 
 
 def python_cli(*args: str) -> list[str]:

@@ -564,7 +564,7 @@ def test_package_root_imports_no_dependencies():
     ids=["import", "help"],
 )
 def test_cli_start_loads_no_heavy_dependencies(code):
-    modules = ("numpy", "requests", "jsonschema", "yaml", "concurrent.futures") + STAGE_MODULES
+    modules = ("numpy", "requests", "http.client", "jsonschema", "yaml", "concurrent.futures") + STAGE_MODULES
     # dataclasses pulls in inspect, and only writes and bundled data files
     # need tempfile and importlib.resources; a bare interpreter may load any
     # of them through its site hooks already
@@ -616,7 +616,22 @@ def test_offline_stages_load_no_numpy_or_requests(pipeline, tmp_path, stage):
     d, _ = pipeline
     # jsonschema too: export --kind sankey validates its graph without it
     probe = _main_probe(_stage_argv(d, tmp_path, stage))
-    assert _loaded_after(probe, ("numpy", "requests", "jsonschema")) == []
+    assert _loaded_after(probe, ("numpy", "requests", "http.client", "jsonschema")) == []
+
+
+def test_live_eval_loads_no_requests(pipeline, tmp_path, scripted):
+    """A chat stage against a live http endpoint runs on `http.client`;
+    `ssl` loads only as far as `http.client` itself imports it."""
+    d, _ = pipeline
+    server = scripted()
+    narratives = tmp_path / "narratives.jsonl"
+    narratives.write_text("".join((d / "narratives.jsonl").read_text().splitlines(keepends=True)[:5]))
+    argv = ["eval", "--narratives", str(narratives), "--strategy", "zs", "--endpoint", server.url,
+            "--jobs", "2", "--out", str(tmp_path / "pred.jsonl")]
+    with_http_client = _loaded_after("import http.client", ("ssl",))
+    modules = ("requests", "urllib3", "urllib.request", "http.client", "ssl")
+    assert _loaded_after(_main_probe(argv), modules) == ["http.client", *with_http_client]
+    assert server.posts == 5
 
 
 @pytest.mark.parametrize(
@@ -689,8 +704,10 @@ def test_malformed_data_file_is_one_json_error(pipeline, tmp_path, capsys, flag,
         ('offline: "false"\n', ["eval", "--strategy", "zs"]),
         ("column_maps: {crash: [1]}\n", ["ingest"]),
         ("column_maps: {crash: {caseno: 5}}\n", ["ingest"]),
+        # an int is taken for a float, but not one too large for a float
+        (f"temperature: {'9' * 400}\n", ["eval", "--offline", "--strategy", "zs"]),
     ],
-    ids=["seed-list", "offline-string", "column-map-list", "column-name-int"],
+    ids=["seed-list", "offline-string", "column-map-list", "column-name-int", "float-overflow"],
 )
 def test_config_value_of_wrong_type_rejected(pipeline, tmp_path, capsys, text, command):
     d, _ = pipeline
@@ -704,6 +721,18 @@ def test_config_value_of_wrong_type_rejected(pipeline, tmp_path, capsys, text, c
     assert err["error"] == "CliError"
     assert repr(text.split(":")[0]) in err["detail"]
     assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("endpoint", ["localhost:9/v1", "ftp://host/x"])
+def test_eval_endpoint_that_is_not_an_http_url_is_one_json_error(pipeline, tmp_path, capsys, monkeypatch, endpoint):
+    # a client that sent anyway would sleep through its retries
+    monkeypatch.setattr("crashlens.augment.time.sleep", lambda s: None)
+    d, _ = pipeline
+    out = tmp_path / "pred.jsonl"
+    argv = ["eval", "--strategy", "zs", "--narratives", str(d / "narratives.jsonl"), "--endpoint", endpoint]
+    err = _main_error([*argv, "--out", str(out)], capsys)
+    assert err["error"] == "ValueError" and repr(endpoint) in err["detail"]
+    assert not out.exists()
 
 
 def test_augment_temperature_out_of_range_is_value_error(pipeline, tmp_path, capsys):
