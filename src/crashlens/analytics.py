@@ -19,7 +19,14 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .augment import ChatClient, UnavailableError
-from .util import WordAttribution, atomic_write_text, load_yaml_section, parse_annotated
+from .util import (
+    CrashlensError,
+    WordAttribution,
+    atomic_write_json,
+    atomic_write_text,
+    load_yaml_section,
+    parse_annotated,
+)
 
 
 class AspectCategory(enum.Enum):
@@ -65,7 +72,7 @@ _REPAIR_PROMPT = (
 )
 
 
-class AnalyticsError(Exception):
+class AnalyticsError(CrashlensError):
     pass
 
 
@@ -506,7 +513,7 @@ def export_sankey(
 ) -> dict:
     doc = graph_to_json(graph)
     if json_path is not None:
-        atomic_write_text(json_path, json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
+        atomic_write_json(json_path, doc)
     if html_path is not None:
         atomic_write_text(html_path, _sankey_html(doc))
     return doc

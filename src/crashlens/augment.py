@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, Sequence, TypeVar
 from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
-from .util import NULL_MARKERS
+from .util import NULL_MARKERS, CrashlensError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -72,7 +72,7 @@ Requirements:
 - Relate events in the same chronological order as the original report."""
 
 
-class AugmentError(Exception):
+class AugmentError(CrashlensError):
     pass
 
 
@@ -426,7 +426,8 @@ def _starts_sentence(text: str, i: int) -> bool:
 
 def _proper_noun_runs(text: str) -> list[str]:
     """Capitalized runs and standalone capitalized words, skipping sentence
-    starts. Meridiems are exempt: the clock-form constraint owns those.
+    starts. A meridiem ends a run and is never part of one: the clock-form
+    constraint owns it.
 
     A run is capitalized tokens one character apart; trailing punctuation
     ends it.
@@ -436,10 +437,8 @@ def _proper_noun_runs(text: str) -> list[str]:
     end = 0  # where the last token of `current` ends
 
     def flush() -> None:
-        if len(current) >= 2:
+        if current:
             runs.append(" ".join(current))
-        elif len(current) == 1 and current[0] not in _MERIDIEMS:
-            runs.append(current[0])
         current.clear()
 
     padded = " " + text  # so the first token follows whitespace too
@@ -449,8 +448,9 @@ def _proper_noun_runs(text: str) -> list[str]:
         if current and start != end + 1:
             flush()
         bare = word.strip(_STRIP)
+        capitalized = bare[0].isalpha() and bare[0].isupper()
         # the first word of a sentence is capitalized by convention, not meaning
-        if not (bare[0].isalpha() and bare[0].isupper()) or _starts_sentence(padded, start):
+        if not capitalized or bare in _MERIDIEMS or _starts_sentence(padded, start):
             flush()
             continue
         current.append(bare)

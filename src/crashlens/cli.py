@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .util import (
+    CrashlensError,
     StrategyKind,
     atomic_write_json,
     atomic_write_jsonl,
@@ -67,7 +68,7 @@ SETTINGS: dict[str, tuple] = {
 }
 
 
-class CliError(Exception):
+class CliError(CrashlensError):
     pass
 
 
@@ -555,26 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Errors that end as one JSON line on stderr, as (module, class) pairs. An
-# error of a module that was never imported cannot have been raised, so a
-# class joins the handled set only once its module is loaded.
-_HANDLED = (
-    ("builtins", "OSError"),
-    ("builtins", "ValueError"),
-    ("builtins", "KeyError"),
-    ("yaml", "YAMLError"),
-    (__name__, "CliError"),
-    ("crashlens.schema", "SchemaError"),
-    ("crashlens.narrator", "NarratorError"),
-    ("crashlens.augment", "AugmentError"),
-    ("crashlens.analytics", "AnalyticsError"),
-    ("crashlens.evaluation", "EvaluationError"),
-    ("crashlens.refmodel", "RefModelError"),
-)
-
-
 def _handled() -> tuple[type[BaseException], ...]:
-    return tuple(getattr(sys.modules[mod], name) for mod, name in _HANDLED if mod in sys.modules)
+    """The errors that end as one JSON line on stderr. A YAML error can only
+    have been raised once `yaml` is loaded, so it is looked up only then."""
+    yaml = sys.modules.get("yaml")
+    return (OSError, ValueError, KeyError, CrashlensError) + ((yaml.YAMLError,) if yaml else ())
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from .augment import ChatClient, UnavailableError, _check_temperature, bounded_map
 from .narrator import NarrativePair
 from .schema import Severity
+from .util import CrashlensError
 from .util import StrategyKind  # re-exported; in util so the CLI parser need not import this module
 
 SYSTEM_PROMPT = "You are a professional road safety engineer."
@@ -47,7 +48,7 @@ SFT_SYSTEM_PROMPT = (
 SFT_QUESTION = "What is the severity of this crash?"
 
 
-class EvaluationError(Exception):
+class EvaluationError(CrashlensError):
     pass
 
 

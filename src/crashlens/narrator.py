@@ -8,14 +8,16 @@ and outcome text are kept in separate sections throughout.
 
 from __future__ import annotations
 
+import itertools
 import re
 import string
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .schema import CrashCase, Severity
-from .util import is_null, load_yaml_section, read_jsonl, string_fields
+from .util import CrashlensError, is_null, load_yaml_section, read_jsonl, string_fields
 
 _FORMATTER = string.Formatter()
 
@@ -28,7 +30,7 @@ _ORDINALS = [
 ]
 
 
-class NarratorError(Exception):
+class NarratorError(CrashlensError):
     pass
 
 
@@ -136,11 +138,22 @@ def _fmt_time(hour: int, minute: int) -> str:
     return f"{h12}:{minute:02d} {'AM' if hour < 12 else 'PM'}"
 
 
+def _present(value: object) -> Optional[str]:
+    """The stripped text of `value`, or None when it is None or null-marked:
+    the one rule for whether a raw fact is there to voice."""
+    if value is None:
+        return None
+    text = str(value).strip()
+    return None if is_null(text) else text
+
+
 def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
     """Resolve codes to phrases, format numerics, and drop null-marked facts.
 
-    Duplicate phrases within one record are kept once; unmapped codes stay
-    verbatim with a warning so one bad code cannot sink a batch.
+    Every raw fact is read through `_present` and every code through
+    `phrase`, so an absent one leaves neither a slot nor a warning. Duplicate
+    case-level phrases are kept once; unmapped codes stay verbatim with a
+    warning so one bad code cannot sink a batch.
     """
     crash = case.crash
     warnings: list[str] = []
@@ -148,30 +161,24 @@ def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
     seen_phrases: set[str] = set()
 
     def put(name: str, value: object) -> None:
-        if value is None:
-            return
-        text = str(value).strip()
-        if is_null(text):
-            return
-        fields[name] = text
+        text = _present(value)
+        if text is not None:
+            fields[name] = text
 
-    def lookup(name: str, raw: str) -> str:
-        phrase, warn = lexicon.lookup(name, raw)
+    def phrase(name: str, code: object) -> Optional[str]:
+        raw = _present(code)
+        if raw is None:
+            return None
+        text, warn = lexicon.lookup(name, raw)
         if warn:
             warnings.append(f"{crash.caseno}: {warn}")
-        return phrase
+        return text
 
     def put_phrase(name: str, code: object) -> None:
-        if code is None:
-            return
-        raw = str(code).strip()
-        if is_null(raw):
-            return
-        phrase = lookup(name, raw)
-        if phrase in seen_phrases:
-            return
-        seen_phrases.add(phrase)
-        fields[name] = phrase
+        text = phrase(name, code)
+        if text is not None and text not in seen_phrases:
+            seen_phrases.add(text)
+            fields[name] = text
 
     dt = crash.occurred_at
     put("date", f"{dt:%B} {dt.day}, {dt.year}")
@@ -192,30 +199,22 @@ def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
     put("hit_and_run", _HIT_AND_RUN.get(crash.hit_and_run))
     for col, value in crash.extra.items():
         key = col.strip().lower()
-        raw = str(value).strip()
-        if is_null(raw):
-            continue
         if key in lexicon.fields:
-            put_phrase(key, raw)
-        else:
+            put_phrase(key, value)
+        elif _present(value) is not None:
             warnings.append(f"{crash.caseno}: unrendered attribute {col!r}")
 
     seg = case.segment
     if seg is not None:
-        road_words = []
-        if not is_null(seg.locale):
-            road_words.append(lookup("locale", seg.locale.strip()))
-        road_words.append(_LANE_WORDS.get(seg.lane_count, f"{seg.lane_count}-lane"))
-        road = " ".join(road_words) + " road"
+        lanes = _LANE_WORDS.get(seg.lane_count, f"{seg.lane_count}-lane")
+        road = " ".join(w for w in (phrase("locale", seg.locale), lanes, "road") if w is not None)
         put("road_description", f"{_article(road)} {road}")
         put("speed_limit", seg.speed_limit)
         put_phrase("surface_type", seg.surface_type)
-        if seg.lane_width is not None:
-            put("lane_width", f"{seg.lane_width:g}")
-        if seg.left_shoulder_width is not None:
-            put("left_shoulder_width", f"{seg.left_shoulder_width:g}")
-        if seg.right_shoulder_width is not None:
-            put("right_shoulder_width", f"{seg.right_shoulder_width:g}")
+        for name in ("lane_width", "left_shoulder_width", "right_shoulder_width"):
+            width = getattr(seg, name)
+            if width is not None:
+                put(name, f"{width:g}")
         put("aadt", f"{seg.aadt:,}")
 
     outcome = (
@@ -228,45 +227,35 @@ def normalize(case: CrashCase, lexicon: Lexicon) -> NormalizedCase:
     vehicles: list[VehicleView] = []
     for i, (veh, persons) in enumerate(case.units, start=1):
         vfields: dict[str, str] = {"ordinal": _ordinal(i)}
-        name_words = []
-        if veh.model_year is not None:
-            name_words.append(str(veh.model_year))
-        for part in (veh.make, veh.model):
-            if not is_null(part):
-                name_words.append(part.strip())
-        if name_words:
-            desc = " ".join(name_words)
+        name_words = [_present(part) for part in (veh.model_year, veh.make, veh.model)]
+        desc = " ".join(w for w in name_words if w is not None)
+        if desc:
             vfields["description"] = f"{_article(desc)} {desc}"
-        raw_moves = str(veh.maneuver).strip()
-        if not is_null(raw_moves):
-            vfields["maneuver"] = lookup("maneuver", raw_moves)
+        maneuver = phrase("maneuver", veh.maneuver)
+        if maneuver is not None:
+            vfields["maneuver"] = maneuver
 
         person_views: list[dict[str, str]] = []
         for per in persons:
-            pf: dict[str, str] = {}
-            role_raw = per.role.strip()
-            if is_null(role_raw):
+            role = phrase("role", per.role)
+            if role is None:
                 continue
-            pf["subject"] = f"{lookup('role', role_raw)} the {_ordinal(i)} vehicle"
+            pf: dict[str, str] = {"subject": f"{role} the {_ordinal(i)} vehicle"}
             profile_words = []
             if per.age is not None:
                 profile_words.append(f"{per.age}-year-old")
-            if not is_null(per.sex):
-                profile_words.append(lookup("sex", per.sex.strip()))
+            sex = phrase("sex", per.sex)
+            if sex is not None:
+                profile_words.append(sex)
             elif per.age is not None:
                 profile_words.append("person")
             if profile_words:
                 profile = " ".join(profile_words)
                 pf["profile"] = f"{_article(profile)} {profile}"
-            for pname, raw in (
-                ("restraint", per.restraint),
-                ("airbag", per.airbag),
-                ("sobriety", per.sobriety),
-            ):
-                raw = str(raw).strip()
-                if is_null(raw):
-                    continue
-                pf[pname] = lookup(pname, raw)
+            for pname in ("restraint", "airbag", "sobriety"):
+                text = phrase(pname, getattr(per, pname))
+                if text is not None:
+                    pf[pname] = text
             person_views.append(pf)
         vehicles.append(VehicleView(fields=vfields, persons=person_views))
 
@@ -305,34 +294,23 @@ def _render_sentence(
 
 
 def render(case: NormalizedCase, templates: Sequence[NarrativeTemplate]) -> NarrativePair:
-    """Fill templates in order, grouping vehicle/person sentences per entity."""
+    """Fill templates in order. Each run of same-scope templates is filled
+    once per entity of that scope (the case, each vehicle, each person), so
+    one entity's sentences stay together; a sentence that voices no fact is
+    dropped."""
+    entities = {
+        "case": [case.fields],
+        "vehicle": [veh.fields for veh in case.vehicles],
+        "person": [person for veh in case.vehicles for person in veh.persons],
+    }
     sections: dict[str, list[str]] = {"descriptive": [], "outcome": []}
-
-    def emit(template: NarrativeTemplate, values: dict[str, str]) -> None:
-        sentence = _render_sentence(template, values, case.caseno)
-        if sentence is not None:
-            sections[template.section].append(sentence)
-
-    i = 0
-    while i < len(templates):
-        scope = templates[i].scope
-        j = i
-        while j < len(templates) and templates[j].scope == scope:
-            j += 1
-        run = templates[i:j]
-        if scope == "case":
-            for tpl in run:
-                emit(tpl, case.fields)
-        elif scope == "vehicle":
-            for veh in case.vehicles:
-                for tpl in run:
-                    emit(tpl, veh.fields)
-        else:
-            for veh in case.vehicles:
-                for person in veh.persons:
-                    for tpl in run:
-                        emit(tpl, person)
-        i = j
+    for scope, group in itertools.groupby(templates, key=attrgetter("scope")):
+        run = list(group)
+        for values in entities[scope]:
+            for template in run:
+                sentence = _render_sentence(template, values, case.caseno)
+                if sentence is not None:
+                    sections[template.section].append(sentence)
 
     return NarrativePair(
         caseno=case.caseno,

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .schema import Severity
-from .util import atomic_write_text
+from .util import CrashlensError, atomic_write_text
 
 BOS = "<bos>"
 EOS = "<eos>"
@@ -37,7 +37,7 @@ def label_token(severity: Severity) -> str:
     return f"<label:{severity.value}>"
 
 
-class RefModelError(Exception):
+class RefModelError(CrashlensError):
     pass
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Mapping, Optional, Sequence
 
-from .util import ParseError, is_null, read_jsonl  # deserialize_cases raises ParseError
+from .util import CrashlensError, ParseError, is_null, read_jsonl  # deserialize_cases raises ParseError
 
 MODEL_YEAR_MIN = 1900
 MODEL_YEAR_MAX = datetime.now().year + 1
@@ -26,7 +26,7 @@ _TRUE_TOKENS = {"1", "y", "yes", "true", "t"}
 _FALSE_TOKENS = {"0", "n", "no", "false", "f"}
 
 
-class SchemaError(Exception):
+class SchemaError(CrashlensError):
     """Base error for table loading and integration."""
 
 

@@ -28,6 +28,11 @@ class StrategyKind(enum.Enum):
     FEW_SHOT = "fs"
 
 
+class CrashlensError(Exception):
+    """Base of the package's own errors: the CLI reports each as one JSON
+    line on stderr with exit 1."""
+
+
 class ParseError(ValueError):
     """A JSONL line that is not a JSON object, or not a valid record."""
 

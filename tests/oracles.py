@@ -356,10 +356,8 @@ def proper_noun_runs_scans(text: str) -> list[str]:
         current: list[str] = []
 
         def flush() -> None:
-            if len(current) >= 2:
+            if current:
                 runs.append(" ".join(current))
-            elif len(current) == 1 and current[0] not in _MERIDIEMS:
-                runs.append(current[0])
             current.clear()
 
         prev_end = None
@@ -368,7 +366,7 @@ def proper_noun_runs_scans(text: str) -> list[str]:
             bare = word.strip(".,;:!?()'\"")
             is_cap = bool(bare) and bare[0].isalpha() and bare[0].isupper()
             adjacent = prev_end is not None and m.start() == prev_end + 1
-            if is_cap and i > 0:
+            if is_cap and i > 0 and bare not in _MERIDIEMS:
                 if current and not adjacent:
                     flush()
                 current.append(bare)

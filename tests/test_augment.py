@@ -74,6 +74,14 @@ def test_24_hour_clock_restatement_is_accepted():
     assert ConstraintKind.CHRONOLOGY not in _failures(report)
 
 
+def test_meridiem_is_never_part_of_a_proper_noun_run():
+    text = "The crash happened at 8:00 PM Tuesday near Chelan."
+    assert _proper_noun_runs(text) == ["Tuesday", "Chelan"]
+    assert oracles.proper_noun_runs_scans(text) == ["Tuesday", "Chelan"]
+    report = verify_preservation(text, text.replace("8:00 PM", "20:00"))
+    assert ConstraintKind.PROPER_NOUNS not in _failures(report)
+
+
 def test_dropped_proper_noun_is_caught():
     mangled = ORIGINAL.replace("Chelan, Washington", "the county")
     report = verify_preservation(ORIGINAL, mangled)

@@ -836,6 +836,29 @@ def test_error_of_a_lazily_loaded_module_is_one_json_line(pipeline, tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+def test_every_package_error_is_a_handled_one():
+    """`main` reports `CrashlensError` and the builtin errors it names, so
+    every exception class of the package must derive from one of them."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import crashlens
+    from crashlens.util import CrashlensError
+
+    errors = []
+    for info in pkgutil.iter_modules(crashlens.__path__):
+        module = importlib.import_module(f"crashlens.{info.name}")
+        errors += [
+            cls
+            for _, cls in inspect.getmembers(module, inspect.isclass)
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__
+        ]
+    assert len(errors) >= 15
+    for cls in errors:
+        assert issubclass(cls, (CrashlensError, ValueError, OSError)), cls
+
+
 @pytest.mark.parametrize("flag", ["--model", "--tokenizer"])
 def test_attribute_rejects_a_non_object_model_file(pipeline, tmp_path, flag):
     d, _ = pipeline

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
@@ -100,6 +101,84 @@ def test_normalize_drops_one_sided_coordinates(cases):
     normalized = normalize(lopsided, lexicon)
     assert "latitude" not in normalized.fields
     assert "longitude" not in normalized.fields
+
+
+NULL_FORMS = ["", "nan", " Unknown ", "N/A"]
+
+# Every text fact `normalize` reads, with the record that holds it, the slot
+# it fills and that slot's text when the fact is null (None: no slot). A null
+# role drops the whole person, so it has no slot of its own.
+NULLABLE_FACTS = [
+    ("crash", "county", "county", None),
+    ("crash", "weather", "weather", None),
+    ("crash", "surface_condition", "surface_condition", None),
+    ("crash", "lighting", "lighting", None),
+    ("extra", "TRAFFIC_CONTROL", "traffic_control", None),
+    ("extra", "WORK_ZONE", None, None),  # unrendered: only ever a warning
+    ("segment", "locale", "road_description", "a two-lane road"),
+    ("segment", "surface_type", "surface_type", None),
+    ("vehicle", "make", "description", "a 2005 F-150 pickup"),
+    ("vehicle", "model", "description", "a 2005 Ford"),
+    ("vehicle", "maneuver", "maneuver", None),
+    ("person", "role", None, None),
+    ("person", "sex", "profile", "a 36-year-old person"),
+    ("person", "restraint", "restraint", None),
+    ("person", "airbag", "airbag", None),
+    ("person", "sobriety", "sobriety", None),
+]
+
+
+def _with_fact(case, record, name, value):
+    """`case` with one raw fact of its first vehicle or person replaced."""
+    crash, segment, units = case.crash, case.segment, case.units
+    if record == "crash":
+        crash = dataclasses.replace(crash, **{name: value})
+    elif record == "extra":
+        crash = dataclasses.replace(crash, extra={**crash.extra, name: value})
+    elif record == "segment":
+        segment = dataclasses.replace(segment, **{name: value})
+    elif record == "vehicle":
+        veh, persons = units[0]
+        units = [(dataclasses.replace(veh, **{name: value}), persons), *units[1:]]
+    else:
+        veh, (per, *others) = units[0]
+        units = [(veh, [dataclasses.replace(per, **{name: value}), *others]), *units[1:]]
+    return type(case)(crash=crash, segment=segment, units=units)
+
+
+@pytest.mark.parametrize("null", NULL_FORMS)
+@pytest.mark.parametrize("record, name, slot, null_text", NULLABLE_FACTS)
+def test_null_fact_is_dropped_without_warning(cases, record, name, slot, null_text, null):
+    lexicon = load_lexicon()
+    base_case = _with_fact(cases[0], "extra", "WORK_ZONE", "Y")
+    base = normalize(base_case, lexicon)
+    got = normalize(_with_fact(base_case, record, name, null), lexicon)
+
+    expected = copy.deepcopy(base)
+    first = expected.vehicles[0]
+    holder = {"vehicle": first.fields, "person": first.persons[0]}.get(record, expected.fields)
+    if record == "person" and slot is None:
+        del first.persons[0]
+    elif slot is not None:
+        assert slot in holder, "the fact must be voiced when present"
+        del holder[slot]
+        if null_text is not None:
+            holder[slot] = null_text
+    assert got.fields == expected.fields
+    assert got.vehicles == expected.vehicles
+    # only the warnings that name the nulled fact go
+    assert got.warnings == [w for w in base.warnings if name not in w]
+    if record == "extra" and slot is None:
+        assert any(name in w for w in base.warnings)
+
+
+def test_case_phrase_already_voiced_is_kept_once(cases):
+    lexicon = load_lexicon()
+    fields = {**lexicon.fields, "traffic_control": {"1": lexicon.fields["weather"]["1"]}}
+    case = _with_fact(_with_fact(cases[0], "crash", "weather", "1"), "extra", "TRAFFIC_CONTROL", "1")
+    normalized = normalize(case, dataclasses.replace(lexicon, fields=fields))
+    assert normalized.fields["weather"] == "clear"
+    assert "traffic_control" not in normalized.fields
 
 
 def test_unknown_code_passes_through_with_warning():
