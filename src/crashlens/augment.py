@@ -43,9 +43,11 @@ _MONTHS = (
 _DATE_RE = re.compile(rf"(?=[ADFJMNOS])\b({_MONTHS})\s+(\d{{1,2}}),\s+(\d{{4}})\b")
 # equivalent to `\b(\d{4})`: a digit is a word character, so `\b` before it means no word character does
 _ISO_DATE_RE = re.compile(r"(\d(?<!\w\d)\d{3})-(\d{2})-(\d{2})\b")
-# `(\d(?<!\w\d)\d?)` is `\b(\d{1,2})` in the three clock patterns, for the same reason
-_CLOCK_AMPM_RE = re.compile(r"(\d(?<!\w\d)\d?):(\d{2})\s*([APap])\.?[Mm]\.?\b")
-_CLOCK_RE = re.compile(r"(\d(?<!\w\d)\d?):(\d{2})\b")
+# `(\d(?<!\w\d)\d?)` is `\b(\d{1,2})` in the three clock patterns, for the same reason;
+# in the two with minutes `(?<![\w:]\d)` is `(?<!:)\b`, so no match starts inside
+# `12:30:45`, whose `:SS` they take
+_CLOCK_AMPM_RE = re.compile(r"(\d(?<![\w:]\d)\d?):(\d{2})(?::(\d{2}))?\s*([APap])\.?[Mm]\.?\b")
+_CLOCK_RE = re.compile(r"(\d(?<![\w:]\d)\d?):(\d{2})(?::(\d{2}))?\b")
 _HOUR_AMPM_RE = re.compile(r"(\d(?<!\w\d)\d?)\s*([APap])\.?[Mm]\.?\b")
 _NUMBER_RE = re.compile(r"\d+(?:,\d{3})*(?:\.\d+)?")
 _MONTH_INDEX = {name: i + 1 for i, name in enumerate(_MONTHS.split("|"))}
@@ -342,7 +344,8 @@ class ConstraintReport:
 
 
 def _canonical_times(text: str) -> tuple[list[str], str]:
-    """Extract time expressions in order as canonical 24h tokens.
+    """Extract time expressions in order as canonical 24h tokens, `THH:MM`
+    or, for a time with seconds, `THH:MM:SS`.
 
     Returns (tokens, residual text with times blanked out) so plain-number
     extraction does not double-count clock digits.
@@ -360,14 +363,18 @@ def _canonical_times(text: str) -> tuple[list[str], str]:
 
         out = pattern.sub(blank, out)
 
+    def clock_token(hour: int, m: re.Match) -> str:
+        seconds = f":{m.group(3)}" if m.group(3) else ""
+        return f"T{hour:02d}:{m.group(2)}{seconds}"
+
     def ampm_token(m: re.Match) -> str:
         hour = int(m.group(1)) % 12
-        if m.group(3).lower() == "p":
+        if m.group(4).lower() == "p":
             hour += 12
-        return f"T{hour:02d}:{m.group(2)}"
+        return clock_token(hour, m)
 
     grab(_CLOCK_AMPM_RE, ampm_token)
-    grab(_CLOCK_RE, lambda m: f"T{int(m.group(1)):02d}:{m.group(2)}")
+    grab(_CLOCK_RE, lambda m: clock_token(int(m.group(1)), m))
 
     def hour_token(m: re.Match) -> str:
         hour = int(m.group(1)) % 12
@@ -395,16 +402,19 @@ def _canonical_dates(text: str) -> list[str]:
 class _TextFacts:
     """What the constraints compare, extracted from one text once."""
 
-    times: list[str]  # canonical clock tokens, in text order
-    numbers: Counter  # plain numbers, plus the clock tokens
-    dates_times: Counter
+    times: list[str]  # canonical clock tokens to the minute, in text order
+    numbers: Counter  # plain numbers, plus the clock tokens to the minute
+    dates_times: Counter  # dates, plus the clock tokens with their seconds
 
 
 def _text_facts(text: str) -> _TextFacts:
+    """A dropped or changed seconds field fails DatesTimesPreserved alone;
+    the other checks read a clock time to the minute."""
     times, residual = _canonical_times(text)
+    minutes = [t[: len("THH:MM")] for t in times]
     numbers = Counter(m.group(0).replace(",", "") for m in _NUMBER_RE.finditer(residual))
-    numbers.update(times)
-    return _TextFacts(times, numbers, Counter(_canonical_dates(text)) + Counter(times))
+    numbers.update(minutes)
+    return _TextFacts(minutes, numbers, Counter(_canonical_dates(text)) + Counter(times))
 
 
 _MERIDIEMS = frozenset({"AM", "PM"})

@@ -249,11 +249,14 @@ def cmd_train_ref(args: argparse.Namespace) -> int:
     pairs = read_pairs(args.narratives)
     if not pairs:
         raise CliError("no narratives to train on")
-    tokenizer = refmodel.Tokenizer.from_texts([p.descriptive for p in pairs])
+    tokenizer = refmodel.Tokenizer.from_texts([p.descriptive for p in pairs], min_count=refmodel.MIN_WORD_COUNT)
     examples = []
     for pair in pairs:
         context = (refmodel.BOS_ID, *tokenizer.encode(pair.descriptive))
         examples.append(refmodel.TrainingExample(context, tokenizer.label_id(pair.label)))
+    unk = tokenizer.id_of(refmodel.UNK)
+    words = sum(len(ex.context) - 1 for ex in examples)  # less `<bos>`
+    unk_share = sum(ex.context.count(unk) for ex in examples) / words if words else 0.0
     model = refmodel.TinyLM.init(tokenizer.size, dim=args.dim, window=args.window, seed=args.seed)
     trained = refmodel.train(model, examples, config)
     trained.save(args.out_model)
@@ -262,6 +265,7 @@ def cmd_train_ref(args: argparse.Namespace) -> int:
         {
             "examples": len(examples),
             "vocab": tokenizer.size,
+            "unk_share": round(unk_share, 6),
             "final_nll": round(trained.loss_history[-1], 6),
             "model": str(args.out_model),
             "tokenizer": str(args.out_tokenizer),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -31,6 +32,13 @@ UNK = "<unk>"
 _SPECIALS = (BOS, EOS, UNK) + tuple(f"<label:{sev.value}>" for sev in Severity)
 
 BOS_ID = 0
+
+# `train-ref` keeps the words seen at least this often in its narratives;
+# rarer ones, mostly one-off numbers, read as `<unk>`
+MIN_WORD_COUNT = 2
+
+# contexts per output matmul in the per-epoch NLL: its memory is chunk x V
+NLL_CHUNK = 1024
 
 
 def label_token(severity: Severity) -> str:
@@ -76,9 +84,13 @@ class Tokenizer:
             raise ValueError("duplicate token in vocabulary")
 
     @classmethod
-    def from_texts(cls, texts: Sequence[str]) -> "Tokenizer":
-        words = sorted({w for text in texts for w in text.split()})
-        return cls(tokens=list(_SPECIALS) + words)
+    def from_texts(cls, texts: Sequence[str], min_count: int = 1) -> "Tokenizer":
+        """The specials, then the sorted words (`text.split()`, as `encode`
+        reads them) seen at least `min_count` times."""
+        if min_count < 1:
+            raise ValueError(f"need min_count >= 1; got {min_count}")
+        counts = Counter(w for text in texts for w in text.split())
+        return cls(tokens=list(_SPECIALS) + sorted(w for w, n in counts.items() if n >= min_count))
 
     @property
     def size(self) -> int:
@@ -255,9 +267,15 @@ def grad_prob_wrt_hidden(model: TinyLM, p: np.ndarray, target: int) -> np.ndarra
 
 
 def _corpus_nll(model: TinyLM, windows: Sequence[np.ndarray], targets: np.ndarray) -> float:
-    """Mean NLL of each window's target, scored in one output matmul."""
-    probs = model._softmax_rows(np.stack([model.hidden(window) for window in windows]))
-    p = probs[np.arange(len(targets)), targets]
+    """Mean NLL of each window's target, scored NLL_CHUNK windows per output
+    matmul; one mean over all N target probabilities, so N <= NLL_CHUNK
+    scores exactly as one matmul over them all."""
+    p = np.empty(len(targets))
+    for lo in range(0, len(targets), NLL_CHUNK):
+        chunk = slice(lo, lo + NLL_CHUNK)
+        hidden = np.stack([model.hidden(window) for window in windows[chunk]])
+        # one expression, so a chunk's probabilities are freed before the next chunk's
+        p[chunk] = model._softmax_rows(hidden)[np.arange(len(hidden)), targets[chunk]]
     return float(-np.log(np.maximum(p, 1e-300)).mean())
 
 
@@ -269,6 +287,8 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
     `TinyLM.hidden` does, and writes only those embedding rows and the
     first k slot weights.
     """
+    if not examples:
+        raise ValueError("no training examples")
     for ex in examples:
         if not all(0 <= t < model.vocab_size for t in (*ex.context, ex.target)):
             raise ValueError("example token id outside model vocabulary")

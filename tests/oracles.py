@@ -291,8 +291,8 @@ SCAN_PATTERNS = {
     ),
     "_DATE_RE": re.compile(rf"\b({_MONTHS})\s+(\d{{1,2}}),\s+(\d{{4}})\b"),
     "_ISO_DATE_RE": re.compile(r"\b(\d{4})-(\d{2})-(\d{2})\b"),
-    "_CLOCK_AMPM_RE": re.compile(r"\b(\d{1,2}):(\d{2})\s*([APap])\.?[Mm]\.?\b"),
-    "_CLOCK_RE": re.compile(r"\b(\d{1,2}):(\d{2})\b"),
+    "_CLOCK_AMPM_RE": re.compile(r"(?<!:)\b(\d{1,2}):(\d{2})(?::(\d{2}))?\s*([APap])\.?[Mm]\.?\b"),
+    "_CLOCK_RE": re.compile(r"(?<!:)\b(\d{1,2}):(\d{2})(?::(\d{2}))?\b"),
     "_HOUR_AMPM_RE": re.compile(r"\b(\d{1,2})\s*([APap])\.?[Mm]\.?\b"),
 }
 
@@ -312,12 +312,12 @@ def _canonical_times_scans(text: str) -> tuple[list[str], str]:
 
     def ampm_token(m: re.Match) -> str:
         hour = int(m.group(1)) % 12
-        if m.group(3).lower() == "p":
+        if m.group(4).lower() == "p":
             hour += 12
-        return f"T{hour:02d}:{m.group(2)}"
+        return f"T{hour:02d}:" + ":".join(filter(None, m.group(2, 3)))
 
     grab(SCAN_PATTERNS["_CLOCK_AMPM_RE"], ampm_token)
-    grab(SCAN_PATTERNS["_CLOCK_RE"], lambda m: f"T{int(m.group(1)):02d}:{m.group(2)}")
+    grab(SCAN_PATTERNS["_CLOCK_RE"], lambda m: f"T{int(m.group(1)):02d}:" + ":".join(filter(None, m.group(2, 3))))
 
     def hour_token(m: re.Match) -> str:
         hour = int(m.group(1)) % 12
@@ -343,9 +343,10 @@ def _canonical_dates_scans(text: str) -> list[str]:
 
 def _text_facts_scans(text: str) -> _TextFacts:
     times, residual = _canonical_times_scans(text)
+    minutes = [":".join(t.split(":")[:2]) for t in times]
     numbers = Counter(m.group(0).replace(",", "") for m in _NUMBER_RE.finditer(residual))
-    numbers.update(times)
-    return _TextFacts(times, numbers, Counter(_canonical_dates_scans(text)) + Counter(times))
+    numbers.update(minutes)
+    return _TextFacts(minutes, numbers, Counter(_canonical_dates_scans(text)) + Counter(times))
 
 
 def proper_noun_runs_scans(text: str) -> list[str]:

@@ -24,7 +24,7 @@ from crashlens.augment import (
     augment_batch,
     verify_preservation,
 )
-from crashlens.augment import _proper_noun_runs
+from crashlens.augment import _canonical_times, _proper_noun_runs
 
 ORIGINAL = (
     "On June 29, 2022, at 8:00 PM, a traffic accident occurred on Alternate "
@@ -72,6 +72,23 @@ def test_24_hour_clock_restatement_is_accepted():
     report = verify_preservation(ORIGINAL, restated)
     assert ConstraintKind.DATES_TIMES not in _failures(report)
     assert ConstraintKind.CHRONOLOGY not in _failures(report)
+
+
+def test_clock_time_with_seconds_is_one_time():
+    text = "at 12:30:45 PM the car stopped"
+    times, residual = _canonical_times(text)
+    assert times == ["T12:30:45"]
+    assert not any(c.isdigit() for c in residual)  # no stray `12` left as a number
+    assert oracles._canonical_times_scans(text) == (times, residual)
+    assert _canonical_times("cleared by 21:05:09.")[0] == ["T21:05:09"]
+
+
+def test_rewrite_of_a_time_with_seconds():
+    text = "The car stopped at 12:30:45 PM near Chelan."
+    assert verify_preservation(text, text.replace("12:30:45 PM", "12:30:45")).passed
+    dropped = verify_preservation(text, text.replace("12:30:45 PM", "12:30 PM"))
+    assert _failures(dropped) == {ConstraintKind.DATES_TIMES}
+    assert dropped.failures[0].offending == ["T12:30:45"]
 
 
 def test_meridiem_is_never_part_of_a_proper_noun_run():

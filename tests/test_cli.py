@@ -977,6 +977,70 @@ def test_diverging_train_ref_writes_one_json_line(pipeline, tmp_path):
     assert not (tmp_path / "model.json").exists()
 
 
+_TINY = [
+    ("T1", "The car hit a tree at 42 mph.", "NoApparentOrMinor"),
+    ("T2", "The truck hit a pole at 55 mph.", "SeriousOrFatal"),
+    ("T3", "The car hit a pole at 30 mph.", "NoApparentOrMinor"),
+    ("T4", "The truck hit a wall at 70 mph.", "SeriousOrFatal"),
+]
+
+
+@pytest.fixture
+def tiny_model(tmp_path):
+    """`train-ref` on four narratives whose words `tree.`, `42`, `55`, `30`,
+    `wall` and `70` occur once; returns (dir, summary)."""
+    atomic_write_jsonl(
+        tmp_path / "tiny.jsonl",
+        ({"caseno": c, "descriptive": text, "outcome": "", "label": label} for c, text, label in _TINY),
+    )
+    code, out = run_cli(
+        [
+            "train-ref", "--narratives", str(tmp_path / "tiny.jsonl"),
+            "--out-model", str(tmp_path / "model.json"), "--out-tokenizer", str(tmp_path / "tok.json"),
+            "--epochs", "2", "--window", "8", "--dim", "4",
+        ]
+    )
+    assert code == 0
+    return tmp_path, json.loads(out)
+
+
+def test_train_ref_keeps_words_seen_twice_and_reports_the_unk_share(tiny_model):
+    d, summary = tiny_model
+    tokens = json.loads((d / "tok.json").read_text())["tokens"]
+    words = tokens[5:]
+    assert words == ["The", "a", "at", "car", "hit", "mph.", "pole", "truck"]
+    assert "tree." not in tokens and "42" not in tokens
+    assert summary["vocab"] == len(tokens)
+    # 6 once-seen words of 32 word tokens
+    assert summary["unk_share"] == 0.1875
+
+
+def test_attribute_keeps_words_and_spans_aligned_over_unk_words(tiny_model):
+    """An `<unk>` word keeps its own row, span and annotation: the record's
+    rows stay `<bos>`, one per word, the label, and `annotated` parses back
+    to the narrative."""
+    d, _ = tiny_model
+    code, _ = run_cli(
+        [
+            "attribute", "--narratives", str(d / "tiny.jsonl"), "--model", str(d / "model.json"),
+            "--tokenizer", str(d / "tok.json"), "--method", "occlusion", "--out", str(d / "attr.jsonl"),
+        ]
+    )
+    assert code == 0
+    vocab = json.loads((d / "tok.json").read_text())["tokens"]
+    records = [json.loads(line) for line in (d / "attr.jsonl").read_text().splitlines()]
+    unks = 0
+    for (_, text, _), rec in zip(_TINY, records):
+        words = rec["tokens"][1:-1]
+        assert [w["text"] for w in words] == [w if w in vocab else "<unk>" for w in text.split()]
+        assert all(text[w["start"] : w["end"]] == word for w, word in zip(words, text.split()))
+        unks += sum(w["text"] == "<unk>" for w in words)
+        narrative, scored = parse_annotated(rec["annotated"])
+        assert narrative == text
+        assert all(narrative[slice(*w.char_span)] == w.word for w in scored)
+    assert unks == 6
+
+
 @pytest.mark.parametrize(
     "flags, model",
     [

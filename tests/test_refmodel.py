@@ -8,6 +8,7 @@ import pytest
 
 from crashlens.refmodel import (
     BOS_ID,
+    NLL_CHUNK,
     DecodeTrace,
     RefModelError,
     TinyLM,
@@ -131,6 +132,36 @@ def test_corpus_nll_memory_follows_the_contexts_at_a_full_window():
     assert peak <= 4 * 2**20
 
 
+def _nll_in_one_matmul(model: TinyLM, windows, targets) -> float:
+    probs = model._softmax_rows(np.stack([model.hidden(window) for window in windows]))
+    return float(-np.log(np.maximum(probs[np.arange(len(targets)), targets], 1e-300)).mean())
+
+
+def test_corpus_nll_memory_is_bounded_by_its_chunk():
+    """Past NLL_CHUNK contexts the per-epoch NLL holds one chunk x V block
+    of probabilities, not N x V, and scores as one matmul over them all
+    would, up to rounding."""
+    rng = np.random.default_rng(1)
+    vocab, n = 500, 4 * NLL_CHUNK
+    model = TinyLM.init(vocab, dim=8, window=6, seed=1)
+    windows = [model.window_of(rng.integers(0, vocab, size=int(rng.integers(0, 9)))) for _ in range(n)]
+    targets = rng.integers(0, vocab, size=n)
+    tracemalloc.start()
+    try:
+        nll = _corpus_nll(model, windows, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = NLL_CHUNK * vocab * 8
+    print(f"corpus NLL peak over {n} contexts: {peak / 2**20:.1f} MiB, one chunk block {block / 2**20:.1f} MiB")
+    assert peak <= 1.5 * block < n * vocab * 8
+    assert nll == pytest.approx(_nll_in_one_matmul(model, windows, targets), rel=1e-12)
+    # at most one chunk is the one matmul itself
+    assert _corpus_nll(model, windows[:NLL_CHUNK], targets[:NLL_CHUNK]) == _nll_in_one_matmul(
+        model, windows[:NLL_CHUNK], targets[:NLL_CHUNK]
+    )
+
+
 def test_batch_probs_matches_loop():
     model = TinyLM.init(18, dim=6, window=4, seed=5)
     contexts = [[1], [2, 3], [4, 5, 6, 7, 8], []]
@@ -219,6 +250,8 @@ def test_bad_examples_rejected():
     for bad in (TrainingExample((0, 99), 1), TrainingExample((0, 1), 4), TrainingExample((0,), -1)):
         with pytest.raises(ValueError):
             train(model, [bad], TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match="no training examples"):
+        train(model, [], TrainConfig(epochs=1))
 
 
 def test_classify_tie_goes_to_minor_and_is_flagged():
@@ -257,6 +290,21 @@ def test_tokenizer_word_mode_round_trip():
     spans = tok.encode_with_spans(text)
     for tid, start, end in spans:
         assert text[start:end] in tok.tokens or tok.tokens[tid] == "<unk>"
+
+
+def test_tokenizer_min_count_keeps_the_words_seen_that_often():
+    texts = ["b a c a", "d b", "e"]
+    tok = Tokenizer.from_texts(texts, min_count=2)
+    assert tok.tokens[5:] == ["a", "b"]
+    assert tok.tokens == Tokenizer.from_texts(texts).tokens[:5] + ["a", "b"]
+    assert Tokenizer.from_texts(texts, min_count=1).tokens[5:] == ["a", "b", "c", "d", "e"]
+    assert [tok.tokens[i] for i in tok.encode("a c b")] == ["a", "<unk>", "b"]
+
+
+@pytest.mark.parametrize("min_count", [0, -1])
+def test_tokenizer_min_count_below_one_is_rejected(min_count):
+    with pytest.raises(ValueError, match="min_count"):
+        Tokenizer.from_texts(["a a"], min_count=min_count)
 
 
 def test_tokenizer_unknown_word_is_unk():
