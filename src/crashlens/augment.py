@@ -43,12 +43,12 @@ _MONTHS = (
 _DATE_RE = re.compile(rf"(?=[ADFJMNOS])\b({_MONTHS})\s+(\d{{1,2}}),\s+(\d{{4}})\b")
 # equivalent to `\b(\d{4})`: a digit is a word character, so `\b` before it means no word character does
 _ISO_DATE_RE = re.compile(r"(\d(?<!\w\d)\d{3})-(\d{2})-(\d{2})\b")
-# `(\d(?<!\w\d)\d?)` is `\b(\d{1,2})` in the three clock patterns, for the same reason;
-# in the two with minutes `(?<![\w:]\d)` is `(?<!:)\b`, so no match starts inside
-# `12:30:45`, whose `:SS` they take
+# `(\d(?<![\w:]\d)\d?)` is `(?<!:)\b(\d{1,2})` in the three clock patterns, for the
+# same reason: no match starts inside `12:30:45` (whose `:SS` the two with minutes
+# take) or at the minutes of `12:3 PM`
 _CLOCK_AMPM_RE = re.compile(r"(\d(?<![\w:]\d)\d?):(\d{2})(?::(\d{2}))?\s*([APap])\.?[Mm]\.?\b")
 _CLOCK_RE = re.compile(r"(\d(?<![\w:]\d)\d?):(\d{2})(?::(\d{2}))?\b")
-_HOUR_AMPM_RE = re.compile(r"(\d(?<!\w\d)\d?)\s*([APap])\.?[Mm]\.?\b")
+_HOUR_AMPM_RE = re.compile(r"(\d(?<![\w:]\d)\d?)\s*([APap])\.?[Mm]\.?\b")
 _NUMBER_RE = re.compile(r"\d+(?:,\d{3})*(?:\.\d+)?")
 _MONTH_INDEX = {name: i + 1 for i, name in enumerate(_MONTHS.split("|"))}
 

@@ -249,7 +249,7 @@ def cmd_train_ref(args: argparse.Namespace) -> int:
     pairs = read_pairs(args.narratives)
     if not pairs:
         raise CliError("no narratives to train on")
-    tokenizer = refmodel.Tokenizer.from_texts([p.descriptive for p in pairs], min_count=refmodel.MIN_WORD_COUNT)
+    tokenizer = refmodel.Tokenizer.from_texts([p.descriptive for p in pairs])
     examples = []
     for pair in pairs:
         context = (refmodel.BOS_ID, *tokenizer.encode(pair.descriptive))

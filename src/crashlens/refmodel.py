@@ -33,11 +33,12 @@ _SPECIALS = (BOS, EOS, UNK) + tuple(f"<label:{sev.value}>" for sev in Severity)
 
 BOS_ID = 0
 
-# `train-ref` keeps the words seen at least this often in its narratives;
+# a tokenizer keeps the words seen at least this often in its texts;
 # rarer ones, mostly one-off numbers, read as `<unk>`
 MIN_WORD_COUNT = 2
 
-# contexts per output matmul in the per-epoch NLL: its memory is chunk x V
+# contexts per output matmul in the per-epoch NLL: its memory is chunk x V,
+# not N x V, which at 20k cases (V ~5.7k) would be ~0.9 GB per epoch
 NLL_CHUNK = 1024
 
 
@@ -84,13 +85,11 @@ class Tokenizer:
             raise ValueError("duplicate token in vocabulary")
 
     @classmethod
-    def from_texts(cls, texts: Sequence[str], min_count: int = 1) -> "Tokenizer":
+    def from_texts(cls, texts: Sequence[str]) -> "Tokenizer":
         """The specials, then the sorted words (`text.split()`, as `encode`
-        reads them) seen at least `min_count` times."""
-        if min_count < 1:
-            raise ValueError(f"need min_count >= 1; got {min_count}")
+        reads them) seen at least MIN_WORD_COUNT times."""
         counts = Counter(w for text in texts for w in text.split())
-        return cls(tokens=list(_SPECIALS) + sorted(w for w, n in counts.items() if n >= min_count))
+        return cls(tokens=list(_SPECIALS) + sorted(w for w, n in counts.items() if n >= MIN_WORD_COUNT))
 
     @property
     def size(self) -> int:

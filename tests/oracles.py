@@ -293,7 +293,7 @@ SCAN_PATTERNS = {
     "_ISO_DATE_RE": re.compile(r"\b(\d{4})-(\d{2})-(\d{2})\b"),
     "_CLOCK_AMPM_RE": re.compile(r"(?<!:)\b(\d{1,2}):(\d{2})(?::(\d{2}))?\s*([APap])\.?[Mm]\.?\b"),
     "_CLOCK_RE": re.compile(r"(?<!:)\b(\d{1,2}):(\d{2})(?::(\d{2}))?\b"),
-    "_HOUR_AMPM_RE": re.compile(r"\b(\d{1,2})\s*([APap])\.?[Mm]\.?\b"),
+    "_HOUR_AMPM_RE": re.compile(r"(?<!:)\b(\d{1,2})\s*([APap])\.?[Mm]\.?\b"),
 }
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from crashlens.attribution import (
     strip_annotations,
     taylor_importance,
 )
-from crashlens.refmodel import BOS_ID, UNK, TinyLM, Tokenizer
+from crashlens.refmodel import BOS_ID, MIN_WORD_COUNT, UNK, TinyLM, Tokenizer
 from oracles import (
     distribution_given_window,
     normalize_scores_bruteforce,
@@ -229,9 +230,12 @@ def test_positive_words_filter():
 def test_tokenizer_spans_are_the_narrative_words(pairs, corpus_tokenizer):
     """attribute reads word n of a narrative off context token n + 1 (after
     <bos>), so the tokenizer must give exactly one span per \\S+ word, known
-    or not; a tokenizer built from other narratives reads some as <unk>."""
+    or not; the corpus tokenizer reads exactly the words seen fewer than
+    MIN_WORD_COUNT times as <unk>, and one built from five narratives more."""
     rng = np.random.default_rng(47)
     narrow = Tokenizer.from_texts([p.descriptive for p in pairs[:5]])
+    counts = Counter(w for p in pairs for w in p.descriptive.split())
+    rare = sum(counts[w] < MIN_WORD_COUNT for p in pairs[::7] for w in p.descriptive.split())
     unknown = {}
     for name, tokenizer in (("corpus", corpus_tokenizer), ("narrow", narrow)):
         unknown[name] = 0
@@ -249,7 +253,7 @@ def test_tokenizer_spans_are_the_narrative_words(pairs, corpus_tokenizer):
                 if raw > 0
             ]
             assert aggregate_to_words(scores, text, 20.0) == expect
-    assert unknown["corpus"] == 0 and unknown["narrow"] > 0
+    assert 0 < unknown["corpus"] == rare < unknown["narrow"]
 
 
 def test_annotation_round_trip():
@@ -288,7 +292,7 @@ def test_attribution_record_round_trips_sparse_matrix(reference_model, corpus_to
     assert record["output_tokens"] == [label]
     assert record["tokens"] == [
         {"text": "<bos>", "id": BOS_ID, "start": None, "end": None},
-        *({"text": text[s:e], "id": tid, "start": s, "end": e} for tid, s, e in spans),
+        *({"text": corpus_tokenizer.tokens[tid], "id": tid, "start": s, "end": e} for tid, s, e in spans),
         {**label, "start": None, "end": None},
     ]
     # every scored word's display score comes back from the annotation; a

@@ -81,6 +81,11 @@ def test_clock_time_with_seconds_is_one_time():
     assert not any(c.isdigit() for c in residual)  # no stray `12` left as a number
     assert oracles._canonical_times_scans(text) == (times, residual)
     assert _canonical_times("cleared by 21:05:09.")[0] == ["T21:05:09"]
+    # no clock pattern starts right after a `:`, so a malformed minute or
+    # seconds field is read as plain numbers, not as an hour
+    for text, times in (("at 12:3 PM the car", []), ("at 12:30:4 PM the car", ["T12:30"])):
+        assert _canonical_times(text)[0] == times
+        assert oracles._canonical_times_scans(text)[0] == times
 
 
 def test_rewrite_of_a_time_with_seconds():

@@ -8,6 +8,7 @@ import pytest
 
 from crashlens.refmodel import (
     BOS_ID,
+    MIN_WORD_COUNT,
     NLL_CHUNK,
     DecodeTrace,
     RefModelError,
@@ -255,7 +256,7 @@ def test_bad_examples_rejected():
 
 
 def test_classify_tie_goes_to_minor_and_is_flagged():
-    tokenizer = Tokenizer.from_texts(["a b"])
+    tokenizer = Tokenizer.from_texts(["a b", "a b"])
     model = TinyLM.init(tokenizer.size, dim=4, window=4, seed=0)
     model.embeddings[:] = 0.0
     model.position_weights[:] = 0.0
@@ -283,7 +284,7 @@ def test_classify_learns_labels_from_training(pairs, corpus_tokenizer):
 
 
 def test_tokenizer_word_mode_round_trip():
-    tok = Tokenizer.from_texts(["the quick brown fox", "jumps over the lazy dog"])
+    tok = Tokenizer.from_texts(["the quick brown fox", "the quick lazy dog", "jumps over the lazy dog"])
     text = "the quick dog"
     ids = tok.encode(text)
     assert " ".join(tok.tokens[i] for i in ids) == text
@@ -292,25 +293,18 @@ def test_tokenizer_word_mode_round_trip():
         assert text[start:end] in tok.tokens or tok.tokens[tid] == "<unk>"
 
 
-def test_tokenizer_min_count_keeps_the_words_seen_that_often():
-    texts = ["b a c a", "d b", "e"]
-    tok = Tokenizer.from_texts(texts, min_count=2)
-    assert tok.tokens[5:] == ["a", "b"]
-    assert tok.tokens == Tokenizer.from_texts(texts).tokens[:5] + ["a", "b"]
-    assert Tokenizer.from_texts(texts, min_count=1).tokens[5:] == ["a", "b", "c", "d", "e"]
+def test_tokenizer_keeps_the_words_seen_at_least_min_word_count_times():
+    assert MIN_WORD_COUNT == 2
+    tok = Tokenizer.from_texts(["b a c a", "d b", "e"])
+    assert tok.tokens == ["<bos>", "<eos>", "<unk>", "<label:NoApparentOrMinor>", "<label:SeriousOrFatal>", "a", "b"]
     assert [tok.tokens[i] for i in tok.encode("a c b")] == ["a", "<unk>", "b"]
 
 
-@pytest.mark.parametrize("min_count", [0, -1])
-def test_tokenizer_min_count_below_one_is_rejected(min_count):
-    with pytest.raises(ValueError, match="min_count"):
-        Tokenizer.from_texts(["a a"], min_count=min_count)
-
-
 def test_tokenizer_unknown_word_is_unk():
-    tok = Tokenizer.from_texts(["alpha beta"])
+    tok = Tokenizer.from_texts(["alpha beta", "alpha beta"])
     unk = tok.id_of("never-seen")
     assert tok.tokens[unk] == "<unk>"
+    assert tok.id_of("alpha") != unk
 
 
 def test_tokenizer_label_ids_are_special():
@@ -323,7 +317,8 @@ def test_tokenizer_label_ids_are_special():
 
 
 def test_tokenizer_save_load_round_trip(tmp_path):
-    tok = Tokenizer.from_texts(["some words here"])
+    tok = Tokenizer.from_texts(["some words here"] * 2)
+    assert tok.tokens[5:] == ["here", "some", "words"]
     path = tmp_path / "tok.json"
     tok.save(path)
     back = Tokenizer.load(path)
