@@ -17,13 +17,14 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .schema import Severity
-from .util import CrashlensError, atomic_write_text
+from .util import CrashlensError, atomic_write, atomic_write_text
 
 BOS = "<bos>"
 EOS = "<eos>"
@@ -40,6 +41,9 @@ MIN_WORD_COUNT = 2
 # contexts per output matmul in the per-epoch NLL: its memory is chunk x V,
 # not N x V, which at 20k cases (V ~5.7k) would be ~0.9 GB per epoch
 NLL_CHUNK = 1024
+
+# a checkpoint's arrays, in the order `TinyLM` takes and `TinyLM.save` writes them
+_ARRAYS = ("embeddings", "position_weights", "output_weights", "output_bias")
 
 
 def label_token(severity: Severity) -> str:
@@ -102,7 +106,10 @@ class Tokenizer:
         return self.vocab[label_token(severity)]
 
     def encode(self, text: str) -> list[int]:
-        return [tid for tid, _, _ in self.encode_with_spans(text)]
+        """Token ids of `text.split()`: the words `encode_with_spans` finds."""
+        vocab = self.vocab
+        unk = vocab[UNK]
+        return [vocab.get(w, unk) for w in text.split()]
 
     def encode_with_spans(self, text: str) -> list[tuple[int, int, int]]:
         """Token ids with (start, end) character spans into `text`."""
@@ -197,24 +204,32 @@ class TinyLM:
         return self._softmax_rows(self.hidden(self.window_of(context))[None])[0]
 
     def save(self, path: str | Path) -> None:
-        doc = {
-            "version": 1,
-            "embeddings": self.embeddings.tolist(),
-            "position_weights": self.position_weights.tolist(),
-            "output_weights": self.output_weights.tolist(),
-            "output_bias": self.output_bias.tolist(),
-        }
-        atomic_write_text(path, json.dumps(doc))
+        """Write the bytes of `json.dumps` of the checkpoint document, one
+        array row at a time, so neither the document nor its text is held."""
+        atomic_write(path, self._json_chunks())
+
+    def _json_chunks(self) -> Iterator[str]:
+        yield '{"version": 1'
+        for key in _ARRAYS:
+            array = getattr(self, key)
+            yield f', "{key}": '
+            if array.ndim == 1:
+                yield json.dumps(array.tolist())
+                continue
+            yield "["
+            for i, row in enumerate(array):
+                yield (", " if i else "") + json.dumps(row.tolist())
+            yield "]"
+        yield "}"
 
     @classmethod
     def load(cls, path: str | Path) -> "TinyLM":
         doc = _read_object(path, "checkpoint")
         if doc.get("version") != 1:
             raise RefModelError(f"unsupported checkpoint version {doc.get('version')!r}")
-        arrays = ("embeddings", "position_weights", "output_weights", "output_bias")
-        _require_keys(doc, path, "checkpoint", arrays)
+        _require_keys(doc, path, "checkpoint", _ARRAYS)
         try:
-            model = cls(*(np.array(doc[key], dtype=np.float64) for key in arrays))
+            model = cls(*(np.array(doc[key], dtype=np.float64) for key in _ARRAYS))
         except (TypeError, ValueError) as exc:  # not numbers, or ragged
             raise RefModelError(f"checkpoint {path}: {exc}") from exc
         emb = model.embeddings
@@ -225,9 +240,9 @@ class TinyLM:
             and model.output_bias.shape == emb.shape[:1]
             and model.window >= 1
         ):
-            shapes = ", ".join(f"{key} {getattr(model, key).shape}" for key in arrays)
+            shapes = ", ".join(f"{key} {getattr(model, key).shape}" for key in _ARRAYS)
             raise RefModelError(f"checkpoint {path} arrays do not fit one model: {shapes}")
-        if not all(np.isfinite(getattr(model, key)).all() for key in arrays):
+        if not all(np.isfinite(getattr(model, key)).all() for key in _ARRAYS):
             raise RefModelError(f"checkpoint {path} holds a non-finite value")
         return model
 
@@ -278,6 +293,16 @@ def _corpus_nll(model: TinyLM, windows: Sequence[np.ndarray], targets: np.ndarra
     return float(-np.log(np.maximum(p, 1e-300)).mean())
 
 
+def _check_token_ids(examples: Sequence[TrainingExample], vocab_size: int) -> None:
+    """Every context and target id lies in [0, vocab_size). The ids go into
+    one array sized up front; a growing one is reallocated on the way, and
+    either, kept through training, raises train-ref's peak RSS."""
+    count = sum(len(ex.context) for ex in examples) + len(examples)
+    ids = np.fromiter(chain.from_iterable((*ex.context, ex.target) for ex in examples), np.int64, count)
+    if ids.min() < 0 or ids.max() >= vocab_size:
+        raise ValueError("example token id outside model vocabulary")
+
+
 def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfig) -> TinyLM:
     """SGD on the NLL of each example's target; deterministic for a given seed.
 
@@ -288,45 +313,46 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
     """
     if not examples:
         raise ValueError("no training examples")
-    for ex in examples:
-        if not all(0 <= t < model.vocab_size for t in (*ex.context, ex.target)):
-            raise ValueError("example token id outside model vocabulary")
+    _check_token_ids(examples, model.vocab_size)
 
     m = model.copy()
     m.loss_history = []
+    emb, slot_w, out_w, out_b = m.embeddings, m.position_weights, m.output_weights, m.output_bias
     rng = np.random.default_rng(config.seed)
-    lr, d = config.lr, m.dim
+    lr = config.lr
     windows = [m.window_of(ex.context) for ex in examples]
-    targets = np.array([ex.target for ex in examples], dtype=np.intp)
+    targets = [ex.target for ex in examples]
     # per window: its distinct ids, the embedding rows a step updates, and each slot's index into them
     uniques = [np.unique(window, return_inverse=True) for window in windows]
-    columns = np.arange(d)
-    grad_u = np.empty_like(m.output_weights)  # reused: a fresh d x V array per step costs page faults
+    grad_u = np.empty_like(out_w)  # reused: a fresh d x V array per step costs page faults
 
     # a diverging run overflows on the way; the finite-NLL check below
     # reports it, so numpy's own warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            for idx in rng.permutation(len(examples)):
+            for idx in rng.permutation(len(examples)).tolist():
                 window = windows[idx]
-                k = len(window)
-                embs = m.embeddings[window]
-                hidden = m.position_weights[:k] @ embs
-                dz = m._softmax_rows(hidden[None])[0]
+                slots = slot_w[: len(window)]
+                embs = emb[window]
+                hidden = slots @ embs
+                # the softmax of `_softmax_rows`, on one row
+                dz = hidden @ out_w
+                dz += out_b
+                dz -= dz.max()
+                np.exp(dz, out=dz)
+                dz /= dz.sum()
                 dz[targets[idx]] -= 1.0  # dNLL/dlogits = p - onehot
-                dh = m.output_weights @ dz
-                # dNLL/de = a_j dh for each slot, summed onto its embedding row in slot order
+                dz *= lr  # so dh and both output updates come out scaled by lr
+                dh = out_w @ dz
+                # dNLL/de = a_j dh for each slot: a row gets the sum of its slots' a_j, in slot order
+                # and before the slot update below, times dh
                 rows, slot_rows = uniques[idx]
-                index = slot_rows[:, None] * d + columns
-                grad_slots = m.position_weights[:k, None] * dh
-                grad_rows = np.bincount(index.ravel(), grad_slots.ravel(), len(rows) * d)
-                m.embeddings[rows] -= lr * grad_rows.reshape(len(rows), d)
-                m.position_weights[:k] -= lr * (embs @ dh)  # dNLL/da_j = e_j . dh
+                emb[rows] -= np.bincount(slot_rows, slots, len(rows))[:, None] * dh
+                slots -= embs @ dh  # dNLL/da_j = e_j . dh
                 np.dot(hidden[:, None], dz[None], out=grad_u)
-                grad_u *= lr
-                m.output_weights -= grad_u
-                m.output_bias -= lr * dz
-            nll = _corpus_nll(m, windows, targets)
+                out_w -= grad_u
+                out_b -= dz
+            nll = _corpus_nll(m, windows, np.array(targets, dtype=np.intp))
             if not np.isfinite(nll):
                 raise TrainingDivergedError(epoch)
             m.loss_history.append(nll)

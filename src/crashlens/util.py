@@ -68,7 +68,7 @@ def load_yaml_section(name: str, key: str, kind: type, path: Optional[str | Path
     return doc[key]
 
 
-def _atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
+def atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
     """Write `chunks` one by one into a sibling temp file, then rename it over
     `path`, so readers never see partials. If producing a chunk raises, the
     temp file is removed and `path` is left as it was."""
@@ -88,7 +88,7 @@ def _atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    _atomic_write(path, (text,))
+    atomic_write(path, (text,))
 
 
 def atomic_write_json(path: str | Path, doc: object) -> None:
@@ -97,7 +97,7 @@ def atomic_write_json(path: str | Path, doc: object) -> None:
 
 def atomic_write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """One JSON line per record, written as `records` yields them."""
-    _atomic_write(path, (json.dumps(r, ensure_ascii=False) + "\n" for r in records))
+    atomic_write(path, (json.dumps(r, ensure_ascii=False) + "\n" for r in records))
 
 
 def string_fields(doc: dict, *keys: str) -> list[str]:

@@ -105,7 +105,8 @@ def corpus_nll_loop(model: TinyLM, examples: Sequence[TrainingExample]) -> float
 
 
 def train_loop(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfig) -> TinyLM:
-    """One forward and backward pass per example, into dense gradients."""
+    """One forward and backward pass per example, into dense gradients
+    already scaled by the learning rate."""
     m = model.copy()
     m.loss_history = []
     rng = np.random.default_rng(config.seed)
@@ -120,16 +121,21 @@ def train_loop(model: TinyLM, examples: Sequence[TrainingExample], config: Train
             hidden = m.position_weights[:k] @ embs
             dz = distribution_given_window(m, embs)
             dz[ex.target] -= 1.0  # dNLL/dlogits = p - onehot
+            dz *= config.lr  # the step's lr, folded into dNLL/dlogits once
             dh = m.output_weights @ dz
-            grad_e = np.zeros((v, d))
+            # each row's gradient is (the sum of its slots' a_j, in slot order) * dh
+            slot_sums: dict[int, float] = {}
             for slot, tok in enumerate(ids):
-                grad_e[tok] += m.position_weights[slot] * dh
+                slot_sums[tok] = slot_sums.get(tok, 0.0) + m.position_weights[slot]
+            grad_e = np.zeros((v, d))
+            for tok, weight in slot_sums.items():
+                grad_e[tok] = weight * dh
             grad_a = np.zeros(w)
             grad_a[:k] = embs @ dh
-            m.embeddings -= config.lr * grad_e
-            m.position_weights -= config.lr * grad_a
-            m.output_weights -= config.lr * np.outer(hidden, dz)
-            m.output_bias -= config.lr * dz
+            m.embeddings -= grad_e
+            m.position_weights -= grad_a
+            m.output_weights -= np.outer(hidden, dz)
+            m.output_bias -= dz
         nll = corpus_nll_loop(m, examples)
         if not np.isfinite(nll):
             raise TrainingDivergedError(epoch)

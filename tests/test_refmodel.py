@@ -5,7 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crashlens import synth
+from crashlens.narrator import load_lexicon, load_templates, normalize, render
 from crashlens.refmodel import (
     BOS_ID,
     MIN_WORD_COUNT,
@@ -17,13 +21,14 @@ from crashlens.refmodel import (
     TrainConfig,
     TrainingDivergedError,
     TrainingExample,
+    _SPECIALS,
     _corpus_nll,
     classify,
     label_token,
     prob,
     train,
 )
-from crashlens.schema import Severity
+from crashlens.schema import Severity, integrate, load_tables
 from oracles import distribution_given_window, grad_prob_wrt_embeddings, train_loop
 
 
@@ -204,13 +209,30 @@ def _params(model: TinyLM):
     return (model.embeddings, model.position_weights, model.output_weights, model.output_bias)
 
 
-def test_train_matches_loop_oracle_exactly_on_label_only_masks():
+def _synth_narrative_examples(tmp_path, window):
+    """One example per prefix of the first seed-1 synth narrative, under a
+    vocabulary of its own repeated words, so most windows repeat tokens."""
+    paths = synth.write_corpus(tmp_path, n_cases=1, seed=1)
+    case = integrate(load_tables(*(paths[name] for name in ("crashes", "segments", "vehicles", "persons")))).cases[0]
+    text = render(normalize(case, load_lexicon()), load_templates()).descriptive
+    tokenizer = Tokenizer.from_texts([text])
+    examples = _prefix_examples((BOS_ID, *tokenizer.encode(text)))
+    repeats = sum(len(set(ex.context[-window:])) < len(ex.context[-window:]) for ex in examples)
+    assert len(examples) > window and repeats > len(examples) // 2
+    return tokenizer.size, examples
+
+
+def test_train_matches_loop_oracle_exactly_on_label_only_masks(tmp_path):
     rng = np.random.default_rng(31)
+    trials = []
     for trial in range(60):
         vocab, window = int(rng.integers(6, 30)), int(rng.integers(2, 10))
         examples = _random_examples(rng, 12, vocab, window)
-        model = TinyLM.init(vocab, dim=5, window=window, seed=trial)
-        config = TrainConfig(lr=0.2, epochs=4, seed=trial)
+        trials.append((vocab, 5, window, examples, TrainConfig(lr=0.2, epochs=4, seed=trial)))
+    vocab, examples = _synth_narrative_examples(tmp_path, 48)
+    trials.append((vocab, 8, 48, examples, TrainConfig(lr=0.05, epochs=2, seed=60)))
+    for trial, (vocab, dim, window, examples, config) in enumerate(trials):
+        model = TinyLM.init(vocab, dim=dim, window=window, seed=trial)
         ours, oracle = train(model, examples, config), train_loop(model, examples, config)
         for a, b in zip(_params(ours), _params(oracle)):
             assert np.array_equal(a, b)
@@ -300,6 +322,22 @@ def test_tokenizer_keeps_the_words_seen_at_least_min_word_count_times():
     assert [tok.tokens[i] for i in tok.encode("a c b")] == ["a", "<unk>", "b"]
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(
+            ["a", "b", "zz", "\u00e9", "a.b", "", " ", "\t", "\n", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+        ),
+        max_size=20,
+    ).map("".join)
+)
+def test_tokenizer_encode_splits_as_encode_with_spans(text):
+    """`encode` splits with `str.split`, `encode_with_spans` with `\\S+`:
+    the same words, also around non-ASCII and control whitespace."""
+    tok = Tokenizer.from_texts(["a b a b \u00e9 \u00e9"])
+    assert tok.encode(text) == [i for i, _, _ in tok.encode_with_spans(text)]
+
+
 def test_tokenizer_unknown_word_is_unk():
     tok = Tokenizer.from_texts(["alpha beta", "alpha beta"])
     unk = tok.id_of("never-seen")
@@ -336,13 +374,69 @@ def test_tokenizer_load_rejects_other_modes(tmp_path):
         Tokenizer.load(path)
 
 
-def test_model_save_load_round_trip(tmp_path):
-    model = TinyLM.init(11, dim=5, window=7, seed=8)
+def _checkpoint_doc(model: TinyLM) -> dict:
+    """The checkpoint as one document, before `save` wrote it row by row."""
+    return {
+        "version": 1,
+        "embeddings": model.embeddings.tolist(),
+        "position_weights": model.position_weights.tolist(),
+        "output_weights": model.output_weights.tolist(),
+        "output_bias": model.output_bias.tolist(),
+    }
+
+
+@pytest.mark.parametrize(
+    "vocab, dim, window", [(len(_SPECIALS), 1, 1), (len(_SPECIALS), 3, 2), (40, 1, 7), (60, 8, 48)]
+)
+def test_model_save_load_round_trip(tmp_path, vocab, dim, window):
+    """`save` writes the bytes of `json.dumps` of the whole checkpoint, and
+    `load` reads every array back exactly."""
+    model = TinyLM.init(vocab, dim=dim, window=window, seed=vocab + dim)
+    # values whose repr is unusual: signed zero, subnormal, huge, many digits
+    model.embeddings[0, 0] = -0.0
+    model.output_bias[:4] = [5e-324, -1.7976931348623157e308, 1e16, 0.1 + 0.2]
     path = tmp_path / "model.json"
     model.save(path)
+    assert path.read_text(encoding="utf-8") == json.dumps(_checkpoint_doc(model))
     back = TinyLM.load(path)
+    for a, b in zip(_params(model), _params(back)):
+        assert np.array_equal(a, b)
+    assert np.signbit(back.embeddings[0, 0])
     context = [1, 2, 3]
     assert np.array_equal(model.distribution(context), back.distribution(context))
+
+
+def test_model_save_memory_is_one_row_not_the_document(tmp_path):
+    """At the 20k-case vocabulary the whole document's lists and text took
+    ~27 MiB; written row by row, `save` holds one row's."""
+    model = TinyLM.init(5700, dim=32, window=48, seed=0)
+    tracemalloc.start()
+    try:
+        model.save(tmp_path / "model.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"save peak at V=5700, d=32: {peak / 2**20:.2f} MiB")
+    assert peak < 2**20
+
+
+def test_model_save_that_fails_midway_leaves_the_old_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    TinyLM.init(300, dim=4, window=4, seed=0).save(path)
+    before = path.read_bytes()
+    chunks = TinyLM._json_chunks
+
+    def failing(self):
+        for i, chunk in enumerate(chunks(self)):
+            if i == 200:  # inside the embedding rows, after some bytes reached the temp file
+                raise OSError("disk full")
+            yield chunk
+
+    monkeypatch.setattr(TinyLM, "_json_chunks", failing)
+    with pytest.raises(OSError, match="disk full"):
+        TinyLM.init(300, dim=4, window=4, seed=1).save(path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("dim, window", [(0, 4), (3, 0), (-1, 4)])
@@ -375,14 +469,7 @@ def test_tokenizer_load_rejects_malformed_file(tmp_path, doc, detail):
 
 
 def _checkpoint(**changes) -> dict:
-    model = TinyLM.init(6, dim=3, window=4, seed=1)
-    doc = {
-        "version": 1,
-        "embeddings": model.embeddings.tolist(),
-        "position_weights": model.position_weights.tolist(),
-        "output_weights": model.output_weights.tolist(),
-        "output_bias": model.output_bias.tolist(),
-    }
+    doc = _checkpoint_doc(TinyLM.init(6, dim=3, window=4, seed=1))
     doc.update(changes)
     return {k: v for k, v in doc.items() if v is not None}
 
