@@ -17,7 +17,6 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -106,10 +105,7 @@ class Tokenizer:
         return self.vocab[label_token(severity)]
 
     def encode(self, text: str) -> list[int]:
-        """Token ids of `text.split()`: the words `encode_with_spans` finds."""
-        vocab = self.vocab
-        unk = vocab[UNK]
-        return [vocab.get(w, unk) for w in text.split()]
+        return [tid for tid, _, _ in self.encode_with_spans(text)]
 
     def encode_with_spans(self, text: str) -> list[tuple[int, int, int]]:
         """Token ids with (start, end) character spans into `text`."""
@@ -293,16 +289,6 @@ def _corpus_nll(model: TinyLM, windows: Sequence[np.ndarray], targets: np.ndarra
     return float(-np.log(np.maximum(p, 1e-300)).mean())
 
 
-def _check_token_ids(examples: Sequence[TrainingExample], vocab_size: int) -> None:
-    """Every context and target id lies in [0, vocab_size). The ids go into
-    one array sized up front; a growing one is reallocated on the way, and
-    either, kept through training, raises train-ref's peak RSS."""
-    count = sum(len(ex.context) for ex in examples) + len(examples)
-    ids = np.fromiter(chain.from_iterable((*ex.context, ex.target) for ex in examples), np.int64, count)
-    if ids.min() < 0 or ids.max() >= vocab_size:
-        raise ValueError("example token id outside model vocabulary")
-
-
 def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfig) -> TinyLM:
     """SGD on the NLL of each example's target; deterministic for a given seed.
 
@@ -313,7 +299,9 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
     """
     if not examples:
         raise ValueError("no training examples")
-    _check_token_ids(examples, model.vocab_size)
+    for ex in examples:
+        if not all(0 <= t < model.vocab_size for t in (*ex.context, ex.target)):
+            raise ValueError("example token id outside model vocabulary")
 
     m = model.copy()
     m.loss_history = []
@@ -335,12 +323,7 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
                 slots = slot_w[: len(window)]
                 embs = emb[window]
                 hidden = slots @ embs
-                # the softmax of `_softmax_rows`, on one row
-                dz = hidden @ out_w
-                dz += out_b
-                dz -= dz.max()
-                np.exp(dz, out=dz)
-                dz /= dz.sum()
+                dz = m._softmax_rows(hidden[None])[0]
                 dz[targets[idx]] -= 1.0  # dNLL/dlogits = p - onehot
                 dz *= lr  # so dh and both output updates come out scaled by lr
                 dh = out_w @ dz
