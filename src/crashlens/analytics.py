@@ -12,6 +12,7 @@ import enum
 import functools
 import html
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -278,6 +279,8 @@ def _parse_factor_payload(completion: str, caseno: str) -> FactorSummary:
                 term, score = str(item["term"]), float(item["score"])
             else:
                 term, score = str(item[0]), float(item[1])
+            if not math.isfinite(score):  # `inf` would reach factors.jsonl as `Infinity`, not JSON
+                raise ValueError(f"term {term!r} has a non-finite score")
             terms.append(FactorTerm(term=term, score=score, position=i))
         categories[cat] = CategorySummary(summary=str(entry.get("summary", "")), terms=terms)
     return FactorSummary(caseno=caseno, categories=categories, source="llm")

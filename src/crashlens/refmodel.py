@@ -14,6 +14,8 @@ context, so no pass pads a window to W or gathers a slot it does not read.
 from __future__ import annotations
 
 import json
+import math
+import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -139,10 +141,12 @@ class TinyLM:
     def init(cls, vocab_size: int, dim: int = 32, window: int = 16, seed: int = 0) -> "TinyLM":
         if dim < 1 or window < 1:
             raise RefModelError(f"dim and window must be >= 1, not {dim} and {window}")
-        rng = np.random.default_rng(seed)
+        # the standard library's stream: numpy.random's extension modules
+        # would cost several MB of RSS to draw these few thousand values
+        rng = random.Random(seed)
 
         def u(*shape: int) -> np.ndarray:
-            return rng.uniform(-0.05, 0.05, size=shape)
+            return np.array([rng.uniform(-0.05, 0.05) for _ in range(math.prod(shape))]).reshape(shape)
 
         # slot weights start near uniform mixing; random-sign slots make the
         # pooled vector alternate direction token-to-token and destabilize
@@ -306,7 +310,8 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
     m = model.copy()
     m.loss_history = []
     emb, slot_w, out_w, out_b = m.embeddings, m.position_weights, m.output_weights, m.output_bias
-    rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
+    order = list(range(len(examples)))  # shuffled in place, once per epoch
     lr = config.lr
     windows = [m.window_of(ex.context) for ex in examples]
     targets = [ex.target for ex in examples]
@@ -318,7 +323,8 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
     # reports it, so numpy's own warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            for idx in rng.permutation(len(examples)).tolist():
+            rng.shuffle(order)
+            for idx in order:
                 window = windows[idx]
                 slots = slot_w[: len(window)]
                 embs = emb[window]

@@ -24,6 +24,7 @@ every sentence.
 from __future__ import annotations
 
 import math
+import random
 import re
 from collections import Counter
 from typing import Callable, Mapping, Sequence
@@ -109,11 +110,13 @@ def train_loop(model: TinyLM, examples: Sequence[TrainingExample], config: Train
     already scaled by the learning rate."""
     m = model.copy()
     m.loss_history = []
-    rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
+    order = list(range(len(examples)))
     v, d, w = m.vocab_size, m.dim, m.window
 
     for epoch in range(config.epochs):
-        for idx in rng.permutation(len(examples)):
+        rng.shuffle(order)
+        for idx in order:
             ex = examples[idx]
             ids = (list(ex.context) or [BOS_ID])[-w:]
             k = len(ids)

@@ -429,6 +429,17 @@ def test_summarize_factors_repair_can_succeed():
     assert summary.source == "llm"
 
 
+@pytest.mark.parametrize("score", ['"inf"', "1e999", '"nan"', "-Infinity"])
+def test_summarize_factors_non_finite_score_is_a_parse_failure(score):
+    """A non-finite score asks for a repair, and then falls back to the rules."""
+    bad = _llm_payload().replace('"score": 4.0', f'"score": {score}')
+    assert bad != _llm_payload()
+    client = ScriptedClient([bad, bad])
+    summary = summarize_factors("the dusk[3.00] crash", client)
+    assert client.calls == 2
+    assert summary.source == "rules"
+
+
 def test_summarize_factors_unavailable_client_falls_back_to_rules():
     annotated = "the dusk[3.00] crash"
     client = ScriptedClient([UnavailableError("transport failed after 4 attempts")])

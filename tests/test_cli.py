@@ -657,6 +657,20 @@ def test_each_stage_loads_only_the_modules_it_runs(pipeline, tmp_path, stage, lo
     assert _loaded_after(_main_probe(_stage_argv(d, tmp_path, stage)), modules) == expected
 
 
+def test_train_ref_and_occlusion_load_no_numpy_random(pipeline, tmp_path):
+    """The model's init and epoch order come from the standard library's
+    `random`, so neither call loads numpy's random extension modules."""
+    d, _ = pipeline
+    attribute = [
+        "attribute", "--narratives", str(d / "narratives.jsonl"),
+        "--model", str(tmp_path / "model.json"), "--tokenizer", str(tmp_path / "tok.json"),
+        "--method", "occlusion", "--caseno", "C0001", "--out", str(tmp_path / "attr.jsonl"),
+    ]
+    probe = f"{_main_probe(_stage_argv(d, tmp_path, 'train-ref'))}\nassert main({attribute!r}) == 0"
+    assert _loaded_after(probe, ("numpy", "numpy.random")) == ["numpy"]
+    assert (tmp_path / "attr.jsonl").read_text().count("\n") == 1
+
+
 def _main_error(argv: list[str], capsys) -> dict:
     """Run the CLI in process; it must fail with one JSON line on stderr."""
     from crashlens.cli import main
