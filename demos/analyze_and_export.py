@@ -58,10 +58,11 @@ def main() -> None:
     per_case = []
     first_annotated = ""
     for pair in pairs:
-        ids = tokenizer.encode(pair.descriptive)
+        spans = tokenizer.encode_with_spans(pair.descriptive)
+        ids = [tid for tid, _, _ in spans]
         label, _ = classify(model, tokenizer, ids)
         values = occlusion_importance(model, [BOS_ID] + ids, tokenizer.label_id(label))
-        words = aggregate_to_words(normalize_scores(values), pair.descriptive, display_divisor=20.0)
+        words = aggregate_to_words(normalize_scores(values), pair.descriptive, spans, display_divisor=20.0)
         summary = rule_based_factors(words, caseno=pair.caseno)
         top = extract_top_factors(summary)
         grouped = semantic_group(top, rules)

@@ -76,14 +76,15 @@ def main() -> None:
     )
 
     pair = pairs[0]
-    ids = tokenizer.encode(pair.descriptive)
+    spans = tokenizer.encode_with_spans(pair.descriptive)
+    ids = [tid for tid, _, _ in spans]
     label, _ = classify(clf, tokenizer, ids)
     print(f"\n{pair.caseno}: explaining prediction {label.name} "
           f"(only the final {clf.window} tokens are visible to the classifier)")
 
     # one score per context token; word n of the narrative is token n + 1
     values = occlusion_importance(clf, [BOS_ID] + ids, tokenizer.label_id(label))
-    words = aggregate_to_words(normalize_scores(values), pair.descriptive, display_divisor=20.0)
+    words = aggregate_to_words(normalize_scores(values), pair.descriptive, spans, display_divisor=20.0)
     annotated = annotate_narrative(pair.descriptive, words)
     print("\nannotated narrative (word[score], display scale /20):\n")
     print(annotated)

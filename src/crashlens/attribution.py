@@ -12,12 +12,12 @@ is context token n + 1 (token 0 is `<bos>`).
 
 from __future__ import annotations
 
-import re
+import json
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .refmodel import BOS_ID, TinyLM, Tokenizer, grad_prob_wrt_hidden, prob
+from .refmodel import BOS_ID, TinyLM, grad_prob_wrt_hidden, prob
 
 # The annotated-narrative format lives in util, so that analytics reads it
 # without loading numpy; its names stay importable from here.
@@ -86,43 +86,64 @@ def normalize_scores(values: np.ndarray, L: int = 100, b: int = 1) -> ScoreMatri
 
 
 def aggregate_to_words(
-    scores: ScoreMatrix, narrative: str, display_divisor: float = 1.0
+    scores: ScoreMatrix,
+    narrative: str,
+    spans: Sequence[tuple[int, int, int]],
+    display_divisor: float = 1.0,
 ) -> list[WordAttribution]:
     """The narrative's words that scored above 0, each with its score over
-    the display divisor; word n is context token n + 1."""
+    the display divisor. Word n is context token n + 1 and spans
+    narrative[s:e] for the n-th (id, s, e) of `spans`, as
+    `Tokenizer.encode_with_spans` gives them."""
     return [
-        WordAttribution(m.group(0), m.span(), raw / display_divisor)
-        for m, raw in zip(re.finditer(r"\S+", narrative), scores.scores[1:, 0].tolist())
+        WordAttribution(narrative[s:e], (s, e), raw / display_divisor)
+        for (_, s, e), raw in zip(spans, scores.scores[1:, 0].tolist())
         if raw > 0
     ]
+
+
+# the tail of a token row with no place in the narrative: <bos> and the target
+_NO_SPAN = '"start": null, "end": null}'
+
+
+def token_fragments(tokens: Sequence[str]) -> list[str]:
+    """Each vocabulary token's row of an attribution record up to its span,
+    `{"text": <token>, "id": <id>, `, in the bytes `json.dumps` writes.
+    Built once per vocabulary, then shared by every record."""
+    return [f'{{"text": {json.dumps(tok, ensure_ascii=False)}, "id": {i}, ' for i, tok in enumerate(tokens)]
 
 
 def attribution_record(
     caseno: str,
     method: str,
-    tokenizer: Tokenizer,
+    fragments: Sequence[str],
     spans: Sequence[tuple[int, int, int]],
     target: int,
     scores: ScoreMatrix,
     annotated: str,
-) -> dict:
-    """JSON-ready export with a sparse score matrix. Its rows are `<bos>`,
-    the narrative's words (`spans`, as `Tokenizer.encode_with_spans` gives
-    them) and the target. Word scores are in `annotated` (`parse_annotated`
-    reads them back)."""
-    label = {"text": tokenizer.tokens[target], "id": target}
-    nonzero = np.nonzero(scores.scores)
-    return {
-        "caseno": caseno,
-        "method": method,
-        "L": scores.L,
-        "b": scores.b,
-        "tokens": [
-            {"text": tokenizer.tokens[BOS_ID], "id": BOS_ID, "start": None, "end": None},
-            *({"text": tokenizer.tokens[tid], "id": tid, "start": s, "end": e} for tid, s, e in spans),
-            {**label, "start": None, "end": None},
-        ],
-        "output_tokens": [label],
-        "score_matrix": np.column_stack([*nonzero, scores.scores[nonzero]]).tolist(),
-        "annotated": annotated,
-    }
+) -> str:
+    """One attribution record as a JSON line without its newline: the bytes
+    `json.dumps(record, ensure_ascii=False)` writes for the record
+    {caseno, method, L, b, tokens, output_tokens, score_matrix, annotated}.
+    Its token rows are `<bos>`, the narrative's words (`spans`, as
+    `Tokenizer.encode_with_spans` gives them) and the target, each built from
+    its `token_fragments` entry; the score matrix is sparse, one
+    [row, column, score] per nonzero score. Word scores are in `annotated`
+    (`parse_annotated` reads them back)."""
+    rows, cols = np.nonzero(scores.scores)
+    matrix = ", ".join(
+        f"[{n}, {m}, {v}]" for n, m, v in zip(rows.tolist(), cols.tolist(), scores.scores[rows, cols].tolist())
+    )
+    tokens = ", ".join(
+        [
+            fragments[BOS_ID] + _NO_SPAN,
+            *[f'{fragments[tid]}"start": {s}, "end": {e}}}' for tid, s, e in spans],
+            fragments[target] + _NO_SPAN,
+        ]
+    )
+    label = fragments[target][:-2] + "}"
+    return (
+        f'{{"caseno": {json.dumps(caseno, ensure_ascii=False)}, "method": {json.dumps(method, ensure_ascii=False)}, '
+        f'"L": {scores.L}, "b": {scores.b}, "tokens": [{tokens}], "output_tokens": [{label}], '
+        f'"score_matrix": [{matrix}], "annotated": {json.dumps(annotated, ensure_ascii=False)}}}'
+    )

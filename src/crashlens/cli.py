@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 from .util import (
     CrashlensError,
     StrategyKind,
+    atomic_write,
     atomic_write_json,
     atomic_write_jsonl,
     iter_jsonl,
@@ -208,7 +209,7 @@ def cmd_narrate(args: argparse.Namespace) -> int:
 
 def cmd_augment(args: argparse.Namespace) -> int:
     from .augment import ConstraintKind, augment_batch
-    from .narrator import read_pairs
+    from .records import read_pairs
 
     pairs = read_pairs(args.narratives)
     client = _chat_client(args)
@@ -243,7 +244,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 def cmd_train_ref(args: argparse.Namespace) -> int:
     from . import refmodel
-    from .narrator import read_pairs
+    from .records import read_pairs
 
     config = refmodel.TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed)
     pairs = read_pairs(args.narratives)
@@ -282,7 +283,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
             f"need L >= 1, 0 <= b < L and a finite display_divisor > 0; got {L}, {b} and {divisor}"
         )
     from . import attribution, refmodel
-    from .narrator import read_pairs
+    from .records import read_pairs
 
     pairs = read_pairs(args.narratives)
     if args.caseno:
@@ -299,18 +300,22 @@ def cmd_attribute(args: argparse.Namespace) -> int:
         attribution.occlusion_importance if args.method == "occlusion" else attribution.taylor_importance
     )
 
-    def records() -> Iterator[dict]:
+    fragments = attribution.token_fragments(tokenizer.tokens)
+
+    def lines() -> Iterator[str]:
         for pair in pairs:
             spans = tokenizer.encode_with_spans(pair.descriptive)
             ids = [tid for tid, _, _ in spans]
             label, _ = refmodel.classify(model, tokenizer, ids)
             target = tokenizer.label_id(label)
             scores = attribution.normalize_scores(importance_fn(model, [refmodel.BOS_ID, *ids], target), L, b)
-            words = attribution.aggregate_to_words(scores, pair.descriptive, divisor)
+            words = attribution.aggregate_to_words(scores, pair.descriptive, spans, divisor)
             annotated = attribution.annotate_narrative(pair.descriptive, words)
-            yield attribution.attribution_record(pair.caseno, args.method, tokenizer, spans, target, scores, annotated)
+            yield attribution.attribution_record(
+                pair.caseno, args.method, fragments, spans, target, scores, annotated
+            ) + "\n"
 
-    atomic_write_jsonl(args.out, records())
+    atomic_write(args.out, lines())
     _emit({"records": len(pairs), "method": args.method, "out": str(args.out)})
     return 0
 
@@ -407,8 +412,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     from . import evaluation
-    from .narrator import read_pairs
-    from .schema import Severity
+    from .records import Severity, read_pairs
 
     pairs = read_pairs(args.narratives)
     kind = StrategyKind(args.strategy)
@@ -478,7 +482,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_build_sft(args: argparse.Namespace) -> int:
     from . import evaluation
-    from .narrator import read_pairs
+    from .records import read_pairs
 
     pairs = read_pairs(args.narratives)
     records = evaluation.build_sft_dataset(pairs)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .augment import ChatClient, UnavailableError, _check_temperature, bounded_map
-from .narrator import NarrativePair
-from .schema import Severity
+from .records import NarrativePair, Severity
 from .util import CrashlensError
 from .util import StrategyKind  # re-exported; in util so the CLI parser need not import this module
 

@@ -16,8 +16,9 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .schema import CrashCase, Severity
-from .util import CrashlensError, is_null, load_yaml_section, read_jsonl, string_fields
+from .records import NarrativePair, Severity, read_pairs  # re-exported
+from .schema import CrashCase
+from .util import CrashlensError, is_null, load_yaml_section
 
 _FORMATTER = string.Formatter()
 
@@ -81,14 +82,6 @@ class NormalizedCase:
     fields: dict[str, str]
     vehicles: list[VehicleView]
     warnings: list[str] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class NarrativePair:
-    caseno: str
-    descriptive: str
-    outcome: str
-    label: Severity
 
 
 def load_lexicon(path: Optional[str | Path] = None) -> Lexicon:
@@ -327,11 +320,3 @@ def pair_to_dict(pair: NarrativePair) -> dict:
         "outcome": pair.outcome,
         "label": pair.label.value,
     }
-
-
-def read_pairs(path: str | Path) -> list[NarrativePair]:
-    def pair(d: dict) -> NarrativePair:
-        caseno, descriptive, outcome = string_fields(d, "caseno", "descriptive", "outcome")
-        return NarrativePair(caseno, descriptive, outcome, Severity(d["label"]))
-
-    return read_jsonl(path, pair)

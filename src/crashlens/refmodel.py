@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .schema import Severity
+from .records import Severity
 from .util import CrashlensError, atomic_write, atomic_write_text
 
 BOS = "<bos>"
@@ -34,6 +34,8 @@ UNK = "<unk>"
 _SPECIALS = (BOS, EOS, UNK) + tuple(f"<label:{sev.value}>" for sev in Severity)
 
 BOS_ID = 0
+
+_WORD_RE = re.compile(r"\S+")
 
 # a tokenizer keeps the words seen at least this often in its texts;
 # rarer ones, mostly one-off numbers, read as `<unk>`
@@ -110,8 +112,11 @@ class Tokenizer:
         return [tid for tid, _, _ in self.encode_with_spans(text)]
 
     def encode_with_spans(self, text: str) -> list[tuple[int, int, int]]:
-        """Token ids with (start, end) character spans into `text`."""
-        return [(self.id_of(m.group(0)), m.start(), m.end()) for m in re.finditer(r"\S+", text)]
+        """Token ids with (start, end) character spans into `text`, one per
+        whitespace-separated word."""
+        get, unk = self.vocab.get, self.vocab[UNK]
+        # start() and end() build the tuple in one step; unpacking span() goes through a list
+        return [(get(m[0], unk), m.start(), m.end()) for m in _WORD_RE.finditer(text)]
 
     def save(self, path: str | Path) -> None:
         doc = {"version": 1, "mode": "word", "tokens": self.tokens}

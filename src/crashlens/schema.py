@@ -8,7 +8,6 @@ lookup on milepost; no geospatial machinery.
 from __future__ import annotations
 
 import csv
-import enum
 import math
 from dataclasses import dataclass, field, fields
 from datetime import datetime
@@ -16,6 +15,7 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Mapping, Optional, Sequence
 
+from .records import Severity  # re-exported
 from .util import CrashlensError, ParseError, is_null, read_jsonl  # deserialize_cases raises ParseError
 
 MODEL_YEAR_MIN = 1900
@@ -50,25 +50,6 @@ class InsufficientMajorityError(SchemaError):
         )
         self.requested = requested
         self.available = available
-
-
-class Severity(enum.Enum):
-    MINOR = "NoApparentOrMinor"
-    SEVERE = "SeriousOrFatal"
-
-    @property
-    def phrase(self) -> str:
-        if self is Severity.MINOR:
-            return "No apparent or minor injury"
-        return "Serious injury or fatal"
-
-    @classmethod
-    def parse(cls, text: str) -> "Severity":
-        t = text.strip().lower()
-        for sev in cls:
-            if t in (sev.value.lower(), sev.phrase.lower()):
-                return sev
-        raise ValueError(f"unknown severity label {text!r}")
 
 
 @dataclass(frozen=True)

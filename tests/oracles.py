@@ -8,6 +8,10 @@ the deletions leave) for `attribution.occlusion_importance`, `taylor_loop`
 for `attribution.taylor_importance` (through `grad_prob_wrt_embeddings`,
 the gradient of `refmodel.prob` w.r.t. each position's embedding) and
 `normalize_scores_bruteforce` for `attribution.normalize_scores`.
+`aggregate_to_words_scan` reads each word off a second `\\S+` scan of the
+narrative, as `attribution.aggregate_to_words` did before it took the
+encoder's spans, and `attribution_record_dict` builds the record as the
+dict whose `json.dumps` `attribution.attribution_record` must equal.
 `parse_annotated_scans` is the three-scan `util.parse_annotated`,
 `rule_based_factors_loop` matches every keyword of every word as
 `analytics.rule_based_factors` did before its lexicon memoized terms, and
@@ -50,9 +54,11 @@ from crashlens.augment import (
     _TextFacts,
 )
 from crashlens.narrator import NormalizedCase
+from crashlens.attribution import ScoreMatrix
 from crashlens.refmodel import (
     BOS_ID,
     TinyLM,
+    Tokenizer,
     TrainConfig,
     TrainingDivergedError,
     TrainingExample,
@@ -195,6 +201,47 @@ def normalize_scores_bruteforce(values, L: int = 100, b: int = 1) -> list[list[i
             if scaled > b:
                 out[row][col] = scaled
     return out
+
+
+def aggregate_to_words_scan(
+    scores: ScoreMatrix, narrative: str, display_divisor: float = 1.0
+) -> list[WordAttribution]:
+    """Word n of a `\\S+` scan of the narrative, with context token n + 1's
+    score over the display divisor, where that score is above 0."""
+    return [
+        WordAttribution(m.group(0), m.span(), raw / display_divisor)
+        for m, raw in zip(re.finditer(r"\S+", narrative), scores.scores[1:, 0].tolist())
+        if raw > 0
+    ]
+
+
+def attribution_record_dict(
+    caseno: str,
+    method: str,
+    tokenizer: Tokenizer,
+    spans: Sequence[tuple[int, int, int]],
+    target: int,
+    scores: ScoreMatrix,
+    annotated: str,
+) -> dict:
+    """An attribution record as a JSON-ready dict with a sparse score matrix:
+    rows `<bos>`, the narrative's words and the target."""
+    label = {"text": tokenizer.tokens[target], "id": target}
+    nonzero = np.nonzero(scores.scores)
+    return {
+        "caseno": caseno,
+        "method": method,
+        "L": scores.L,
+        "b": scores.b,
+        "tokens": [
+            {"text": tokenizer.tokens[BOS_ID], "id": BOS_ID, "start": None, "end": None},
+            *({"text": tokenizer.tokens[tid], "id": tid, "start": s, "end": e} for tid, s, e in spans),
+            {**label, "start": None, "end": None},
+        ],
+        "output_tokens": [label],
+        "score_matrix": np.column_stack([*nonzero, scores.scores[nonzero]]).tolist(),
+        "annotated": annotated,
+    }
 
 
 def parse_annotated_scans(annotated: str) -> tuple[str, list[WordAttribution]]:

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crashlens.attribution import (
+    ScoreMatrix,
     WordAttribution,
     aggregate_to_words,
     annotate_narrative,
@@ -17,9 +21,12 @@ from crashlens.attribution import (
     parse_annotated,
     strip_annotations,
     taylor_importance,
+    token_fragments,
 )
 from crashlens.refmodel import BOS_ID, MIN_WORD_COUNT, UNK, TinyLM, Tokenizer
 from oracles import (
+    aggregate_to_words_scan,
+    attribution_record_dict,
     distribution_given_window,
     normalize_scores_bruteforce,
     occlusion_loop,
@@ -205,11 +212,15 @@ def test_normalization_thresholds_and_zeroes():
     assert normalize_scores(np.array([-1.0, -2.0, -0.5])).scores[:, 0].tolist() == [0, 0, 0, 0]
 
 
+# a tokenizer that knows no word: it still gives every word its span
+_SPECIALS_ONLY = Tokenizer.from_texts([])
+
+
 def test_aggregate_to_words_reads_word_n_from_token_n_plus_1():
     text = "alpha  beta\tgamma"
     # rows: <bos>, alpha, beta, gamma, then the target's 0 row
     scores = normalize_scores(np.array([9.0, 1.0, 4.0, 2.0]))
-    words = aggregate_to_words(scores, text, display_divisor=20.0)
+    words = aggregate_to_words(scores, text, _SPECIALS_ONLY.encode_with_spans(text), display_divisor=20.0)
     assert words == [
         WordAttribution("alpha", (0, 5), 12 / 20),
         WordAttribution("beta", (7, 11), 45 / 20),
@@ -222,7 +233,7 @@ def test_positive_words_filter():
     text = "a b c d"
     # b's ceil(100 * 0.005) = 1 is not above b = 1; c's score is negative
     scores = normalize_scores(np.array([0.0, 0.25, 0.005, -1.0, 1.0]))
-    words = aggregate_to_words(scores, text)
+    words = aggregate_to_words(scores, text, _SPECIALS_ONLY.encode_with_spans(text))
     assert [(w.word, w.score) for w in words] == [("a", 25.0), ("d", 100.0)]
     assert annotate_narrative(text, words) == "a[25.00] b c d[100.00]"
 
@@ -247,12 +258,7 @@ def test_tokenizer_spans_are_the_narrative_words(pairs, corpus_tokenizer):
             assert [tid for tid, _, _ in spans] == [tokenizer.id_of(m.group(0)) for m in matches]
             unknown[name] += sum(tid == tokenizer.id_of(UNK) for tid, _, _ in spans)
             scores = normalize_scores(rng.normal(size=1 + len(spans)))
-            expect = [
-                WordAttribution(m.group(0), m.span(), raw / 20.0)
-                for m, raw in zip(matches, scores.scores[1:-1, 0].tolist())
-                if raw > 0
-            ]
-            assert aggregate_to_words(scores, text, 20.0) == expect
+            assert aggregate_to_words(scores, text, spans, 20.0) == aggregate_to_words_scan(scores, text, 20.0)
     assert 0 < unknown["corpus"] == rare < unknown["narrow"]
 
 
@@ -279,9 +285,11 @@ def test_attribution_record_round_trips_sparse_matrix(reference_model, corpus_to
     context = [BOS_ID] + [tid for tid, _, _ in spans]
     target = context[3]
     scores = normalize_scores(occlusion_importance(reference_model, context, target))
-    words = aggregate_to_words(scores, text, display_divisor=20.0)
+    words = aggregate_to_words(scores, text, spans, display_divisor=20.0)
     annotated = annotate_narrative(text, words)
-    record = attribution_record("C0000", "occlusion", corpus_tokenizer, spans, target, scores, annotated)
+    fragments = token_fragments(corpus_tokenizer.tokens)
+    line = attribution_record("C0000", "occlusion", fragments, spans, target, scores, annotated)
+    record = json.loads(line)
     dense = np.zeros_like(scores.scores)
     for n, m, v in record["score_matrix"]:
         dense[n, m] = v
@@ -301,3 +309,50 @@ def test_attribution_record_round_trips_sparse_matrix(reference_model, corpus_to
     assert plain == text
     assert [w for w in parsed if w.score > 0] == words
     assert parsed[0].word == text.split()[0]
+
+
+# token texts that JSON escapes, or writes as they are with ensure_ascii off
+_AWKWARD = st.text(st.sampled_from('ab "\\/\x00\x01\x1f\x7f\n\r\t\u2028\u2029\xe9\u4e2d\U0001f697[].'), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    words=st.lists(st.one_of(_AWKWARD, st.text(max_size=6)), unique=True, max_size=10),
+    caseno=st.one_of(_AWKWARD, st.text(max_size=8)),
+    annotated=st.one_of(_AWKWARD, st.text(max_size=40)),
+    L=st.integers(1, 1000),
+    b=st.integers(0, 999),
+    data=st.data(),
+)
+def test_attribution_record_is_the_json_dumps_of_the_record(words, caseno, annotated, L, b, data):
+    """The line `attribution_record` builds from token fragments has the bytes
+    `json.dumps` writes for the record dict, whatever the token texts hold;
+    an all-zero score column gives an empty matrix."""
+    tokenizer = Tokenizer(_SPECIALS_ONLY.tokens + [w for w in words if w not in _SPECIALS_ONLY.vocab])
+    ids = st.integers(0, tokenizer.size - 1)
+    spans = data.draw(st.lists(st.tuples(ids, st.integers(0, 10**6), st.integers(0, 10**6)), max_size=12))
+    target = data.draw(ids)
+    rows = len(spans) + 2  # <bos>, the words, the target
+    column = data.draw(st.lists(st.sampled_from([0, 0, 1, 2, 57, L]), min_size=rows, max_size=rows))
+    fragments = token_fragments(tokenizer.tokens)
+    for values in (column, [0] * rows):
+        scores = ScoreMatrix(np.array(values, dtype=np.int64)[:, None], L, b)
+        line = attribution_record(caseno, "taylor", fragments, spans, target, scores, annotated)
+        record = attribution_record_dict(caseno, "taylor", tokenizer, spans, target, scores, annotated)
+        assert line == json.dumps(record, ensure_ascii=False)
+    assert json.loads(line)["score_matrix"] == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=st.text(st.sampled_from("ab.\u00e9 \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000"), max_size=40),
+    data=st.data(),
+)
+def test_aggregate_to_words_with_spans_matches_a_rescan(text, data):
+    """Word n read off the encoder's n-th span is word n of an `\\S+` scan
+    of the narrative, whatever whitespace separates the words."""
+    spans = Tokenizer.from_texts([text, text]).encode_with_spans(text)
+    rows = len(spans) + 1  # <bos> and the words
+    raw = data.draw(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=rows, max_size=rows))
+    scores = normalize_scores(np.array(raw))
+    assert aggregate_to_words(scores, text, spans, 20.0) == aggregate_to_words_scan(scores, text, 20.0)

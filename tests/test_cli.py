@@ -537,7 +537,7 @@ def test_non_object_jsonl_line_is_one_json_error(pipeline, tmp_path, command, fl
 
 STAGE_MODULES = tuple(
     f"crashlens.{m}"
-    for m in ("schema", "narrator", "augment", "analytics", "evaluation", "refmodel", "attribution")
+    for m in ("records", "schema", "narrator", "augment", "analytics", "evaluation", "refmodel", "attribution")
 )
 
 
@@ -551,6 +551,13 @@ def _loaded_after(code: str, modules: tuple[str, ...]) -> list[str]:
 
 def test_package_root_imports_no_dependencies():
     assert _loaded_after("import crashlens", ("numpy", "requests", "jsonschema")) == []
+
+
+def test_records_module_loads_no_numpy_or_yaml():
+    """The stages that only read narratives load `records`, not the table
+    loader or the template renderer, and through it neither numpy nor yaml."""
+    modules = ("numpy", "yaml", "crashlens.schema", "crashlens.narrator")
+    assert _loaded_after("import crashlens.records", modules) == []
 
 
 @pytest.mark.parametrize(
@@ -637,15 +644,15 @@ def test_live_eval_loads_no_requests(pipeline, tmp_path, scripted):
 @pytest.mark.parametrize(
     "stage, loaded",
     [
-        ("ingest", ["schema"]),
-        ("narrate", ["schema", "narrator", "yaml"]),
-        ("augment", ["schema", "narrator", "augment"]),
-        ("train-ref", ["schema", "narrator", "refmodel"]),
-        ("attribute", ["schema", "narrator", "refmodel", "attribution"]),
+        ("ingest", ["records", "schema"]),
+        ("narrate", ["records", "schema", "narrator", "yaml"]),
+        ("augment", ["records", "augment"]),
+        ("train-ref", ["records", "refmodel"]),
+        ("attribute", ["records", "refmodel", "attribution"]),
         ("analyze", ["augment", "analytics", "yaml"]),
         ("export", ["augment", "analytics"]),
-        ("eval", ["schema", "narrator", "augment", "evaluation"]),
-        ("build-sft", ["schema", "narrator", "augment", "evaluation"]),
+        ("eval", ["records", "augment", "evaluation"]),
+        ("build-sft", ["records", "augment", "evaluation"]),
     ],
 )
 def test_each_stage_loads_only_the_modules_it_runs(pipeline, tmp_path, stage, loaded):
@@ -940,6 +947,37 @@ def test_attribute_encodes_each_narrative_once(pipeline, tmp_path, monkeypatch):
     assert code == 0
     assert calls == {"encode": 0, "encode_with_spans": 50}
     assert out.read_bytes() == (d / "attr_occ.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("caseno", ["C0001", "C0027"])
+def test_attribute_caseno_line_is_the_json_dumps_of_its_record(pipeline, tmp_path, caseno):
+    """`--caseno` writes the line the whole run writes for that case: the
+    bytes `json.dumps` gives the record dict built from the library's steps."""
+    from crashlens import attribution, refmodel
+    from crashlens.records import read_pairs
+    from oracles import aggregate_to_words_scan, attribution_record_dict
+
+    d, _ = pipeline
+    out = tmp_path / "attr.jsonl"
+    argv = [
+        "attribute", "--narratives", str(d / "narratives.jsonl"), "--model", str(d / "model.json"),
+        "--tokenizer", str(d / "tok.json"), "--method", "occlusion", "--caseno", caseno, "--out", str(out),
+    ]
+    assert run_cli(argv)[0] == 0
+    whole = (d / "attr_occ.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    line = out.read_text(encoding="utf-8")
+    assert [line] == [w for w in whole if json.loads(w)["caseno"] == caseno]
+
+    model, tokenizer = refmodel.TinyLM.load(d / "model.json"), refmodel.Tokenizer.load(d / "tok.json")
+    pair = next(p for p in read_pairs(d / "narratives.jsonl") if p.caseno == caseno)
+    spans = tokenizer.encode_with_spans(pair.descriptive)
+    ids = [tid for tid, _, _ in spans]
+    target = tokenizer.label_id(refmodel.classify(model, tokenizer, ids)[0])
+    scores = attribution.normalize_scores(attribution.occlusion_importance(model, [refmodel.BOS_ID, *ids], target))
+    words = aggregate_to_words_scan(scores, pair.descriptive, 20.0)
+    annotated = attribution.annotate_narrative(pair.descriptive, words)
+    record = attribution_record_dict(caseno, "occlusion", tokenizer, spans, target, scores, annotated)
+    assert line == json.dumps(record, ensure_ascii=False) + "\n"
 
 
 def _train_ref_args(d: Path, tmp_path: Path, *extra: str) -> list[str]:
