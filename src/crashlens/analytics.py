@@ -17,9 +17,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .augment import ChatClient, UnavailableError
 from .util import (
     CrashlensError,
     WordAttribution,
@@ -28,6 +27,9 @@ from .util import (
     load_yaml_section,
     parse_annotated,
 )
+
+if TYPE_CHECKING:  # the rules path runs without `augment`; a live client has loaded it
+    from .augment import ChatClient
 
 
 class AspectCategory(enum.Enum):
@@ -294,6 +296,8 @@ def summarize_factors(
 ) -> FactorSummary:
     """LLM factor summary with one repair request; falls back to the rules
     when the reply cannot be repaired or the client is unavailable."""
+    from .augment import UnavailableError
+
     user = annotated
     try:
         for _ in range(2):

@@ -305,10 +305,10 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     def lines() -> Iterator[str]:
         for pair in pairs:
             spans = tokenizer.encode_with_spans(pair.descriptive)
-            ids = [tid for tid, _, _ in spans]
-            label, _ = refmodel.classify(model, tokenizer, ids)
-            target = tokenizer.label_id(label)
-            scores = attribution.normalize_scores(importance_fn(model, [refmodel.BOS_ID, *ids], target), L, b)
+            context = [refmodel.BOS_ID, *(tid for tid, _, _ in spans)]
+            dist = model.distribution(context)  # one forward pass for the label and the scores
+            target = tokenizer.label_id(refmodel.classify(model, tokenizer, context[1:], dist)[0])
+            scores = attribution.normalize_scores(importance_fn(model, context, target, dist), L, b)
             words = attribution.aggregate_to_words(scores, pair.descriptive, spans, divisor)
             annotated = attribution.annotate_narrative(pair.descriptive, words)
             yield attribution.attribution_record(
@@ -324,24 +324,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.top_k < 1:  # terms[:k] would silently drop every factor
         raise ValueError(f"need top_k >= 1; got {args.top_k}")
     from . import analytics
-    from .augment import bounded_map
 
     records = _read_jsonl(args.attributions)
     rules = analytics.load_grouping_rules(args.grouping_rules)
     lexicon = analytics.load_category_lexicon(args.category_lexicon)
     client = None if args.offline else _chat_client(args)
+    if client is None:  # the rules send no requests for a thread pool to overlap
+        summaries = [
+            analytics.rule_based_factors(parse_annotated(r["annotated"])[1], lexicon, caseno=r["caseno"])
+            for r in records
+        ]
+    else:
+        from .augment import bounded_map
 
-    def summarize(rec: dict) -> analytics.FactorSummary:
-        if client is None:
-            _, words = parse_annotated(rec["annotated"])
-            return analytics.rule_based_factors(words, lexicon, caseno=rec["caseno"])
-        return analytics.summarize_factors(
-            rec["annotated"], client, caseno=rec["caseno"], category_lexicon=lexicon
-        )
+        def summarize(rec: dict) -> analytics.FactorSummary:
+            return analytics.summarize_factors(rec["annotated"], client, caseno=rec["caseno"], category_lexicon=lexicon)
 
-    summaries = bounded_map(summarize, records, args.jobs)
-    out_records = []
-    per_case_grouped = []
+        summaries = bounded_map(summarize, records, args.jobs)
+    out_records, per_case_grouped = [], []
     for rec, summary in zip(records, summaries):
         top = analytics.extract_top_factors(summary, k=args.top_k)
         grouped = analytics.semantic_group(top, rules)

@@ -8,7 +8,6 @@ supervised fine-tuning records.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -108,8 +107,21 @@ _SEVERE_WORDS = ("serious", "fatal")
 _MINOR_WORDS = ("minor",)
 
 
+class _Keep(dict):
+    """A `str.translate` table: [0-9a-z] stay, any other code point becomes a
+    space, cached the first time it is seen."""
+
+    def __missing__(self, code: int) -> str:
+        self[code] = " "
+        return " "
+
+
+_KEEP = _Keep({ord(c): c for c in "0123456789abcdefghijklmnopqrstuvwxyz"})
+
+
 def _normalize(text: str) -> str:
-    return " ".join(re.sub(r"[^0-9a-z]+", " ", text.lower()).split())
+    """Lower-case words of [0-9a-z] only, single-spaced."""
+    return " ".join(text.lower().translate(_KEEP).split())
 
 
 def _phrase_positions(text: str, phrase: str) -> list[int]:

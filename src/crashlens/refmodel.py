@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,8 +33,6 @@ UNK = "<unk>"
 _SPECIALS = (BOS, EOS, UNK) + tuple(f"<label:{sev.value}>" for sev in Severity)
 
 BOS_ID = 0
-
-_WORD_RE = re.compile(r"\S+")
 
 # a tokenizer keeps the words seen at least this often in its texts;
 # rarer ones, mostly one-off numbers, read as `<unk>`
@@ -113,10 +110,14 @@ class Tokenizer:
 
     def encode_with_spans(self, text: str) -> list[tuple[int, int, int]]:
         """Token ids with (start, end) character spans into `text`, one per
-        whitespace-separated word."""
+        word of `text.split()`, the rule `from_texts` reads words by."""
         get, unk = self.vocab.get, self.vocab[UNK]
-        # start() and end() build the tuple in one step; unpacking span() goes through a list
-        return [(get(m[0], unk), m.start(), m.end()) for m in _WORD_RE.finditer(text)]
+        spans, end = [], 0
+        for word in text.split():
+            start = text.find(word, end)  # only whitespace lies between the last word and this one
+            end = start + len(word)
+            spans.append((get(word, unk), start, end))
+        return spans
 
     def save(self, path: str | Path) -> None:
         doc = {"version": 1, "mode": "word", "tokens": self.tokens}
@@ -359,13 +360,16 @@ class DecodeTrace:
     tie: bool
 
 
-def classify(model: TinyLM, tokenizer: Tokenizer, ids: Sequence[int]) -> tuple[Severity, DecodeTrace]:
+def classify(
+    model: TinyLM, tokenizer: Tokenizer, ids: Sequence[int], dist: np.ndarray | None = None
+) -> tuple[Severity, DecodeTrace]:
     """Constrained decode after a narrative's token ids (without <bos>, which
     is prepended here): pick the label token with the higher log-prob, both
-    scored from one forward pass. Ties go to the minor-injury label, flagged
-    in the trace.
+    scored from one forward pass, `dist` when the caller has already run it
+    on [<bos>, *ids]. Ties go to the minor-injury label, flagged in the trace.
     """
-    dist = model.distribution([BOS_ID, *ids])
+    if dist is None:
+        dist = model.distribution([BOS_ID, *ids])
     scores = {
         sev: float(np.log(max(float(dist[tokenizer.label_id(sev)]), 1e-300))) for sev in Severity
     }

@@ -14,9 +14,7 @@ T = TypeVar("T")
 # Raw values that mean "no value", compared after strip() and lower().
 NULL_MARKERS = frozenset({"", "nan", "unknown", "n/a"})
 
-_ANNOTATION_RE = re.compile(r"(?<=\S)\[\d+\.\d{2}\]")
-_TAIL_RE = re.compile(r"\[(\d+\.\d{2})\]$")
-_WORD_RE = re.compile(r"\S+")
+_TAG_RE = re.compile(r"\[(\d+\.\d{2})\]")
 
 
 class StrategyKind(enum.Enum):
@@ -60,7 +58,7 @@ def load_yaml_section(name: str, key: str, kind: type, path: Optional[str | Path
         raw = resources.files("crashlens.data").joinpath(name).read_text("utf-8")
     else:
         raw = Path(path).read_text("utf-8")
-    doc = yaml.safe_load(raw)
+    doc = yaml.load(raw, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))  # libyaml when built with it
     if not isinstance(doc, dict) or list(doc) != [key] or not isinstance(doc[key], kind):
         raise ValueError(
             f"{path or name} must be a mapping whose only key is {key!r}, holding a {kind.__name__}"
@@ -156,28 +154,29 @@ def annotate_narrative(narrative: str, words: Sequence[WordAttribution]) -> str:
 
 
 def strip_annotations(annotated: str) -> str:
-    return _ANNOTATION_RE.sub("", annotated)
+    return parse_annotated(annotated)[0]
 
 
 def parse_annotated(annotated: str) -> tuple[str, list[WordAttribution]]:
-    """Invert annotate_narrative: recover the plain text and word scores.
+    """Invert annotate_narrative: the plain text and the words that carry a score.
 
-    The plain text is `annotated` without its tags. Each of its
-    whitespace-separated words comes with its span in the plain text and the
-    score of the tag that ends its annotated form, or 0.0 when no tag does.
-    Only a tag that follows a non-space is removed, so no word vanishes and
-    the words of both texts pair up one to one.
-    """
-    words = []
-    removed = 0  # tag characters dropped before the current word
-    for m in _WORD_RE.finditer(annotated):
-        raw = m.group()
-        start = m.start() - removed
-        if "[" not in raw:
-            words.append(WordAttribution(raw, (start, start + len(raw)), 0.0))
-            continue
-        word = _ANNOTATION_RE.sub("", raw)
-        removed += len(raw) - len(word)
-        tail = _TAIL_RE.search(raw)
-        words.append(WordAttribution(word, (start, start + len(word)), float(tail.group(1)) if tail else 0.0))
-    return strip_annotations(annotated), words
+    The plain text drops each tag that follows a non-space, so no word vanishes
+    (a lone tag stays a word). Each word whose annotated form ends in a tag
+    comes back with its span in the plain text and that tag's score."""
+    parts, tagged = [], []
+    cursor = removed = prev_end = token_start = token_removed = 0  # `removed`: tag characters dropped
+    for m in _TAG_RE.finditer(annotated):
+        s, e = m.span()
+        start = s  # walk back to the word's start, or to the previous tag inside it
+        while start > prev_end and not annotated[start - 1].isspace():
+            start -= 1
+        if start > prev_end:  # a new word; the tag characters dropped before it
+            token_start, token_removed = start, removed
+        if s > token_start:  # the tag follows a non-space: not part of the text
+            parts.append(annotated[cursor:s])
+            cursor, removed = e, removed + e - s
+        if e == len(annotated) or annotated[e].isspace():
+            tagged.append((token_start - token_removed, e - removed, float(m[1])))
+        prev_end = e
+    plain = "".join(parts) + annotated[cursor:]
+    return plain, [WordAttribution(plain[a:b], (a, b), score) for a, b, score in tagged]

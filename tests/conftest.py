@@ -15,6 +15,9 @@ from crashlens.schema import integrate, load_tables
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# separators that str.split() and re's \s both take for whitespace, ASCII and not
+WHITESPACE = [" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c", "\u2028"]
+
 
 def corpus_path(name: str) -> Path:
     return Path(resources.files("crashlens").joinpath(f"data/corpus/{name}.csv"))

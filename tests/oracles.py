@@ -22,7 +22,8 @@ dict whose `json.dumps` `attribution.attribution_record` must equal.
 before its patterns became digit-led and its proper-noun pass visited only
 capitalized tokens: `\\b`-led patterns (kept in `SCAN_PATTERNS` under the
 names of their rewritten forms), a sentence split, and every token of
-every sentence.
+every sentence. `normalize_regex` is `evaluation._normalize` as a
+per-character regex substitution, before it became a cached translate table.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from crashlens.refmodel import (
     grad_prob_wrt_hidden,
     prob,
 )
-from crashlens.util import NULL_MARKERS, WordAttribution, strip_annotations
+from crashlens.util import NULL_MARKERS, WordAttribution
 
 
 def fact_values(normalized: NormalizedCase) -> list[str]:
@@ -246,8 +247,8 @@ def attribution_record_dict(
 
 def parse_annotated_scans(annotated: str) -> tuple[str, list[WordAttribution]]:
     """Strip the tags, then pair the words of the plain and annotated texts
-    and read each annotated word's trailing tag."""
-    plain = strip_annotations(annotated)
+    and keep each annotated word that ends in a tag, with that tag's score."""
+    plain = re.sub(r"(?<=\S)\[\d+\.\d{2}\]", "", annotated)
     plain_words = list(re.finditer(r"\S+", plain))
     raw_words = [m.group(0) for m in re.finditer(r"\S+", annotated)]
     if len(plain_words) != len(raw_words):
@@ -256,9 +257,13 @@ def parse_annotated_scans(annotated: str) -> tuple[str, list[WordAttribution]]:
     words = []
     for span, raw in zip(plain_words, raw_words):
         m = tail.match(raw)
-        score = float(m.group(2)) if m else 0.0
-        words.append(WordAttribution(word=span.group(0), char_span=span.span(), score=score))
+        if m:
+            words.append(WordAttribution(word=span.group(0), char_span=span.span(), score=float(m.group(2))))
     return plain, words
+
+
+def normalize_regex(text: str) -> str:
+    return " ".join(re.sub(r"[^0-9a-z]+", " ", text.lower()).split())
 
 
 def _match_keyword(keyword: str, word: str) -> bool:

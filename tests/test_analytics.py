@@ -23,7 +23,6 @@ from crashlens.analytics import (
     FactorTerm,
     GroupingRule,
     GroupingRules,
-    UnavailableError,
     ValidationError,
     cooccurrence,
     export_heatmap,
@@ -39,7 +38,9 @@ from crashlens.analytics import (
     validate_sankey,
 )
 from crashlens.attribution import WordAttribution, annotate_narrative
+from crashlens.augment import UnavailableError
 from crashlens.util import parse_annotated
+from conftest import WHITESPACE
 from oracles import SANKEY_SCHEMA, parse_annotated_scans, rule_based_factors_loop
 
 
@@ -504,9 +505,8 @@ def test_lexicon_memo_matches_keyword_loop_on_chain_records(chain_annotations):
             assert rule_based_factors(words, lexicon) == rule_based_factors_loop(words, lexicon.keywords)
 
 
-_WHITESPACE = [" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c", "\u2028"]
 _annotation_pieces = st.one_of(
-    st.sampled_from(_WHITESPACE),
+    st.sampled_from(WHITESPACE),
     st.text(st.sampled_from("abcDusk.,:[]()-0123456789\u00e9"), min_size=1, max_size=6),
     st.sampled_from(["dusk", "Motorcycle", "intoxication,", "2005", "8:00", "lane.", "rain", "restraint"]),
     st.tuples(st.integers(0, 10**5), st.integers(0, 99)).map(lambda t: f"[{t[0]}.{t[1]:02d}]"),

@@ -649,8 +649,10 @@ def test_live_eval_loads_no_requests(pipeline, tmp_path, scripted):
         ("augment", ["records", "augment"]),
         ("train-ref", ["records", "refmodel"]),
         ("attribute", ["records", "refmodel", "attribution"]),
-        ("analyze", ["augment", "analytics", "yaml"]),
-        ("export", ["augment", "analytics"]),
+        # offline, the rules need no chat client, so `augment` stays unloaded
+        ("analyze", ["analytics", "yaml"]),
+        ("export", ["analytics"]),
+        ("export-sankey", ["analytics"]),
         ("eval", ["records", "augment", "evaluation"]),
         ("build-sft", ["records", "augment", "evaluation"]),
     ],
@@ -699,10 +701,13 @@ def _main_error(argv: list[str], capsys) -> dict:
         ("--category-lexicon", "categories: [a]\n", "ValueError"),
         ("--category-lexicon", "categories:\n  environmental: ['re:(dusk']\n", "AnalyticsError"),
         ("--category-lexicon", "categories:\n  behavioral: [1, null]\n", "AnalyticsError"),
+        # not YAML at all: the parser's own error, whichever loader parsed it
+        ("--templates", "templates: [a\n", "ParserError"),
+        ("--category-lexicon", "categories: 'dusk\n", "ScannerError"),
     ],
     ids=["lexicon-empty", "lexicon-list", "lexicon-null-markers", "template-string",
          "grouping-rules-empty", "category-lexicon-list", "category-lexicon-bad-regex",
-         "category-lexicon-non-string"],
+         "category-lexicon-non-string", "templates-unclosed-flow", "category-lexicon-unclosed-quote"],
 )
 def test_malformed_data_file_is_one_json_error(pipeline, tmp_path, capsys, flag, text, error):
     d, _ = pipeline
@@ -715,6 +720,28 @@ def test_malformed_data_file_is_one_json_error(pipeline, tmp_path, capsys, flag,
     out = tmp_path / "out.jsonl"
     assert _main_error([*argv, flag, str(data), "--out", str(out)], capsys)["error"] == error
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [("lexicon.yaml", "fields"), ("templates.yaml", "templates"),
+     ("grouping_rules.yaml", "rules"), ("category_lexicon.yaml", "categories")],
+)
+def test_bundled_data_files_load_alike_through_libyaml_and_pure_python(name, key):
+    """`load_yaml_section` parses with libyaml when PyYAML has it; each
+    bundled file gives the document the pure-Python loader gives."""
+    from importlib import resources
+
+    import yaml
+
+    from crashlens.util import load_yaml_section
+
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    raw = resources.files("crashlens.data").joinpath(name).read_text("utf-8")
+    pure = yaml.load(raw, Loader=yaml.SafeLoader)
+    assert pure[key] and yaml.load(raw, Loader=yaml.CSafeLoader) == pure
+    assert load_yaml_section(name, key, type(pure[key])) == pure[key]
 
 
 @pytest.mark.parametrize(
@@ -918,6 +945,24 @@ def test_invalid_yaml_config_is_yaml_error(tmp_path):
     )
     # the name is the YAMLError subclass that the parser raised (ParserError)
     assert _one_error_line(proc)["error"] == raised.type.__name__
+
+
+@pytest.mark.parametrize("method, passes", [("occlusion", 2), ("taylor", 1)])
+def test_attribute_shares_one_forward_pass_per_narrative(pipeline, tmp_path, monkeypatch, method, passes):
+    """The label and the scores read one distribution; occlusion adds one
+    batched pass for its deletions."""
+    from crashlens.refmodel import TinyLM
+
+    d, _ = pipeline
+    calls = []
+    softmax_rows = TinyLM._softmax_rows
+    monkeypatch.setattr(TinyLM, "_softmax_rows", lambda self, h: calls.append(len(h)) or softmax_rows(self, h))
+    out = tmp_path / "attr.jsonl"
+    args = ["--model", str(d / "model.json"), "--tokenizer", str(d / "tok.json"), "--method", method]
+    code, _ = run_cli(["attribute", "--narratives", str(d / "narratives.jsonl"), *args, "--out", str(out)])
+    assert code == 0
+    assert len(calls) == passes * 50
+    assert out.read_bytes() == (d / f"attr_{method[:3]}.jsonl").read_bytes()
 
 
 def test_attribute_encodes_each_narrative_once(pipeline, tmp_path, monkeypatch):

@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import OverlapProbe
 from crashlens.augment import StubChatClient, UnavailableError
@@ -24,9 +26,11 @@ from crashlens.evaluation import (
     render_sft,
     run_evaluation,
     sft_record_to_dict,
+    _normalize,
 )
 from crashlens.narrator import NarrativePair
 from crashlens.schema import Severity
+from oracles import normalize_regex
 
 MINOR = Severity.MINOR
 SEVERE = Severity.SEVERE
@@ -120,6 +124,21 @@ def test_parse_fuzzy_keywords():
     assert parse_label("probably fatal") == (SEVERE, ParseStatus.FUZZY)
     assert parse_label("just minor damage") == (MINOR, ParseStatus.FUZZY)
     assert parse_label("there was no apparent harm") == (MINOR, ParseStatus.FUZZY)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(
+        st.one_of(
+            # İ lowers to two code points, ß and ﬁ do not split, Arabic-Indic digits are no [0-9]
+            st.sampled_from(list("İßﬁ٣٤ \u2028\x1c\x85\t-.,:'Aaz09")),
+            st.characters(),
+        ),
+        max_size=40,
+    )
+)
+def test_normalize_matches_the_regex_oracle(text):
+    assert _normalize(text) == normalize_regex(text)
 
 
 def test_parse_failure_modes():

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crashlens import synth
 from crashlens.narrator import load_lexicon, load_templates, normalize, render
@@ -27,6 +30,7 @@ from crashlens.refmodel import (
     train,
 )
 from crashlens.schema import Severity, integrate, load_tables
+from conftest import WHITESPACE
 from oracles import distribution_given_window, grad_prob_wrt_embeddings, train_loop
 
 
@@ -311,6 +315,22 @@ def test_tokenizer_word_mode_round_trip():
     spans = tok.encode_with_spans(text)
     for tid, start, end in spans:
         assert text[start:end] in tok.tokens or tok.tokens[tid] == "<unk>"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([*WHITESPACE, "\x85"]), st.sampled_from(["a", "b", "ab", "ba", "é", "a.b"])),
+        max_size=20,
+    ).map("".join)
+)
+def test_encode_with_spans_matches_an_s_plus_scan(text):
+    """The words of `str.split()` located by a running find are the words of
+    an `\\S+` scan, spans and all, whatever whitespace separates them."""
+    tok = Tokenizer.from_texts([text, "a b a b"])
+    scan = [(tok.id_of(m[0]), m.start(), m.end()) for m in re.finditer(r"\S+", text)]
+    assert tok.encode_with_spans(text) == scan
+    assert tok.encode(text) == [tid for tid, _, _ in scan]
 
 
 def test_tokenizer_keeps_the_words_seen_at_least_min_word_count_times():
