@@ -70,10 +70,10 @@ def main() -> None:
         if not first_annotated:
             first_annotated = annotate_narrative(pair.descriptive, words)
             print(f"{pair.caseno} top factors by aspect (canonical name in parentheses):")
-            for cat, names in top.items():
+            for aspect, names in top.items():
                 if names:
                     canon = ", ".join(f"{n} ({rules.canonical(n)})" for n in names)
-                    print(f"  {cat.value:<18} {canon}")
+                    print(f"  {aspect:<18} {canon}")
 
     graph = cooccurrence(per_case)
     print(f"\nco-occurrence graph over {len(per_case)} cases: "

@@ -8,7 +8,6 @@ co-occurrence graph for Sankey export.
 
 from __future__ import annotations
 
-import enum
 import functools
 import html
 import json
@@ -32,31 +31,18 @@ if TYPE_CHECKING:  # the rules path runs without `augment`; a live client has lo
     from .augment import ChatClient
 
 
-class AspectCategory(enum.Enum):
-    ENVIRONMENTAL = "environmental"
-    VEHICLE_OCCUPANT = "vehicle_occupant"
-    BEHAVIORAL = "behavioral"
-    INFRASTRUCTURE = "infrastructure"
-    UNUSUAL = "unusual"
-
-
-_ASPECT_ORDER = {cat: i for i, cat in enumerate(AspectCategory)}
-
-_ASPECT_LABELS = {
-    AspectCategory.ENVIRONMENTAL: "environmental",
-    AspectCategory.VEHICLE_OCCUPANT: "vehicle and occupant",
-    AspectCategory.BEHAVIORAL: "behavioral",
-    AspectCategory.INFRASTRUCTURE: "infrastructure",
-    AspectCategory.UNUSUAL: "unusual or standout",
+# aspect name -> (summary label, Sankey color), in Sankey column order; the
+# names are the keys of category_lexicon.yaml, the LLM reply, factors.jsonl
+# and graph.json
+ASPECTS = {
+    "environmental": ("environmental", "#4e79a7"),
+    "vehicle_occupant": ("vehicle and occupant", "#f28e2b"),
+    "behavioral": ("behavioral", "#e15759"),
+    "infrastructure": ("infrastructure", "#76b7b2"),
+    "unusual": ("unusual or standout", "#af7aa1"),
 }
 
-ASPECT_COLORS = {
-    AspectCategory.ENVIRONMENTAL: "#4e79a7",
-    AspectCategory.VEHICLE_OCCUPANT: "#f28e2b",
-    AspectCategory.BEHAVIORAL: "#e15759",
-    AspectCategory.INFRASTRUCTURE: "#76b7b2",
-    AspectCategory.UNUSUAL: "#af7aa1",
-}
+_ASPECT_ORDER = {aspect: i for i, aspect in enumerate(ASPECTS)}
 
 FACTOR_PROMPT = (
     "You are a road safety analyst. You will receive a crash narrative in "
@@ -99,13 +85,13 @@ class CategorySummary:
 @dataclass
 class FactorSummary:
     caseno: str
-    categories: dict[AspectCategory, CategorySummary]
+    categories: dict[str, CategorySummary]
     source: str = "llm"
 
     def __post_init__(self):
-        for cat in AspectCategory:
-            if cat not in self.categories:
-                raise AnalyticsError(f"missing category {cat.value!r}")
+        for aspect in ASPECTS:
+            if aspect not in self.categories:
+                raise AnalyticsError(f"missing category {aspect!r}")
         for summary in self.categories.values():
             summary.terms = sorted(
                 (t for t in summary.terms if t.score > 0),
@@ -133,7 +119,7 @@ class GroupingRules:
 @dataclass(frozen=True)
 class FactorNode:
     name: str
-    aspect: AspectCategory
+    aspect: str
     count: int
 
 
@@ -174,20 +160,24 @@ class CategoryLexicon:
     `category(folded)` gives a lowercased, punctuation-stripped term the
     first aspect, in declaration order, one of whose keywords it contains
     (a plain keyword as a substring, an "re:" keyword by regex search), or
-    UNUSUAL; each distinct term is matched once. A keyword that is not a
-    non-empty string, or an "re:" keyword that does not compile, raises
-    AnalyticsError naming its category and index.
+    "unusual"; each distinct term is matched once. A key that is not an
+    aspect name raises AnalyticsError naming it; so does a keyword that is
+    not a non-empty string, or an "re:" keyword that does not compile,
+    naming its category and index.
     """
 
-    def __init__(self, keywords: Mapping[AspectCategory, Sequence[str]]):
-        self.keywords = {cat: tuple(keywords.get(cat, ())) for cat in AspectCategory}
-        self._rules: list[tuple[AspectCategory, list[str], list[re.Pattern]]] = []
+    def __init__(self, keywords: Mapping[str, Sequence[str]]):
+        for key in keywords:
+            if key not in ASPECTS:
+                raise AnalyticsError(f"category {key!r} is not an aspect")
+        self.keywords = {aspect: tuple(keywords.get(aspect, ())) for aspect in ASPECTS}
+        self._rules: list[tuple[str, list[str], list[re.Pattern]]] = []
         for cat, entries in self.keywords.items():
             plain, patterns = [], []
             for i, keyword in enumerate(entries):
                 if not isinstance(keyword, str) or not keyword:
                     raise AnalyticsError(
-                        f"category {cat.value!r} keyword {i}: {keyword!r} is not a non-empty string"
+                        f"category {cat!r} keyword {i}: {keyword!r} is not a non-empty string"
                     )
                 if not keyword.startswith("re:"):
                     plain.append(keyword)
@@ -195,11 +185,11 @@ class CategoryLexicon:
                 try:
                     patterns.append(re.compile(keyword[3:]))
                 except re.error as exc:
-                    raise AnalyticsError(f"category {cat.value!r} keyword {i}: {keyword!r}: {exc}") from exc
+                    raise AnalyticsError(f"category {cat!r} keyword {i}: {keyword!r}: {exc}") from exc
             self._rules.append((cat, plain, patterns))
-        self._memo: dict[str, AspectCategory] = {}
+        self._memo: dict[str, str] = {}
 
-    def category(self, folded: str) -> AspectCategory:
+    def category(self, folded: str) -> str:
         cat = self._memo.get(folded)
         if cat is None:
             cat = next(
@@ -208,19 +198,18 @@ class CategoryLexicon:
                     for c, plain, patterns in self._rules
                     if any(k in folded for k in plain) or any(p.search(folded) for p in patterns)
                 ),
-                AspectCategory.UNUSUAL,
+                "unusual",
             )
             self._memo[folded] = cat
         return cat
 
 
 def load_category_lexicon(path: Optional[str | Path] = None) -> CategoryLexicon:
-    out: dict[AspectCategory, list[str]] = {}
-    for key, keywords in load_yaml_section("category_lexicon.yaml", "categories", dict, path).items():
+    doc = load_yaml_section("category_lexicon.yaml", "categories", dict, path)
+    for key, keywords in doc.items():
         if not isinstance(keywords, list):
             raise AnalyticsError(f"category {key!r}: keywords are not a list")
-        out[AspectCategory(key)] = keywords
-    return CategoryLexicon(out)
+    return CategoryLexicon(doc)
 
 
 @functools.cache
@@ -240,7 +229,7 @@ def rule_based_factors(
     unmatched scored words land in the unusual/standout bucket. Without a
     lexicon, the bundled one is used."""
     lexicon = category_lexicon if category_lexicon is not None else _bundled_category_lexicon()
-    buckets: dict[AspectCategory, dict[str, FactorTerm]] = {cat: {} for cat in AspectCategory}
+    buckets: dict[str, dict[str, FactorTerm]] = {aspect: {} for aspect in ASPECTS}
     for word in words:
         if word.score <= 0:
             continue
@@ -259,7 +248,7 @@ def rule_based_factors(
     categories = {cat: CategorySummary("", list(terms.values())) for cat, terms in buckets.items()}
     summary = FactorSummary(caseno=caseno, categories=categories, source="rules")
     for cat, category in summary.categories.items():
-        top, label = ", ".join(t.term for t in category.terms[:5]), _ASPECT_LABELS[cat]
+        top, label = ", ".join(t.term for t in category.terms[:5]), ASPECTS[cat][0]
         category.summary = f"Notable {label} terms: {top}." if top else f"No notable {label} terms."
     return summary
 
@@ -273,8 +262,8 @@ def _parse_factor_payload(completion: str, caseno: str) -> FactorSummary:
     if not isinstance(doc, dict):
         raise ValueError("completion is not a JSON object")
     categories = {}
-    for cat in AspectCategory:
-        entry = doc[cat.value]  # KeyError -> parse failure -> repair/fallback
+    for cat in ASPECTS:
+        entry = doc[cat]  # KeyError -> parse failure -> repair/fallback
         terms = []
         for i, item in enumerate(entry.get("terms", [])):
             if isinstance(item, Mapping):
@@ -312,21 +301,21 @@ def summarize_factors(
     return rule_based_factors(words, category_lexicon, caseno=caseno)
 
 
-def extract_top_factors(summary: FactorSummary, k: int = 5) -> dict[AspectCategory, list[str]]:
+def extract_top_factors(summary: FactorSummary, k: int = 5) -> dict[str, list[str]]:
     """Top-k terms for the four named aspects (unusual/standout excluded);
     `FactorSummary` keeps each aspect's terms ordered by (-score, position)."""
     return {
         cat: [t.term for t in summary.categories[cat].terms[:k]]
-        for cat in AspectCategory
-        if cat is not AspectCategory.UNUSUAL
+        for cat in ASPECTS
+        if cat != "unusual"
     }
 
 
 def semantic_group(
-    factors: Mapping[AspectCategory, Sequence[str]], rules: GroupingRules
-) -> dict[AspectCategory, list[str]]:
+    factors: Mapping[str, Sequence[str]], rules: GroupingRules
+) -> dict[str, list[str]]:
     """Canonicalize factor names (first matching rule wins) and dedupe."""
-    out: dict[AspectCategory, list[str]] = {}
+    out: dict[str, list[str]] = {}
     for cat, names in factors.items():
         seen: set[str] = set()
         grouped: list[str] = []
@@ -340,7 +329,7 @@ def semantic_group(
 
 
 def cooccurrence(
-    case_factors: Sequence[Mapping[AspectCategory, Sequence[str]]],
+    case_factors: Sequence[Mapping[str, Sequence[str]]],
 ) -> CooccurrenceGraph:
     """Count, once per case, every unordered cross-aspect factor pair."""
     pair_counts: Counter = Counter()
@@ -351,7 +340,7 @@ def cooccurrence(
         )
         for i in range(len(items)):
             for j in range(i + 1, len(items)):
-                if items[i][0] is items[j][0]:
+                if items[i][0] == items[j][0]:
                     continue
                 pair_counts[(items[i], items[j])] += 1
 
@@ -377,9 +366,9 @@ def graph_to_json(graph: CooccurrenceGraph) -> dict:
         "nodes": [
             {
                 "name": node.name,
-                "aspect": node.aspect.value,
+                "aspect": node.aspect,
                 "count": node.count,
-                "color": ASPECT_COLORS[node.aspect],
+                "color": ASPECTS[node.aspect][1],
             }
             for node in graph.nodes
         ],
@@ -393,7 +382,7 @@ def graph_to_json(graph: CooccurrenceGraph) -> dict:
 def graph_from_json(doc: Mapping) -> CooccurrenceGraph:
     validate_sankey(doc)
     nodes = [
-        FactorNode(name=n["name"], aspect=AspectCategory(n["aspect"]), count=n["count"])
+        FactorNode(name=n["name"], aspect=n["aspect"], count=n["count"])
         for n in doc["nodes"]
     ]
     links = [FactorLink(source=l["source"], target=l["target"], count=l["count"]) for l in doc["links"]]
@@ -401,7 +390,6 @@ def graph_from_json(doc: Mapping) -> CooccurrenceGraph:
 
 
 _COLOR_RE = re.compile("^#[0-9a-f]{6}$")
-_ASPECT_VALUES = frozenset(cat.value for cat in AspectCategory)
 
 
 def _sankey_integer(value: object, minimum: int) -> bool:
@@ -423,7 +411,7 @@ def _sankey_items(doc: dict, key: str, fields: tuple[str, ...]) -> list[dict]:
 
 def validate_sankey(doc: Mapping) -> None:
     """A Sankey graph document is an object with exactly the keys `nodes` and
-    `links`. Each node has exactly a non-empty string `name`, an aspect value
+    `links`. Each node has exactly a non-empty string `name`, an aspect name
     `aspect`, an integer `count` >= 1 and a string `color` that `_COLOR_RE`
     finds (a trailing newline passes, as under JSON Schema's `pattern`); each
     link has exactly integer `source` and `target` node indices and an
@@ -435,7 +423,7 @@ def validate_sankey(doc: Mapping) -> None:
         name, aspect, color = node["name"], node["aspect"], node["color"]
         if not isinstance(name, str) or not name:
             raise ValidationError(f"nodes[{i}].name is not a non-empty string")
-        if not (isinstance(aspect, str) and aspect in _ASPECT_VALUES):
+        if not (isinstance(aspect, str) and aspect in ASPECTS):
             raise ValidationError(f"nodes[{i}].aspect {aspect!r} is not an aspect")
         if not _sankey_integer(node["count"], 1):
             raise ValidationError(f"nodes[{i}].count is not an integer >= 1")
@@ -454,7 +442,7 @@ def validate_sankey(doc: Mapping) -> None:
 
 def _sankey_html(doc: Mapping) -> str:
     width, height, pad = 960.0, 600.0, 8.0
-    columns: dict[str, list[int]] = {cat.value: [] for cat in AspectCategory}
+    columns: dict[str, list[int]] = {aspect: [] for aspect in ASPECTS}
     for i, node in enumerate(doc["nodes"]):
         columns[node["aspect"]].append(i)
     active = [aspect for aspect in columns if columns[aspect]]

@@ -21,7 +21,7 @@ from .refmodel import BOS_ID, TinyLM, grad_prob_wrt_hidden, prob
 
 # The annotated-narrative format lives in util, so that analytics reads it
 # without loading numpy; its names stay importable from here.
-from .util import WordAttribution, annotate_narrative, parse_annotated, strip_annotations
+from .util import WordAttribution, annotate_narrative, parse_annotated
 
 
 class ScoreMatrix(NamedTuple):
@@ -80,13 +80,14 @@ def normalize_scores(values: np.ndarray, L: int = 100, b: int = 1) -> ScoreMatri
     a 0 row appended for the target token, which is not in its own context.
 
     The max is signed; scores whose max is <= 0 have no positively
-    influential token and normalize to all zeros. Dividing first makes the
-    max exactly 1, so it scores exactly L.
+    influential token and normalize to all zeros. A negative value scores 0
+    either way, so it is clipped to 0 first: next to a tiny max it would
+    overflow. Dividing first makes the max exactly 1, so it scores exactly L.
     """
     scores = np.zeros((len(values) + 1, 1), dtype=np.int64)
     top = values.max(initial=0.0)
     if top > 0.0:
-        scaled = np.ceil(L * (values / top))
+        scaled = np.ceil(L * (np.maximum(values, 0.0) / top))
         scores[:-1, 0] = np.where(scaled > b, scaled, 0)
     return ScoreMatrix(scores, L, b)
 

@@ -351,14 +351,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "caseno": rec["caseno"],
                 "source": summary.source,
                 "categories": {
-                    cat.value: {
-                        "summary": summary.categories[cat].summary,
-                        "terms": [[t.term, t.score] for t in summary.categories[cat].terms],
+                    aspect: {
+                        "summary": summary.categories[aspect].summary,
+                        "terms": [[t.term, t.score] for t in summary.categories[aspect].terms],
                     }
-                    for cat in analytics.AspectCategory
+                    for aspect in analytics.ASPECTS
                 },
-                "top_factors": {cat.value: names for cat, names in top.items()},
-                "grouped_factors": {cat.value: names for cat, names in grouped.items()},
+                "top_factors": top,
+                "grouped_factors": grouped,
             }
         )
     graph = analytics.cooccurrence(per_case_grouped)

@@ -101,8 +101,8 @@ def build_prompt(strategy: PromptStrategy, narrative: str) -> tuple[str, str]:
     return SYSTEM_PROMPT, "\n\n".join(blocks)
 
 
-_MINOR_PHRASE = "no apparent or minor injury"
-_SEVERE_PHRASE = "serious injury or fatal"
+_MINOR_PHRASE = Severity.MINOR.phrase.lower()
+_SEVERE_PHRASE = Severity.SEVERE.phrase.lower()
 _SEVERE_WORDS = ("serious", "fatal")
 _MINOR_WORDS = ("minor",)
 

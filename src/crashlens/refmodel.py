@@ -30,7 +30,12 @@ BOS = "<bos>"
 EOS = "<eos>"
 UNK = "<unk>"
 
-_SPECIALS = (BOS, EOS, UNK) + tuple(f"<label:{sev.value}>" for sev in Severity)
+
+def label_token(severity: Severity) -> str:
+    return f"<label:{severity.value}>"
+
+
+_SPECIALS = (BOS, EOS, UNK) + tuple(label_token(sev) for sev in Severity)
 
 BOS_ID = 0
 
@@ -44,10 +49,6 @@ NLL_CHUNK = 1024
 
 # a checkpoint's arrays, in the order `TinyLM` takes and `TinyLM.save` writes them
 _ARRAYS = ("embeddings", "position_weights", "output_weights", "output_bias")
-
-
-def label_token(severity: Severity) -> str:
-    return f"<label:{severity.value}>"
 
 
 class RefModelError(CrashlensError):

@@ -153,10 +153,6 @@ def annotate_narrative(narrative: str, words: Sequence[WordAttribution]) -> str:
     return "".join(parts)
 
 
-def strip_annotations(annotated: str) -> str:
-    return parse_annotated(annotated)[0]
-
-
 def parse_annotated(annotated: str) -> tuple[str, list[WordAttribution]]:
     """Invert annotate_narrative: the plain text and the words that carry a score.
 

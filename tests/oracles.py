@@ -37,9 +37,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from crashlens.analytics import (
-    _ASPECT_LABELS,
     _PUNCT_STRIP,
-    AspectCategory,
+    ASPECTS,
     CategorySummary,
     FactorSummary,
     FactorTerm,
@@ -274,11 +273,11 @@ def _match_keyword(keyword: str, word: str) -> bool:
 
 def rule_based_factors_loop(
     words: Sequence[WordAttribution],
-    keywords: Mapping[AspectCategory, Sequence[str]],
+    keywords: Mapping[str, Sequence[str]],
     caseno: str = "",
 ) -> FactorSummary:
     """Every scored word matched against every keyword, category by category."""
-    buckets: dict[AspectCategory, dict[str, FactorTerm]] = {cat: {} for cat in AspectCategory}
+    buckets: dict[str, dict[str, FactorTerm]] = {cat: {} for cat in ASPECTS}
     for word in words:
         if word.score <= 0:
             continue
@@ -286,8 +285,8 @@ def rule_based_factors_loop(
         if not term:
             continue
         folded = term.lower()
-        category = AspectCategory.UNUSUAL
-        for cat in AspectCategory:
+        category = "unusual"
+        for cat in ASPECTS:
             if any(_match_keyword(k, folded) for k in keywords.get(cat, ())):
                 category = cat
                 break
@@ -298,9 +297,8 @@ def rule_based_factors_loop(
                 term=term, score=word.score, position=min(position, word.char_span[0])
             )
     categories = {}
-    for cat in AspectCategory:
+    for cat, (label, _) in ASPECTS.items():
         terms = sorted(buckets[cat].values(), key=lambda t: (-t.score, t.position))
-        label = _ASPECT_LABELS[cat]
         if terms:
             summary = f"Notable {label} terms: {', '.join(t.term for t in terms[:5])}."
         else:
@@ -322,7 +320,7 @@ SANKEY_SCHEMA = {
                 "additionalProperties": False,
                 "properties": {
                     "name": {"type": "string", "minLength": 1},
-                    "aspect": {"enum": [cat.value for cat in AspectCategory]},
+                    "aspect": {"enum": list(ASPECTS)},
                     "count": {"type": "integer", "minimum": 1},
                     "color": {"type": "string", "pattern": "^#[0-9a-f]{6}$"},
                 },

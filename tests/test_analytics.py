@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from crashlens import analytics
 from crashlens.analytics import (
+    ASPECTS,
     AnalyticsError,
-    AspectCategory,
     CategoryLexicon,
     CategorySummary,
     CooccurrenceGraph,
@@ -64,11 +64,11 @@ def test_rule_based_category_assignments():
     got = {
         cat: [t.term for t in block.terms] for cat, block in summary.categories.items()
     }
-    assert got[AspectCategory.ENVIRONMENTAL] == ["dusk", "8:00", "PM"]
-    assert got[AspectCategory.VEHICLE_OCCUPANT] == ["motorcycle", "2005"]
-    assert got[AspectCategory.BEHAVIORAL] == ["intoxication"]
-    assert got[AspectCategory.INFRASTRUCTURE] == ["shoulder"]
-    assert got[AspectCategory.UNUSUAL] == ["hit-and-run", "milepost"]
+    assert got["environmental"] == ["dusk", "8:00", "PM"]
+    assert got["vehicle_occupant"] == ["motorcycle", "2005"]
+    assert got["behavioral"] == ["intoxication"]
+    assert got["infrastructure"] == ["shoulder"]
+    assert got["unusual"] == ["hit-and-run", "milepost"]
     assert summary.source == "rules"
     assert summary.caseno == "T1"
 
@@ -81,7 +81,7 @@ def test_rule_based_skips_nonpositive_and_dedupes():
         _w("dusk", 3.0, 20),
     ]
     summary = rule_based_factors(words)
-    terms = summary.categories[AspectCategory.ENVIRONMENTAL].terms
+    terms = summary.categories["environmental"].terms
     assert len(terms) == 1
     # max score wins, earliest position is kept
     assert terms[0].score == 5.0
@@ -90,10 +90,10 @@ def test_rule_based_skips_nonpositive_and_dedupes():
 
 def test_rule_based_summary_sentences():
     summary = rule_based_factors([_w("snow", 2.0)])
-    env = summary.categories[AspectCategory.ENVIRONMENTAL]
+    env = summary.categories["environmental"]
     assert env.summary == "Notable environmental terms: snow."
     assert (
-        summary.categories[AspectCategory.BEHAVIORAL].summary
+        summary.categories["behavioral"].summary
         == "No notable behavioral terms."
     )
 
@@ -102,15 +102,15 @@ def test_factor_summary_requires_all_categories():
     with pytest.raises(AnalyticsError, match="missing category"):
         FactorSummary(
             caseno="x",
-            categories={AspectCategory.ENVIRONMENTAL: CategorySummary("s", [])},
+            categories={"environmental": CategorySummary("s", [])},
         )
 
 
 def test_factor_summary_sorts_and_drops_nonpositive_terms():
     cats = {
-        cat: CategorySummary(summary="s", terms=[]) for cat in AspectCategory
+        cat: CategorySummary(summary="s", terms=[]) for cat in ASPECTS
     }
-    cats[AspectCategory.BEHAVIORAL] = CategorySummary(
+    cats["behavioral"] = CategorySummary(
         summary="s",
         terms=[
             FactorTerm("low", 1.0, position=0),
@@ -119,7 +119,7 @@ def test_factor_summary_sorts_and_drops_nonpositive_terms():
         ],
     )
     summary = FactorSummary(caseno="x", categories=cats)
-    assert [t.term for t in summary.categories[AspectCategory.BEHAVIORAL].terms] == [
+    assert [t.term for t in summary.categories["behavioral"].terms] == [
         "high",
         "low",
     ]
@@ -165,31 +165,31 @@ def test_semantic_group_dedupes_canonical_names():
     rules = load_grouping_rules()
     grouped = semantic_group(
         {
-            AspectCategory.ENVIRONMENTAL: ["dusk", "8:00", "evening"],
-            AspectCategory.BEHAVIORAL: ["alcohol", "intoxication"],
+            "environmental": ["dusk", "8:00", "evening"],
+            "behavioral": ["alcohol", "intoxication"],
         },
         rules,
     )
-    assert grouped[AspectCategory.ENVIRONMENTAL] == ["time of day"]
-    assert grouped[AspectCategory.BEHAVIORAL] == ["impairment"]
+    assert grouped["environmental"] == ["time of day"]
+    assert grouped["behavioral"] == ["impairment"]
 
 
 def test_extract_top_factors_excludes_unusual_and_caps():
-    cats = {cat: CategorySummary("s", []) for cat in AspectCategory}
-    cats[AspectCategory.UNUSUAL] = CategorySummary(
+    cats = {cat: CategorySummary("s", []) for cat in ASPECTS}
+    cats["unusual"] = CategorySummary(
         "s", [FactorTerm("weird", 9.0, 0)]
     )
-    cats[AspectCategory.INFRASTRUCTURE] = CategorySummary(
+    cats["infrastructure"] = CategorySummary(
         "s", [FactorTerm(f"t{i}", 10.0 - i, i) for i in reversed(range(8))]
     )
     # FactorSummary orders the terms; extract_top_factors reads them in order
     summary = FactorSummary(caseno="x", categories=cats)
     top = extract_top_factors(summary, k=5)
-    assert AspectCategory.UNUSUAL not in top
-    assert top[AspectCategory.INFRASTRUCTURE] == ["t0", "t1", "t2", "t3", "t4"]
+    assert "unusual" not in top
+    assert top["infrastructure"] == ["t0", "t1", "t2", "t3", "t4"]
 
 
-def _case(mapping: dict[AspectCategory, list[str]]) -> dict:
+def _case(mapping: dict[str, list[str]]) -> dict:
     return mapping
 
 
@@ -197,14 +197,14 @@ def test_cooccurrence_counts_once_per_case():
     cases = [
         _case(
             {
-                AspectCategory.ENVIRONMENTAL: ["dusk", "dusk"],
-                AspectCategory.BEHAVIORAL: ["impairment"],
+                "environmental": ["dusk", "dusk"],
+                "behavioral": ["impairment"],
             }
         ),
         _case(
             {
-                AspectCategory.ENVIRONMENTAL: ["dusk"],
-                AspectCategory.BEHAVIORAL: ["impairment"],
+                "environmental": ["dusk"],
+                "behavioral": ["impairment"],
             }
         ),
     ]
@@ -218,7 +218,7 @@ def test_cooccurrence_counts_once_per_case():
 
 def test_cooccurrence_excludes_same_aspect_pairs():
     graph = cooccurrence(
-        [_case({AspectCategory.ENVIRONMENTAL: ["dusk", "snow"]})]
+        [_case({"environmental": ["dusk", "snow"]})]
     )
     assert graph.nodes == []
     assert graph.links == []
@@ -229,11 +229,11 @@ def test_cooccurrence_matches_bruteforce_on_randoms():
 
     rng = random.Random(99)
     names = ["a", "b", "c", "d", "e"]
-    aspects = list(AspectCategory)
+    aspects = list(ASPECTS)
     for _ in range(30):
         cases = []
         for _ in range(rng.randrange(1, 8)):
-            case: dict[AspectCategory, list[str]] = {}
+            case: dict[str, list[str]] = {}
             for aspect in rng.sample(aspects, rng.randrange(1, 4)):
                 case[aspect] = [
                     rng.choice(names) for _ in range(rng.randrange(1, 4))
@@ -247,7 +247,7 @@ def test_cooccurrence_matches_bruteforce_on_randoms():
                 (aspect, name) for aspect, names_ in case.items() for name in names_
             }
             for x, y in itertools.combinations(sorted(items, key=str), 2):
-                if x[0] is not y[0]:
+                if x[0] != y[0]:
                     expected[frozenset((x, y))] += 1
 
         got: Counter = Counter()
@@ -268,9 +268,9 @@ def test_sankey_json_round_trip_and_schema():
         [
             _case(
                 {
-                    AspectCategory.ENVIRONMENTAL: ["dusk"],
-                    AspectCategory.BEHAVIORAL: ["impairment"],
-                    AspectCategory.INFRASTRUCTURE: ["posted speed"],
+                    "environmental": ["dusk"],
+                    "behavioral": ["impairment"],
+                    "infrastructure": ["posted speed"],
                 }
             )
         ]
@@ -287,8 +287,8 @@ def test_sankey_schema_rejects_bad_documents():
             [
                 _case(
                     {
-                        AspectCategory.ENVIRONMENTAL: ["dusk"],
-                        AspectCategory.BEHAVIORAL: ["impairment"],
+                        "environmental": ["dusk"],
+                        "behavioral": ["impairment"],
                     }
                 )
             ]
@@ -315,8 +315,8 @@ def test_export_sankey_writes_json_and_html(tmp_path):
         [
             _case(
                 {
-                    AspectCategory.ENVIRONMENTAL: ["dusk"],
-                    AspectCategory.BEHAVIORAL: ["impairment"],
+                    "environmental": ["dusk"],
+                    "behavioral": ["impairment"],
                 }
             )
         ]
@@ -339,9 +339,9 @@ def test_sankey_links_split_a_node_by_their_counts(tmp_path):
     column in the same 1 : 3 proportion, so the stroke widths are 1 : 3 too."""
     graph = CooccurrenceGraph(
         nodes=[
-            FactorNode("dusk", AspectCategory.ENVIRONMENTAL, 4),
-            FactorNode("speeding", AspectCategory.BEHAVIORAL, 1),
-            FactorNode("impairment", AspectCategory.BEHAVIORAL, 3),
+            FactorNode("dusk", "environmental", 4),
+            FactorNode("speeding", "behavioral", 1),
+            FactorNode("impairment", "behavioral", 3),
         ],
         links=[FactorLink(0, 1, 1), FactorLink(0, 2, 3)],
     )
@@ -387,8 +387,8 @@ class ScriptedClient:
 
 def _llm_payload() -> str:
     doc = {
-        cat.value: {"summary": f"about {cat.value}", "terms": []}
-        for cat in AspectCategory
+        cat: {"summary": f"about {cat}", "terms": []}
+        for cat in ASPECTS
     }
     doc["behavioral"]["terms"] = [
         {"term": "speeding", "score": 4.0},
@@ -402,7 +402,7 @@ def test_summarize_factors_parses_llm_payload():
     client = ScriptedClient([_llm_payload()])
     summary = summarize_factors(annotated, client, caseno="C7")
     assert summary.source == "llm"
-    terms = summary.categories[AspectCategory.BEHAVIORAL].terms
+    terms = summary.categories["behavioral"].terms
     assert [t.term for t in terms] == ["speeding", "alcohol"]
     assert client.calls == 1
 
@@ -419,7 +419,7 @@ def test_summarize_factors_repairs_once_then_falls_back():
     summary = summarize_factors(annotated, client)
     assert client.calls == 2
     assert summary.source == "rules"
-    env = summary.categories[AspectCategory.ENVIRONMENTAL].terms
+    env = summary.categories["environmental"].terms
     assert [t.term for t in env] == ["dusk"]
 
 
@@ -447,7 +447,7 @@ def test_summarize_factors_unavailable_client_falls_back_to_rules():
     summary = summarize_factors(annotated, client)
     assert client.calls == 1
     assert summary.source == "rules"
-    env = summary.categories[AspectCategory.ENVIRONMENTAL].terms
+    env = summary.categories["environmental"].terms
     assert [t.term for t in env] == ["dusk"]
 
 
@@ -461,10 +461,10 @@ def test_summarize_factors_unavailable_repair_falls_back_to_rules():
 def test_category_lexicon_loads_all_aspects():
     lexicon = load_category_lexicon()
     for cat in (
-        AspectCategory.ENVIRONMENTAL,
-        AspectCategory.VEHICLE_OCCUPANT,
-        AspectCategory.BEHAVIORAL,
-        AspectCategory.INFRASTRUCTURE,
+        "environmental",
+        "vehicle_occupant",
+        "behavioral",
+        "infrastructure",
     ):
         assert lexicon.keywords[cat], cat
 
@@ -475,14 +475,30 @@ def test_category_lexicon_loads_all_aspects():
         ({"environmental": ["dusk", "re:(dusk"]}, "category 'environmental' keyword 1"),
         ({"behavioral": [1, None]}, "category 'behavioral' keyword 0"),
         ({"infrastructure": ["lane", ""]}, "category 'infrastructure' keyword 1"),
+        ({"environmental": ["dusk"], "weather": ["rain"]}, "category 'weather' is not an aspect"),
     ],
-    ids=["bad-regex", "non-string", "empty"],
+    ids=["bad-regex", "non-string", "empty", "unknown-key"],
 )
 def test_category_lexicon_rejects_bad_entries_at_load(tmp_path, entries, detail):
     path = tmp_path / "lexicon.json"  # JSON is YAML
     path.write_text(json.dumps({"categories": entries}))
     with pytest.raises(AnalyticsError, match=detail):
         load_category_lexicon(path)
+
+
+def test_category_lexicon_rejects_a_key_that_is_not_an_aspect():
+    with pytest.raises(AnalyticsError, match="category 'enviromental' is not an aspect"):
+        CategoryLexicon({"enviromental": ["dusk"]})
+
+
+def test_bundled_category_lexicon_keys_are_aspects():
+    doc = analytics.load_yaml_section("category_lexicon.yaml", "categories", dict)
+    assert doc and set(doc) <= set(ASPECTS)
+
+
+def test_factor_prompt_names_every_aspect():
+    for aspect in ASPECTS:
+        assert f'"{aspect}": {{' in analytics.FACTOR_PROMPT, aspect
 
 
 def test_bundled_category_lexicon_is_read_once(monkeypatch):
@@ -517,9 +533,9 @@ _annotation_pieces = st.one_of(
 # the bundled regexes are all anchored; these are not, and overlap
 _UNANCHORED = CategoryLexicon(
     {
-        AspectCategory.ENVIRONMENTAL: ["re:us", "re:\\d\\.\\d"],
-        AspectCategory.BEHAVIORAL: ["a", "re:k$"],
-        AspectCategory.INFRASTRUCTURE: ["us", "re:^[0-9]"],
+        "environmental": ["re:us", "re:\\d\\.\\d"],
+        "behavioral": ["a", "re:k$"],
+        "infrastructure": ["us", "re:^[0-9]"],
     }
 )
 
@@ -557,7 +573,7 @@ def _valid_documents(draw) -> dict:
             st.fixed_dictionaries(
                 {
                     "name": st.sampled_from(["dusk", "impairment"]),
-                    "aspect": st.sampled_from([c.value for c in AspectCategory]),
+                    "aspect": st.sampled_from(list(ASPECTS)),
                     "count": _integral(1, 3),
                     "color": st.sampled_from(["#4e79a7", "#e15759", "#4e79a7\n"]),
                 }

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import Counter
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from crashlens.attribution import (
     normalize_scores,
     occlusion_importance,
     parse_annotated,
-    strip_annotations,
     taylor_importance,
     token_fragments,
 )
@@ -226,6 +227,14 @@ def test_normalization_thresholds_and_zeroes():
     assert normalize_scores(np.array([-1.0, -2.0, -0.5])).scores[:, 0].tolist() == [0, 0, 0, 0]
 
 
+def test_normalization_of_a_tiny_max_next_to_a_negative_does_not_overflow():
+    # -1 / 2.2e-308 times L is past the largest float; clipped to 0 first, it is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scores = normalize_scores(np.array([sys.float_info.min, -1.0, sys.float_info.min / 2]))
+    assert scores.scores[:, 0].tolist() == [100, 0, 50, 0]
+
+
 # a tokenizer that knows no word: it still gives every word its span
 _SPECIALS_ONLY = Tokenizer.from_texts([])
 
@@ -284,7 +293,7 @@ def test_annotation_round_trip():
     ]
     annotated = annotate_narrative(text, words)
     assert annotated == "the quick[3.25] brown fox[5.00] jumps"
-    assert strip_annotations(annotated) == text
+    assert parse_annotated(annotated)[0] == text
     plain, parsed = parse_annotated(annotated)
     assert plain == text
     by_word = {w.word: w.score for w in parsed}

@@ -437,7 +437,7 @@ def test_attribute_rejects_tokenizer_of_another_vocabulary(pipeline, tmp_path):
 def _factor_reply(user: str) -> str:
     """A pure function of the request: unavailable for some records, prose
     (so the repair request runs) for others, else a factor JSON."""
-    from crashlens.analytics import AspectCategory
+    from crashlens.analytics import ASPECTS
     from crashlens.attribution import parse_annotated
     from crashlens.augment import UnavailableError
 
@@ -446,7 +446,7 @@ def _factor_reply(user: str) -> str:
     if len(user) % 3 == 0:
         return "Here are the factors you asked for."
     _, words = parse_annotated(user.split("\n\n")[0])
-    doc = {cat.value: {"summary": cat.value, "terms": []} for cat in AspectCategory}
+    doc = {cat: {"summary": cat, "terms": []} for cat in ASPECTS}
     doc["behavioral"]["terms"] = [[w.word, w.score] for w in sorted(words, key=lambda w: -w.score)[:3]]
     return json.dumps(doc)
 
@@ -701,13 +701,15 @@ def _main_error(argv: list[str], capsys) -> dict:
         ("--category-lexicon", "categories: [a]\n", "ValueError"),
         ("--category-lexicon", "categories:\n  environmental: ['re:(dusk']\n", "AnalyticsError"),
         ("--category-lexicon", "categories:\n  behavioral: [1, null]\n", "AnalyticsError"),
+        ("--category-lexicon", "categories:\n  weather: [rain]\n", "AnalyticsError"),
         # not YAML at all: the parser's own error, whichever loader parsed it
         ("--templates", "templates: [a\n", "ParserError"),
         ("--category-lexicon", "categories: 'dusk\n", "ScannerError"),
     ],
     ids=["lexicon-empty", "lexicon-list", "lexicon-null-markers", "template-string",
          "grouping-rules-empty", "category-lexicon-list", "category-lexicon-bad-regex",
-         "category-lexicon-non-string", "templates-unclosed-flow", "category-lexicon-unclosed-quote"],
+         "category-lexicon-non-string", "category-lexicon-unknown-key", "templates-unclosed-flow",
+         "category-lexicon-unclosed-quote"],
 )
 def test_malformed_data_file_is_one_json_error(pipeline, tmp_path, capsys, flag, text, error):
     d, _ = pipeline
