@@ -25,6 +25,7 @@ from crashlens.attribution import (
     normalize_scores,
     occlusion_importance,
 )
+from crashlens.cli import load_config
 from crashlens.narrator import load_lexicon, load_templates, normalize, render
 from crashlens.refmodel import BOS_ID, TinyLM, Tokenizer, TrainConfig, TrainingExample, classify, train
 from crashlens.schema import integrate, load_tables
@@ -44,14 +45,16 @@ def main() -> None:
     pairs = [render(normalize(c, lexicon), templates) for c in integrate(tables).cases]
     tokenizer = Tokenizer.from_texts([p.descriptive for p in pairs])
 
+    # the chain's model and settings at their defaults, the model from seed 7
+    cfg = load_config(None)
     examples = [
         TrainingExample((BOS_ID, *tokenizer.encode(p.descriptive)), tokenizer.label_id(p.label))
         for p in pairs
     ]
     model = train(
-        TinyLM.init(tokenizer.size, dim=32, window=48, seed=7),
+        TinyLM.init(tokenizer.size, dim=cfg["dim"], window=cfg["window"], seed=7),
         examples,
-        TrainConfig(lr=0.05, epochs=60, seed=7),
+        TrainConfig(lr=cfg["lr"], epochs=cfg["epochs"], seed=7),
     )
 
     rules = load_grouping_rules()
@@ -62,9 +65,10 @@ def main() -> None:
         ids = [tid for tid, _, _ in spans]
         label, _ = classify(model, tokenizer, ids)
         values = occlusion_importance(model, [BOS_ID] + ids, tokenizer.label_id(label))
-        words = aggregate_to_words(normalize_scores(values), pair.descriptive, spans, display_divisor=20.0)
+        scores = normalize_scores(values, cfg["L"], cfg["b"])
+        words = aggregate_to_words(scores, pair.descriptive, spans, cfg["display_divisor"])
         summary = rule_based_factors(words, caseno=pair.caseno)
-        top = extract_top_factors(summary)
+        top = extract_top_factors(summary, cfg["top_k"])
         grouped = semantic_group(top, rules)
         per_case.append(grouped)
         if not first_annotated:
@@ -84,7 +88,9 @@ def main() -> None:
 
     OUT.mkdir(exist_ok=True)
     export_sankey(graph, json_path=OUT / "sankey.json", html_path=OUT / "sankey.html")
-    export_heatmap(first_annotated, threshold_hi=3.0, path=OUT / "heatmap.html", caseno=pairs[0].caseno)
+    export_heatmap(
+        first_annotated, threshold_hi=cfg["threshold_hi"], path=OUT / "heatmap.html", caseno=pairs[0].caseno
+    )
     print(f"\nwrote {OUT / 'sankey.html'} and {OUT / 'heatmap.html'}")
 
 

@@ -23,6 +23,7 @@ from crashlens.attribution import (
     occlusion_importance,
     taylor_importance,
 )
+from crashlens.cli import load_config
 from crashlens.narrator import load_lexicon, load_templates, normalize, render
 from crashlens.refmodel import BOS_ID, TinyLM, Tokenizer, TrainConfig, TrainingExample, classify, train
 from crashlens.schema import integrate, load_tables
@@ -64,15 +65,17 @@ def main() -> None:
         rhos.append(float(spearmanr(occ, tay)[0]))
     print(f"median Spearman over 30 in-window sequences: {float(np.median(rhos)):.3f}")
 
-    # part 2: explain a severity verdict and annotate the narrative
+    # part 2: explain a severity verdict and annotate the narrative with the
+    # classifier and the scale that `train-ref` and `attribute` default to
+    cfg = load_config(None)
     clf_examples = [
         TrainingExample((BOS_ID, *tokenizer.encode(p.descriptive)), tokenizer.label_id(p.label))
         for p in pairs
     ]
     clf = train(
-        TinyLM.init(tokenizer.size, dim=32, window=48, seed=7),
+        TinyLM.init(tokenizer.size, dim=cfg["dim"], window=cfg["window"], seed=7),
         clf_examples,
-        TrainConfig(lr=0.05, epochs=60, seed=7),
+        TrainConfig(lr=cfg["lr"], epochs=cfg["epochs"], seed=7),
     )
 
     pair = pairs[0]
@@ -84,9 +87,10 @@ def main() -> None:
 
     # one score per context token; word n of the narrative is token n + 1
     values = occlusion_importance(clf, [BOS_ID] + ids, tokenizer.label_id(label))
-    words = aggregate_to_words(normalize_scores(values), pair.descriptive, spans, display_divisor=20.0)
+    scores = normalize_scores(values, cfg["L"], cfg["b"])
+    words = aggregate_to_words(scores, pair.descriptive, spans, cfg["display_divisor"])
     annotated = annotate_narrative(pair.descriptive, words)
-    print("\nannotated narrative (word[score], display scale /20):\n")
+    print(f"\nannotated narrative (word[score], display scale /{cfg['display_divisor']:g}):\n")
     print(annotated)
 
 

@@ -8,6 +8,7 @@ text is kept byte for byte.
 from __future__ import annotations
 
 from crashlens.augment import SYSTEM_PROMPT, StubChatClient, augment_batch
+from crashlens.cli import load_config
 
 NARRATIVE = (
     "On June 29, 2022, at 8:00 PM, a traffic accident occurred on Alternate "
@@ -17,13 +18,14 @@ NARRATIVE = (
 
 
 def main() -> None:
-    temperature = 0.1
+    cfg = load_config(None)  # `augment`'s defaults
+    temperature, jobs = cfg["temperature"], cfg["jobs"]
     print("system prompt sent to the rewriter:")
     print(SYSTEM_PROMPT)
     print()
 
     # a well-behaved rewriter: everything passes
-    _, report = augment_batch([NARRATIVE], StubChatClient(), temperature)[0]
+    _, report = augment_batch([NARRATIVE], StubChatClient(), temperature, jobs)[0]
     print(f"identity rewrite: passed={report.passed}")
 
     # a sloppy rewriter: numbers and places go missing
@@ -32,7 +34,7 @@ def main() -> None:
             " in Chelan, Washington", ""
         )
 
-    text, report = augment_batch([NARRATIVE], StubChatClient(transform=sloppy), temperature)[0]
+    text, report = augment_batch([NARRATIVE], StubChatClient(transform=sloppy), temperature, jobs)[0]
     print(f"sloppy rewrite:   passed={report.passed}, fell back to original={text == NARRATIVE}")
     for failure in report.failures:
         print(f"  {failure.kind.name}: {failure.offending}")
@@ -41,7 +43,7 @@ def main() -> None:
     def military(user: str) -> str:
         return user.replace("8:00 PM", "20:00").replace("9:15 PM", "21:15")
 
-    text, report = augment_batch([NARRATIVE], StubChatClient(transform=military), temperature)[0]
+    text, report = augment_batch([NARRATIVE], StubChatClient(transform=military), temperature, jobs)[0]
     print(f"24h restatement:  passed={report.passed}")
 
 

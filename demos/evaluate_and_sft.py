@@ -11,6 +11,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
+from crashlens.cli import load_config
 from crashlens.evaluation import (
     PromptStrategy,
     StrategyKind,
@@ -64,7 +65,9 @@ def main() -> None:
     print()
 
     client = KeywordClient()
-    predictions, golds = run_evaluation(pairs, strategy, client)
+    # `eval`'s default temperature; one job, since the client counts its calls
+    temperature = load_config(None)["temperature"]
+    predictions, golds = run_evaluation(pairs, strategy, client, temperature, jobs=1)
     report = compute_metrics(predictions, golds)
     print(report.format())
 

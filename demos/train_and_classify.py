@@ -10,6 +10,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
+from crashlens.cli import load_config
 from crashlens.narrator import load_lexicon, load_templates, normalize, render
 from crashlens.refmodel import (
     BOS_ID,
@@ -43,8 +44,10 @@ def main() -> None:
         for p in pairs
     ]
 
-    model = TinyLM.init(tokenizer.size, dim=32, window=48, seed=7)
-    trained = train(model, examples, TrainConfig(lr=0.05, epochs=60, seed=7))
+    # the model `train-ref` builds at its default settings, here from seed 7
+    cfg = load_config(None)
+    model = TinyLM.init(tokenizer.size, dim=cfg["dim"], window=cfg["window"], seed=7)
+    trained = train(model, examples, TrainConfig(lr=cfg["lr"], epochs=cfg["epochs"], seed=7))
     history = trained.loss_history
     print(f"label NLL: {history[0]:.4f} (epoch 1) -> {history[-1]:.4f} (epoch {len(history)})")
 

@@ -301,7 +301,7 @@ def summarize_factors(
     return rule_based_factors(words, category_lexicon, caseno=caseno)
 
 
-def extract_top_factors(summary: FactorSummary, k: int = 5) -> dict[str, list[str]]:
+def extract_top_factors(summary: FactorSummary, k: int) -> dict[str, list[str]]:
     """Top-k terms for the four named aspects (unusual/standout excluded);
     `FactorSummary` keeps each aspect's terms ordered by (-score, position)."""
     return {

@@ -75,7 +75,7 @@ def taylor_importance(
     return values
 
 
-def normalize_scores(values: np.ndarray, L: int = 100, b: int = 1) -> ScoreMatrix:
+def normalize_scores(values: np.ndarray, L: int, b: int) -> ScoreMatrix:
     """ceil(L * (v / max)) where that exceeds b, else 0, as one column with
     a 0 row appended for the target token, which is not in its own context.
 
@@ -96,7 +96,7 @@ def aggregate_to_words(
     scores: ScoreMatrix,
     narrative: str,
     spans: Sequence[tuple[int, int, int]],
-    display_divisor: float = 1.0,
+    display_divisor: float,
 ) -> list[WordAttribution]:
     """The narrative's words that scored above 0, each with its score over
     the display divisor. Word n is context token n + 1 and spans

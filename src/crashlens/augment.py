@@ -488,8 +488,11 @@ def verify_preservation(original: str, augmented: str) -> ConstraintReport:
     return ConstraintReport([ConstraintResult(k, not offending[k], offending[k]) for k in ConstraintKind])
 
 
-def bounded_map(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1) -> list[R]:
-    """`[fn(x) for x in items]` on at most `jobs` threads, in input order."""
+def bounded_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
+    """`[fn(x) for x in items]` on at most `jobs` threads, in input order;
+    fewer than one job raises before any call."""
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1; got {jobs}")
     workers = max(1, min(jobs, len(items)))
     if workers == 1:
         return [fn(x) for x in items]
@@ -503,7 +506,7 @@ def augment_batch(
     narratives: Sequence[str],
     client: ChatClient,
     temperature: float,
-    jobs: int = 1,
+    jobs: int,
 ) -> list[tuple[str, ConstraintReport]]:
     """Rewrite a batch, order-preserving.
 

@@ -40,12 +40,12 @@ if TYPE_CHECKING:
 DEFAULT_TARGET_RATIO = 2654 / 1779
 
 # Every setting once: its default, the commands whose `--name` flag sets it
-# ("*" for all; underscores become dashes in the flag) and the flag's help if
-# it has one. A config file may give any setting.
+# (underscores become dashes in the flag) and the flag's help if it has one.
+# A config file may give any setting.
 SETTINGS: dict[str, tuple] = {
-    "seed": (0, "*"),
-    "offline": (False, "*", "use the deterministic stub chat client"),
-    "jobs": (1, "*"),
+    "seed": (0, "ingest train-ref"),
+    "offline": (False, "augment analyze eval", "use the deterministic stub chat client"),
+    "jobs": (1, "augment analyze eval"),
     "balance": (False, "ingest", "downsample the majority class"),
     "target_ratio": (DEFAULT_TARGET_RATIO, "ingest"),
     "column_maps": (None, ""),  # config file only
@@ -277,10 +277,11 @@ def cmd_train_ref(args: argparse.Namespace) -> int:
 
 def cmd_attribute(args: argparse.Namespace) -> int:
     L, b, divisor = args.L, args.b, args.display_divisor
-    # b >= L would zero every score, and an infinite divisor every annotation
-    if not (L >= 1 and 0 <= b < L and 0 < divisor < float("inf")):
+    # b >= L would zero every score, and an infinite divisor every annotation;
+    # scores pass through float64, which holds every integer only up to 2**53
+    if not (1 <= L <= 2**53 and 0 <= b < L and 0 < divisor < float("inf")):
         raise ValueError(
-            f"need L >= 1, 0 <= b < L and a finite display_divisor > 0; got {L}, {b} and {divisor}"
+            f"need 1 <= L <= 2**53, 0 <= b < L and a finite display_divisor > 0; got {L}, {b} and {divisor}"
         )
     from . import attribution, refmodel
     from .records import read_pairs
@@ -494,7 +495,6 @@ def cmd_build_sft(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="YAML config file; explicit flags override it")
-    _add_settings(common, "*")
 
     parser = argparse.ArgumentParser(prog="crashlens", description="Crash narrative pipeline")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -260,8 +260,8 @@ def run_evaluation(
     pairs: Sequence[NarrativePair],
     strategy: PromptStrategy,
     client: ChatClient,
-    temperature: float = 0.0,
-    jobs: int = 1,
+    temperature: float,
+    jobs: int,
 ) -> tuple[list[Prediction], list[Severity]]:
     """One prediction per pair, in order; an unavailable client costs only
     that case, which is recorded as an empty completion (a failed parse).

@@ -145,7 +145,7 @@ class TinyLM:
     loss_history: list[float] = field(default_factory=list)
 
     @classmethod
-    def init(cls, vocab_size: int, dim: int = 32, window: int = 16, seed: int = 0) -> "TinyLM":
+    def init(cls, vocab_size: int, dim: int, window: int, seed: int) -> "TinyLM":
         if dim < 1 or window < 1:
             raise RefModelError(f"dim and window must be >= 1, not {dim} and {window}")
         # the standard library's stream: numpy.random's extension modules
@@ -268,9 +268,9 @@ class TrainingExample:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 0.05
-    epochs: int = 40
-    seed: int = 0
+    lr: float
+    epochs: int
+    seed: int
 
     def __post_init__(self):
         if not (self.epochs >= 1 and np.isfinite(self.lr) and self.lr > 0):

@@ -127,7 +127,7 @@ def test_c03_normalization_bit_exact():
         elif draw < 0.35:
             values[:, int(rng.integers(cols))] = 0.0
         # normalized column by column; each drops its target's 0 row
-        ours = np.column_stack([normalize_scores(column).scores[:-1, 0] for column in values.T]).tolist()
+        ours = np.column_stack([normalize_scores(c, 100, 1).scores[:-1, 0] for c in values.T]).tolist()
         reference = normalize_scores_bruteforce(values.tolist())
         mismatches += ours != reference
     _report(3, "score normalization bit-exact", mismatches == 0, f"1000 matrices, {mismatches} mismatches")
@@ -264,7 +264,7 @@ def test_c07_augmentation_falls_back_on_adversaries():
     fallbacks = 0
     flagged = 0
     for name, adversary in adversaries.items():
-        text, report = augment_batch([ORIGINAL], StubChatClient(transform=adversary), 0.1)[0]
+        text, report = augment_batch([ORIGINAL], StubChatClient(transform=adversary), 0.1, jobs=1)[0]
         fallbacks += text == ORIGINAL
         flagged += not report.passed and bool(report.failures)
     n = len(adversaries)

@@ -60,7 +60,7 @@ def test_occlusion_response_rows_are_structural_zeros():
     model = small_model(seed=7)
     values = occlusion_importance(model, [1, 2], 3)
     assert values.shape == (2,)
-    scores = normalize_scores(np.abs(values)).scores
+    scores = normalize_scores(np.abs(values), 100, 1).scores
     assert scores.shape == (3, 1)
     assert scores[-1, 0] == 0 and scores.max() == 100
 
@@ -213,7 +213,7 @@ def test_normalization_matches_bruteforce_on_randoms():
         values = rng.normal(scale=float(rng.choice([1e-6, 1.0, 1e4])), size=rows)
         if rng.random() < 0.3:
             values = -np.abs(values)
-        ours = normalize_scores(values).scores
+        ours = normalize_scores(values, 100, 1).scores
         reference = normalize_scores_bruteforce([[v] for v in values.tolist()])
         assert ours.tolist() == reference + [[0]]
 
@@ -224,14 +224,14 @@ def test_normalization_thresholds_and_zeroes():
     assert scores.scores[:, 0].tolist() == [50, 100, 0, 0]
     assert (scores.L, scores.b) == (100, 1)
     # the max is negative -> all zero by definition
-    assert normalize_scores(np.array([-1.0, -2.0, -0.5])).scores[:, 0].tolist() == [0, 0, 0, 0]
+    assert normalize_scores(np.array([-1.0, -2.0, -0.5]), 100, 1).scores[:, 0].tolist() == [0, 0, 0, 0]
 
 
 def test_normalization_of_a_tiny_max_next_to_a_negative_does_not_overflow():
     # -1 / 2.2e-308 times L is past the largest float; clipped to 0 first, it is 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        scores = normalize_scores(np.array([sys.float_info.min, -1.0, sys.float_info.min / 2]))
+        scores = normalize_scores(np.array([sys.float_info.min, -1.0, sys.float_info.min / 2]), 100, 1)
     assert scores.scores[:, 0].tolist() == [100, 0, 50, 0]
 
 
@@ -242,7 +242,7 @@ _SPECIALS_ONLY = Tokenizer.from_texts([])
 def test_aggregate_to_words_reads_word_n_from_token_n_plus_1():
     text = "alpha  beta\tgamma"
     # rows: <bos>, alpha, beta, gamma, then the target's 0 row
-    scores = normalize_scores(np.array([9.0, 1.0, 4.0, 2.0]))
+    scores = normalize_scores(np.array([9.0, 1.0, 4.0, 2.0]), 100, 1)
     words = aggregate_to_words(scores, text, _SPECIALS_ONLY.encode_with_spans(text), display_divisor=20.0)
     assert words == [
         WordAttribution("alpha", (0, 5), 12 / 20),
@@ -255,8 +255,8 @@ def test_positive_words_filter():
     """Only words that scored above 0 come back, so only they are annotated."""
     text = "a b c d"
     # b's ceil(100 * 0.005) = 1 is not above b = 1; c's score is negative
-    scores = normalize_scores(np.array([0.0, 0.25, 0.005, -1.0, 1.0]))
-    words = aggregate_to_words(scores, text, _SPECIALS_ONLY.encode_with_spans(text))
+    scores = normalize_scores(np.array([0.0, 0.25, 0.005, -1.0, 1.0]), 100, 1)
+    words = aggregate_to_words(scores, text, _SPECIALS_ONLY.encode_with_spans(text), display_divisor=1.0)
     assert [(w.word, w.score) for w in words] == [("a", 25.0), ("d", 100.0)]
     assert annotate_narrative(text, words) == "a[25.00] b c d[100.00]"
 
@@ -280,7 +280,7 @@ def test_tokenizer_spans_are_the_narrative_words(pairs, corpus_tokenizer):
             assert [(s, e) for _, s, e in spans] == [m.span() for m in matches]
             assert [tid for tid, _, _ in spans] == [tokenizer.id_of(m.group(0)) for m in matches]
             unknown[name] += sum(tid == tokenizer.id_of(UNK) for tid, _, _ in spans)
-            scores = normalize_scores(rng.normal(size=1 + len(spans)))
+            scores = normalize_scores(rng.normal(size=1 + len(spans)), 100, 1)
             assert aggregate_to_words(scores, text, spans, 20.0) == aggregate_to_words_scan(scores, text, 20.0)
     assert 0 < unknown["corpus"] == rare < unknown["narrow"]
 
@@ -323,7 +323,7 @@ def test_attribution_record_round_trips_sparse_matrix(reference_model, corpus_to
     spans = corpus_tokenizer.encode_with_spans(text)[:12]
     context = [BOS_ID] + [tid for tid, _, _ in spans]
     target = context[3]
-    scores = normalize_scores(occlusion_importance(reference_model, context, target))
+    scores = normalize_scores(occlusion_importance(reference_model, context, target), 100, 1)
     words = aggregate_to_words(scores, text, spans, display_divisor=20.0)
     annotated = annotate_narrative(text, words)
     fragments = token_fragments(corpus_tokenizer.tokens)
@@ -392,5 +392,5 @@ def test_aggregate_to_words_with_spans_matches_a_rescan(text, data):
     spans = Tokenizer.from_texts([text, text]).encode_with_spans(text)
     rows = len(spans) + 1  # <bos> and the words
     raw = data.draw(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=rows, max_size=rows))
-    scores = normalize_scores(np.array(raw))
+    scores = normalize_scores(np.array(raw), 100, 1)
     assert aggregate_to_words(scores, text, spans, 20.0) == aggregate_to_words_scan(scores, text, 20.0)

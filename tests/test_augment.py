@@ -155,7 +155,7 @@ def test_batch_falls_back_to_byte_identical_original():
     def adversary(user: str) -> str:
         return user.replace("60 mph", "65 mph").replace("22.4", "23")
 
-    results = augment_batch([ORIGINAL], StubChatClient(transform=adversary), 0.1)
+    results = augment_batch([ORIGINAL], StubChatClient(transform=adversary), 0.1, jobs=1)
     text, report = results[0]
     assert text == ORIGINAL
     assert not report.passed
@@ -171,7 +171,7 @@ def test_batch_preserves_order_and_mixes_outcomes():
             return user.replace("milepost 3.0", "milepost 4.0")
         return user
 
-    results = augment_batch([good, other], StubChatClient(transform=adversary), 0.1)
+    results = augment_batch([good, other], StubChatClient(transform=adversary), 0.1, jobs=1)
     assert results[0][0] == good and results[0][1].passed
     assert results[1][0] == other and not results[1][1].passed
 
@@ -258,7 +258,7 @@ def test_rejected_body_is_cut_to_200_characters_and_decoded_with_replacement(cha
 def test_transport_exhaustion_is_flagged_not_raised_in_batch(chat, sleeps, down):
     endpoint, tried = down
     client = chat(endpoint)
-    results = augment_batch([ORIGINAL], client, 0.1)
+    results = augment_batch([ORIGINAL], client, 0.1, jobs=1)
     text, report = results[0]
     assert text == ORIGINAL
     assert report.error is not None
@@ -275,7 +275,7 @@ def test_transport_exhaustion_raises_for_single_call(chat, sleeps, down):
 def test_non_json_reply_falls_back_without_retrying(chat, sleeps, scripted):
     server = scripted(rest=(200, b"<html>busy</html>"))
     client = chat(server.url)
-    results = augment_batch([ORIGINAL, ORIGINAL], client, 0.1)
+    results = augment_batch([ORIGINAL, ORIGINAL], client, 0.1, jobs=1)
     assert server.posts == 2
     assert sleeps == []
     for text, report in results:
@@ -430,7 +430,7 @@ def test_empty_completion_rejected():
 
 
 def test_blank_narrative_falls_back_in_a_batch_but_raises_alone():
-    results = augment_batch([ORIGINAL, " \t\n", ORIGINAL], StubChatClient(), 0.1)
+    results = augment_batch([ORIGINAL, " \t\n", ORIGINAL], StubChatClient(), 0.1, jobs=1)
     assert [text for text, _ in results] == [ORIGINAL, " \t\n", ORIGINAL]
     blank = results[1][1]
     assert not blank.passed and blank.results == [] and "narrative is empty" in blank.error

@@ -136,7 +136,8 @@ def test_attribution_columns_peak_at_exactly_L(pipeline):
         for importance in (attribution.occlusion_importance, attribution.taylor_importance):
             values = importance(model, [refmodel.BOS_ID] + ids, tokenizer.label_id(label))
             if values.max() > 0:
-                assert attribution.normalize_scores(values).scores.max() == 100, (pair.caseno, importance.__name__)
+                scores = attribution.normalize_scores(values, 100, 1)
+                assert scores.scores.max() == 100, (pair.caseno, importance.__name__)
                 columns += 1
     assert columns >= 50
 
@@ -460,7 +461,9 @@ def test_analyze_jobs_match_serial_and_fall_back_per_record(pipeline, tmp_path, 
     probes = []
 
     def client(args):
-        probes.append(OverlapProbe(StubChatClient(transform=_factor_reply)))
+        # a serial run sends no second request for the probe's first to wait for
+        stub = StubChatClient(transform=_factor_reply)
+        probes.append(OverlapProbe(stub) if args.jobs > 1 else stub)
         return probes[-1]
 
     monkeypatch.setattr(cli, "_chat_client", client)
@@ -521,8 +524,9 @@ def test_non_object_jsonl_line_is_one_json_error(pipeline, tmp_path, command, fl
     bad = tmp_path / "bad.jsonl"
     bad.write_text("".join((d / source).read_text().splitlines(keepends=True)[:2]) + "[1, 2]\n")
     out = tmp_path / "out.jsonl"
+    offline = ["--offline"] if command == "analyze" else []
     proc = subprocess.run(
-        python_cli(command, "--offline", flag, str(bad), "--out", str(out)),
+        python_cli(command, *offline, flag, str(bad), "--out", str(out)),
         capture_output=True,
         text=True,
     )
@@ -806,6 +810,31 @@ def test_eval_temperature_out_of_range_is_value_error(pipeline, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["augment", "--narratives", "narratives.jsonl"],
+        ["analyze", "--attributions", "attr_occ.jsonl"],
+        ["eval", "--narratives", "narratives.jsonl", "--strategy", "zs"],
+    ],
+    ids=["augment", "analyze", "eval"],
+)
+def test_jobs_below_one_is_value_error(pipeline, tmp_path, capsys, monkeypatch, argv, jobs):
+    """Fewer than one job fails before any request instead of running serially."""
+    from crashlens import cli
+    from crashlens.augment import StubChatClient
+
+    d, _ = pipeline
+    sent = []
+    monkeypatch.setattr(cli, "_chat_client", lambda args: StubChatClient(transform=lambda u: sent.append(u) or u))
+    out = tmp_path / "out.jsonl"
+    argv = [argv[0], argv[1], str(d / argv[2]), *argv[3:], "--jobs", jobs, "--out", str(out)]
+    err = _main_error(argv, capsys)
+    assert err == {"error": "ValueError", "detail": f"need jobs >= 1; got {jobs}"}
+    assert sent == [] and not out.exists()
+
+
 @pytest.mark.parametrize("top_k", ["0", "-2"])
 def test_analyze_top_k_below_one_is_value_error(pipeline, tmp_path, capsys, top_k):
     """A top-k below 1 would keep no factor; it is rejected before any record is read."""
@@ -1020,7 +1049,8 @@ def test_attribute_caseno_line_is_the_json_dumps_of_its_record(pipeline, tmp_pat
     spans = tokenizer.encode_with_spans(pair.descriptive)
     ids = [tid for tid, _, _ in spans]
     target = tokenizer.label_id(refmodel.classify(model, tokenizer, ids)[0])
-    scores = attribution.normalize_scores(attribution.occlusion_importance(model, [refmodel.BOS_ID, *ids], target))
+    values = attribution.occlusion_importance(model, [refmodel.BOS_ID, *ids], target)
+    scores = attribution.normalize_scores(values, 100, 1)
     words = aggregate_to_words_scan(scores, pair.descriptive, 20.0)
     annotated = attribution.annotate_narrative(pair.descriptive, words)
     record = attribution_record_dict(caseno, "occlusion", tokenizer, spans, target, scores, annotated)
@@ -1149,15 +1179,17 @@ def test_attribute_keeps_words_and_spans_aligned_over_unk_words(tiny_model):
         (["--display-divisor", "nan"], None),
         (["--display-divisor", "inf"], None),
         (["--L", "5", "--b", "5"], None),
+        (["--L", str(2**53 + 1)], None),
         ([], "nan"),
     ],
-    ids=["L-0", "b-negative", "divisor-0", "divisor-nan", "divisor-inf", "b-at-L", "model-nan"],
+    ids=["L-0", "b-negative", "divisor-0", "divisor-nan", "divisor-inf", "b-at-L", "L-past-2**53", "model-nan"],
 )
 def test_attribute_rejects_bad_scale_or_model_before_writing(pipeline, tmp_path, flags, model):
     """L, b and the display divisor are checked before the model is read (a
     model path that does not exist is never opened): b at or above L would
-    leave no score, and an infinite divisor would annotate every word as 0.
-    A model holding NaN is a RefModelError."""
+    leave no score, an infinite divisor would annotate every word as 0, and
+    an L past 2**53 would lose integers in the float64 scaling. A model
+    holding NaN is a RefModelError."""
     d, _ = pipeline
     model_path = tmp_path / "missing.json"
     if model == "nan":
@@ -1320,14 +1352,13 @@ def test_heatmap_infinite_threshold_paints_no_word_red(pipeline, tmp_path):
 
 # Each command's flags as (dest, type, action), recorded from the parser
 # before its settings flags came from one table; a flag without a type
-# passes its text through, as `str` does.
+# passes its text through, as `str` does. Only the commands that draw random
+# numbers take `--seed`, and only those that talk to a chat endpoint take
+# `--offline` and `--jobs`.
 _STORE, _STORE_TRUE = "_StoreAction", "_StoreTrueAction"
-_COMMON_FLAGS = {
-    "--config": ("config", "str", _STORE),
-    "--seed": ("seed", "int", _STORE),
-    "--offline": ("offline", None, _STORE_TRUE),
-    "--jobs": ("jobs", "int", _STORE),
-}
+_COMMON_FLAGS = {"--config": ("config", "str", _STORE)}
+_SEED = {"--seed": ("seed", "int", _STORE)}
+_CHAT = {"--offline": ("offline", None, _STORE_TRUE), "--jobs": ("jobs", "int", _STORE)}
 CLI_SURFACE = {
     "ingest": {
         "--crashes": ("crashes", "str", _STORE),
@@ -1337,6 +1368,7 @@ CLI_SURFACE = {
         "--out": ("out", "str", _STORE),
         "--balance": ("balance", None, _STORE_TRUE),
         "--target-ratio": ("target_ratio", "float", _STORE),
+        **_SEED,
     },
     "narrate": {
         "--cases": ("cases", "str", _STORE),
@@ -1349,6 +1381,7 @@ CLI_SURFACE = {
         "--out": ("out", "str", _STORE),
         "--temperature": ("temperature", "float", _STORE),
         "--endpoint": ("endpoint", "str", _STORE),
+        **_CHAT,
     },
     "train-ref": {
         "--narratives": ("narratives", "str", _STORE),
@@ -1358,6 +1391,7 @@ CLI_SURFACE = {
         "--window": ("window", "int", _STORE),
         "--epochs": ("epochs", "int", _STORE),
         "--lr": ("lr", "float", _STORE),
+        **_SEED,
     },
     "attribute": {
         "--narratives": ("narratives", "str", _STORE),
@@ -1378,6 +1412,7 @@ CLI_SURFACE = {
         "--category-lexicon": ("category_lexicon", "str", _STORE),
         "--top-k": ("top_k", "int", _STORE),
         "--endpoint": ("endpoint", "str", _STORE),
+        **_CHAT,
     },
     "export": {
         "--kind": ("kind", "str", _STORE),
@@ -1394,6 +1429,7 @@ CLI_SURFACE = {
         "--metrics-out": ("metrics_out", "str", _STORE),
         "--temperature": ("temperature", "float", _STORE),
         "--endpoint": ("endpoint", "str", _STORE),
+        **_CHAT,
     },
     "build-sft": {
         "--narratives": ("narratives", "str", _STORE),
@@ -1501,7 +1537,71 @@ def test_each_setting_reaches_its_stage_from_flag_then_config_then_default(
     assert [type(v) for v in seen] == [type(v) for v in expected]
 
 
+_UNREAD_FLAGS = [
+    (command, option, dest)
+    for command, flags in CLI_SURFACE.items()
+    for option, (dest, _, _) in {**_SEED, **_CHAT}.items()
+    if option not in flags
+]
+
+
+@pytest.mark.parametrize(
+    "command, option, key", _UNREAD_FLAGS, ids=[f"{c}-{k}" for c, _, k in _UNREAD_FLAGS]
+)
+def test_setting_a_command_does_not_read_has_no_flag_but_still_loads_from_config(
+    tmp_path, monkeypatch, capsys, command, option, key
+):
+    """A command that does not read seed, offline or jobs refuses the flag
+    as a usage error before its stage runs, while a config file naming the
+    key (one written for another command) still loads."""
+    from crashlens import cli
+
+    config_text, config_value, flag_text, _ = _SETTING_VALUES[key]
+    seen = []
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), lambda args: seen.append(getattr(args, key)) or 0)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"{key}: {config_text}\n")
+    assert cli.main([command, *_REQUIRED_FLAGS[command], "--config", str(path)]) == 0
+    assert seen == [config_value]
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *_REQUIRED_FLAGS[command], option, *([] if flag_text is None else [flag_text])])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert seen == [config_value]
+
+
 def test_every_setting_has_a_precedence_case():
     from crashlens.cli import SETTINGS
 
     assert {key for _, _, key in _SETTING_FLAGS} == set(_SETTING_VALUES) == set(SETTINGS)
+
+
+def test_library_parameters_of_settings_have_no_default():
+    """Each library parameter a setting feeds takes its value from the
+    caller, so `SETTINGS` holds the only default."""
+    import inspect
+
+    from crashlens import analytics, attribution, augment, evaluation, refmodel
+
+    pairs = [
+        (fn, name)
+        for fn, names in [
+            (refmodel.TinyLM.init, ("dim", "window", "seed")),
+            (refmodel.TrainConfig, ("lr", "epochs", "seed")),
+            (attribution.normalize_scores, ("L", "b")),
+            (attribution.aggregate_to_words, ("display_divisor",)),
+            (analytics.extract_top_factors, ("k",)),
+            (evaluation.run_evaluation, ("temperature", "jobs")),
+            (augment.augment_batch, ("jobs",)),
+            (augment.bounded_map, ("jobs",)),
+        ]
+        for name in names
+    ]
+    assert len(pairs) == 14
+    defaulted = [
+        f"{fn.__qualname__}({name})"
+        for fn, name in pairs
+        if inspect.signature(fn).parameters[name].default is not inspect.Parameter.empty
+    ]
+    assert defaulted == []

@@ -274,7 +274,7 @@ def test_run_evaluation_collects_predictions_and_golds():
             "crash three": "hard to say",
         }
     )
-    predictions, golds = run_evaluation(_pairs(), PromptStrategy(StrategyKind.ZERO_SHOT), client)
+    predictions, golds = run_evaluation(_pairs(), PromptStrategy(StrategyKind.ZERO_SHOT), client, 0.0, jobs=1)
     assert [p.caseno for p in predictions] == ["A", "B", "C"]
     assert golds == [MINOR, SEVERE, SEVERE]
     assert predictions[0].label is MINOR
@@ -292,7 +292,7 @@ def test_run_evaluation_unavailable_case_costs_only_that_case():
         return "Serious injury or fatal"
 
     predictions, golds = run_evaluation(
-        _pairs(), PromptStrategy(StrategyKind.ZERO_SHOT), StubChatClient(transform=answer)
+        _pairs(), PromptStrategy(StrategyKind.ZERO_SHOT), StubChatClient(transform=answer), 0.0, jobs=1
     )
     assert [p.caseno for p in predictions] == ["A", "B", "C"]
     assert predictions[1].raw_output == ""
@@ -312,9 +312,9 @@ def test_run_evaluation_parallel_matches_serial(pairs):
         return "Serious injury or fatal" if len(user) % 2 else "no apparent injury, I think"
 
     strategy = PromptStrategy(StrategyKind.CHAIN_OF_THOUGHT)
-    serial = run_evaluation(pairs, strategy, StubChatClient(transform=answer), jobs=1)
+    serial = run_evaluation(pairs, strategy, StubChatClient(transform=answer), 0.0, jobs=1)
     probe = OverlapProbe(StubChatClient(transform=answer))
-    parallel = run_evaluation(pairs, strategy, probe, jobs=4)
+    parallel = run_evaluation(pairs, strategy, probe, 0.0, jobs=4)
     assert parallel == serial
     assert probe.overlapped
     assert {p.parse_status for p in serial[0]} == set(ParseStatus)

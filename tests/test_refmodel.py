@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crashlens import synth
+from crashlens.cli import load_config
 from crashlens.narrator import load_lexicon, load_templates, normalize, render
 from crashlens.refmodel import (
     BOS_ID,
@@ -274,9 +275,9 @@ def test_bad_examples_rejected():
     model = TinyLM.init(4, dim=2, window=2, seed=0)
     for bad in (TrainingExample((0, 99), 1), TrainingExample((0, 1), 4), TrainingExample((0,), -1)):
         with pytest.raises(ValueError):
-            train(model, [bad], TrainConfig(epochs=1))
+            train(model, [bad], TrainConfig(lr=0.05, epochs=1, seed=0))
     with pytest.raises(ValueError, match="no training examples"):
-        train(model, [], TrainConfig(epochs=1))
+        train(model, [], TrainConfig(lr=0.05, epochs=1, seed=0))
 
 
 def test_classify_tie_goes_to_minor_and_is_flagged():
@@ -298,8 +299,10 @@ def test_classify_learns_labels_from_training(pairs, corpus_tokenizer):
     for pair in pairs:
         context = (BOS_ID, *corpus_tokenizer.encode(pair.descriptive))
         examples.append(TrainingExample(context, corpus_tokenizer.label_id(pair.label)))
-    model = TinyLM.init(corpus_tokenizer.size, dim=32, window=48, seed=7)
-    trained = train(model, examples, TrainConfig(lr=0.05, epochs=60, seed=7))
+    # the model `train-ref` builds, at its default settings and seed 7
+    cfg = load_config(None)
+    model = TinyLM.init(corpus_tokenizer.size, dim=cfg["dim"], window=cfg["window"], seed=7)
+    trained = train(model, examples, TrainConfig(lr=cfg["lr"], epochs=cfg["epochs"], seed=7))
     hits = sum(
         classify(trained, corpus_tokenizer, corpus_tokenizer.encode(p.descriptive))[0] is p.label
         for p in pairs
@@ -444,7 +447,7 @@ def test_model_save_that_fails_midway_leaves_the_old_checkpoint(tmp_path, monkey
 @pytest.mark.parametrize("dim, window", [(0, 4), (3, 0), (-1, 4)])
 def test_init_rejects_an_empty_dimension(dim, window):
     with pytest.raises(RefModelError, match="must be >= 1"):
-        TinyLM.init(6, dim=dim, window=window)
+        TinyLM.init(6, dim=dim, window=window, seed=0)
 
 
 def test_model_load_rejects_unknown_version(tmp_path):
