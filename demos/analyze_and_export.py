@@ -15,6 +15,7 @@ from crashlens.analytics import (
     export_heatmap,
     export_sankey,
     extract_top_factors,
+    load_category_lexicon,
     load_grouping_rules,
     rule_based_factors,
     semantic_group,
@@ -57,17 +58,18 @@ def main() -> None:
         TrainConfig(lr=cfg["lr"], epochs=cfg["epochs"], seed=7),
     )
 
-    rules = load_grouping_rules()
+    rules, category_lexicon = load_grouping_rules(), load_category_lexicon()
     per_case = []
     first_annotated = ""
     for pair in pairs:
         spans = tokenizer.encode_with_spans(pair.descriptive)
-        ids = [tid for tid, _, _ in spans]
-        label, _ = classify(model, tokenizer, ids)
-        values = occlusion_importance(model, [BOS_ID] + ids, tokenizer.label_id(label))
+        context = [BOS_ID, *(tid for tid, _, _ in spans)]
+        dist = model.distribution(context)  # one forward pass for the label and the scores
+        label, _ = classify(tokenizer, dist)
+        values = occlusion_importance(model, context, tokenizer.label_id(label), dist)
         scores = normalize_scores(values, cfg["L"], cfg["b"])
         words = aggregate_to_words(scores, pair.descriptive, spans, cfg["display_divisor"])
-        summary = rule_based_factors(words, caseno=pair.caseno)
+        summary = rule_based_factors(words, category_lexicon, pair.caseno)
         top = extract_top_factors(summary, cfg["top_k"])
         grouped = semantic_group(top, rules)
         per_case.append(grouped)

@@ -60,8 +60,9 @@ def main() -> None:
     for _ in range(30):
         n = int(rng.integers(11, 24))
         seq = [BOS_ID] + [int(t) for t in rng.integers(5, tokenizer.size, size=n)]
-        occ = occlusion_importance(lm, seq[:-1], seq[-1])
-        tay = taylor_importance(lm, seq[:-1], seq[-1])
+        dist = lm.distribution(seq[:-1])  # one forward pass serves both methods
+        occ = occlusion_importance(lm, seq[:-1], seq[-1], dist)
+        tay = taylor_importance(lm, seq[:-1], seq[-1], dist)
         rhos.append(float(spearmanr(occ, tay)[0]))
     print(f"median Spearman over 30 in-window sequences: {float(np.median(rhos)):.3f}")
 
@@ -80,13 +81,14 @@ def main() -> None:
 
     pair = pairs[0]
     spans = tokenizer.encode_with_spans(pair.descriptive)
-    ids = [tid for tid, _, _ in spans]
-    label, _ = classify(clf, tokenizer, ids)
+    context = [BOS_ID, *(tid for tid, _, _ in spans)]
+    dist = clf.distribution(context)  # one forward pass for the label and the scores
+    label, _ = classify(tokenizer, dist)
     print(f"\n{pair.caseno}: explaining prediction {label.name} "
           f"(only the final {clf.window} tokens are visible to the classifier)")
 
     # one score per context token; word n of the narrative is token n + 1
-    values = occlusion_importance(clf, [BOS_ID] + ids, tokenizer.label_id(label))
+    values = occlusion_importance(clf, context, tokenizer.label_id(label), dist)
     scores = normalize_scores(values, cfg["L"], cfg["b"])
     words = aggregate_to_words(scores, pair.descriptive, spans, cfg["display_divisor"])
     annotated = annotate_narrative(pair.descriptive, words)

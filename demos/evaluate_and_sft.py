@@ -13,7 +13,6 @@ from pathlib import Path
 
 from crashlens.cli import load_config
 from crashlens.evaluation import (
-    PromptStrategy,
     StrategyKind,
     build_prompt,
     build_sft_dataset,
@@ -57,8 +56,8 @@ def main() -> None:
     lexicon, templates = load_lexicon(), load_templates()
     pairs = [render(normalize(c, lexicon), templates) for c in integrate(tables).cases]
 
-    strategy = PromptStrategy(StrategyKind.ZERO_SHOT)
-    system, user = build_prompt(strategy, pairs[0].descriptive)
+    kind = StrategyKind.ZERO_SHOT  # zero-shot shows no example pairs, so its shots are ()
+    system, user = build_prompt(kind, (), pairs[0].descriptive)
     print("zero-shot prompt for the first case:")
     print(f"  [system] {system}")
     print("  [user]   " + user.replace("\n", "\n           "))
@@ -67,7 +66,7 @@ def main() -> None:
     client = KeywordClient()
     # `eval`'s default temperature; one job, since the client counts its calls
     temperature = load_config(None)["temperature"]
-    predictions, golds = run_evaluation(pairs, strategy, client, temperature, jobs=1)
+    predictions, golds = run_evaluation(pairs, kind, (), client, temperature, jobs=1)
     report = compute_metrics(predictions, golds)
     print(report.format())
 

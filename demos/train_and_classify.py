@@ -51,16 +51,17 @@ def main() -> None:
     history = trained.loss_history
     print(f"label NLL: {history[0]:.4f} (epoch 1) -> {history[-1]:.4f} (epoch {len(history)})")
 
+    # a decode reads the label tokens off one forward pass after the narrative
+    traces = [classify(tokenizer, trained.distribution(ex.context)) for ex in examples]
     hits = 0
-    for pair in pairs:
-        label, trace = classify(trained, tokenizer, tokenizer.encode(pair.descriptive))
+    for pair, (label, trace) in zip(pairs, traces):
         hits += label is pair.label
         if trace.tie:
             print(f"  tie on {pair.caseno}, defaulted to minor")
     print(f"training-set accuracy: {hits}/{len(pairs)}")
 
     sample = pairs[0]
-    label, trace = classify(trained, tokenizer, tokenizer.encode(sample.descriptive))
+    label, trace = traces[0]
     print(f"\n{sample.caseno}: predicted {label.name}, gold {sample.label.name}")
     for sev, score in trace.log_scores.items():
         print(f"  log p({sev.name}) = {score:.3f}")

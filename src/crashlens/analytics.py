@@ -8,7 +8,6 @@ co-occurrence graph for Sankey export.
 
 from __future__ import annotations
 
-import functools
 import html
 import json
 import math
@@ -212,23 +211,12 @@ def load_category_lexicon(path: Optional[str | Path] = None) -> CategoryLexicon:
     return CategoryLexicon(doc)
 
 
-@functools.cache
-def _bundled_category_lexicon() -> CategoryLexicon:
-    return load_category_lexicon()
-
-
 _PUNCT_STRIP = ".,;:!?()'\"[]"
 
 
-def rule_based_factors(
-    words: Sequence[WordAttribution],
-    category_lexicon: Optional[CategoryLexicon] = None,
-    caseno: str = "",
-) -> FactorSummary:
+def rule_based_factors(words: Sequence[WordAttribution], lexicon: CategoryLexicon, caseno: str) -> FactorSummary:
     """Deterministic offline categorizer: first matching category wins,
-    unmatched scored words land in the unusual/standout bucket. Without a
-    lexicon, the bundled one is used."""
-    lexicon = category_lexicon if category_lexicon is not None else _bundled_category_lexicon()
+    unmatched scored words land in the unusual/standout bucket."""
     buckets: dict[str, dict[str, FactorTerm]] = {aspect: {} for aspect in ASPECTS}
     for word in words:
         if word.score <= 0:
@@ -277,14 +265,10 @@ def _parse_factor_payload(completion: str, caseno: str) -> FactorSummary:
     return FactorSummary(caseno=caseno, categories=categories, source="llm")
 
 
-def summarize_factors(
-    annotated: str,
-    client: ChatClient,
-    caseno: str = "",
-    category_lexicon: Optional[CategoryLexicon] = None,
-) -> FactorSummary:
-    """LLM factor summary with one repair request; falls back to the rules
-    when the reply cannot be repaired or the client is unavailable."""
+def summarize_factors(annotated: str, client: ChatClient, caseno: str, lexicon: CategoryLexicon) -> FactorSummary:
+    """LLM factor summary with one repair request; falls back to the rules,
+    with `lexicon`, when the reply cannot be repaired or the client is
+    unavailable."""
     from .augment import UnavailableError
 
     user = annotated
@@ -298,7 +282,7 @@ def summarize_factors(
     except UnavailableError:
         pass
     _, words = parse_annotated(annotated)
-    return rule_based_factors(words, category_lexicon, caseno=caseno)
+    return rule_based_factors(words, lexicon, caseno)
 
 
 def extract_top_factors(summary: FactorSummary, k: int) -> dict[str, list[str]]:
@@ -521,12 +505,7 @@ _HEATMAP_CSS = (
 )
 
 
-def export_heatmap(
-    annotated: str,
-    threshold_hi: float,
-    path: str | Path,
-    caseno: str = "",
-) -> str:
+def export_heatmap(annotated: str, threshold_hi: float, path: str | Path, caseno: str) -> str:
     """Binary red/green rendering: score >= threshold_hi red, positive green."""
     narrative, words = parse_annotated(annotated)
     parts = [
@@ -534,7 +513,7 @@ def export_heatmap(
         '<html><head><meta charset="utf-8">',
         f"<title>Attribution heatmap {html.escape(caseno)}</title>",
         f"<style>{_HEATMAP_CSS}</style></head><body>",
-        f"<h3>Case {html.escape(caseno)}</h3>" if caseno else "<h3>Attribution heatmap</h3>",
+        f"<h3>Case {html.escape(caseno)}</h3>",
         "<p>",
     ]
     cursor = 0

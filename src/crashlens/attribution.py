@@ -30,19 +30,17 @@ class ScoreMatrix(NamedTuple):
     b: int
 
 
-def occlusion_importance(
-    model: TinyLM, context: Sequence[int], target: int, dist: np.ndarray | None = None
-) -> np.ndarray:
+def occlusion_importance(model: TinyLM, context: Sequence[int], target: int, dist: np.ndarray) -> np.ndarray:
     """Exact leave-one-out importance: for each context token, the drop in
     p(target | context) when that token is removed; the sequence really
     shortens. Removing an in-window token keeps the slots of the tokens on
     one side of it and moves the others by one, so each pooled vector is a
     prefix running sum plus a suffix one, and one product scores them all.
-    `dist` is `model.distribution(context)` when the caller has it.
+    `dist` is `model.distribution(context)`, the caller's forward pass.
     """
     ids = np.asarray(context, dtype=np.intp)
     n = len(ids)
-    base = float((model.distribution(ids) if dist is None else dist)[target])
+    base = float(dist[target])
     if n < 2:  # removing the one token leaves the empty context, read as <bos>
         return np.full(n, base - prob(model, [], target))
     first = max(n - model.window, 0)  # tokens before the window leave it as it was: exactly 0
@@ -57,18 +55,17 @@ def occlusion_importance(
     return values[np.maximum.accumulate(np.where(np.r_[True, ids[1:] != ids[:-1]], np.arange(n), 0))]
 
 
-def taylor_importance(
-    model: TinyLM, context: Sequence[int], target: int, dist: np.ndarray | None = None
-) -> np.ndarray:
+def taylor_importance(model: TinyLM, context: Sequence[int], target: int, dist: np.ndarray) -> np.ndarray:
     """First-order approximation: <d p(target | context) / d E[x_n], E[x_n]>.
 
-    One forward pass, `dist` when the caller has it, and one product: the
-    gradient at window slot j is a_j * dp/dh, so the scores are
-    a * (E[window] @ dp/dh). Tokens before the window score exactly 0.
+    From the caller's forward pass, `dist` = `model.distribution(context)`,
+    and one product: the gradient at window slot j is a_j * dp/dh, so the
+    scores are a * (E[window] @ dp/dh). Tokens before the window score
+    exactly 0.
     """
     window = model.window_of(context)
     k = len(window)
-    g_hidden = grad_prob_wrt_hidden(model, model.distribution(context) if dist is None else dist, target)
+    g_hidden = grad_prob_wrt_hidden(model, dist, target)
     values = np.zeros(len(context))
     # an empty context reads <bos> alone, which is no context token: values[-1:] is empty then
     values[len(values) - k :] = model.position_weights[:k] * (model.embeddings[window] @ g_hidden)

@@ -16,13 +16,10 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Sequence, TypeVar
+from typing import Callable, Optional, Protocol, Sequence
 from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
-from .util import NULL_MARKERS, CrashlensError
-
-T = TypeVar("T")
-R = TypeVar("R")
+from .util import NULL_MARKERS, CrashlensError, bounded_map
 
 # A pattern led by `\b` gives `re` no first character to skip ahead to, so
 # each pattern below opens with a digit or a lookahead on its first letters.
@@ -97,6 +94,9 @@ MAX_ATTEMPTS = 4
 BACKOFF_BASE_S = 0.5
 # after this many sends in a row used up their attempts, a client sends no more
 BREAKER_AFTER = 3
+# the model each request names, and each connection's socket timeout in seconds
+MODEL_NAME = "gpt-4o"
+TIMEOUT_S = 60.0
 
 
 class StubChatClient:
@@ -130,29 +130,17 @@ class HttpChatClient:
     later send fails at once; any reply below 500 ends a row. The
     `*_proxy` environment variables are honoured: an http endpoint is
     reached through its proxy in absolute form, an https one through a
-    CONNECT tunnel.
+    CONNECT tunnel. An empty `api_key` sends no Authorization header.
     """
 
-    def __init__(
-        self,
-        endpoint: Optional[str] = None,
-        api_key: Optional[str] = None,
-        model_name: str = "gpt-4o",
-        timeout: float = 60.0,
-    ):
-        self.endpoint = endpoint or os.environ.get("CRASHLENS_CHAT_ENDPOINT", "")
-        self.api_key = api_key or os.environ.get("CRASHLENS_CHAT_API_KEY", "")
-        self.model_name = model_name
-        self.timeout = timeout
-        if not self.endpoint:
-            raise ValueError("no chat endpoint configured (CRASHLENS_CHAT_ENDPOINT)")
-        url = _split_url(self.endpoint, "chat endpoint", ("http", "https"))
+    def __init__(self, endpoint: str, api_key: str):
+        url = _split_url(endpoint, "chat endpoint", ("http", "https"))
         self._https = url.scheme == "https"
         self._address = (url.hostname, url.port)
         self._target = urlunsplit(("", "", url.path or "/", url.query, ""))
         self._headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            self._headers["Authorization"] = f"Bearer {self.api_key}"
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
         self._proxy = _proxy_for(url.scheme, url.hostname)
         self._tunnel_headers: dict[str, str] = {}
         if self._proxy is not None:
@@ -183,9 +171,9 @@ class HttpChatClient:
 
         cls = http.client.HTTPSConnection if self._https else http.client.HTTPConnection
         if self._proxy is None:
-            conn = cls(*self._address, timeout=self.timeout)
+            conn = cls(*self._address, timeout=TIMEOUT_S)
         else:
-            conn = cls(self._proxy.hostname, self._proxy.port, timeout=self.timeout)
+            conn = cls(self._proxy.hostname, self._proxy.port, timeout=TIMEOUT_S)
             if self._https:
                 conn.set_tunnel(*self._address, headers=self._tunnel_headers)
         with self._lock:
@@ -236,7 +224,7 @@ class HttpChatClient:
                 f"{MAX_ATTEMPTS} attempts (last: {self._last_failure})"
             )
         payload = {
-            "model": self.model_name,
+            "model": MODEL_NAME,
             "temperature": temperature,
             "messages": [
                 {"role": "system", "content": system},
@@ -486,20 +474,6 @@ def verify_preservation(original: str, augmented: str) -> ConstraintReport:
         ConstraintKind.CHRONOLOGY: [t for t in orig.times if not any(t == a for a in aug_times)],
     }
     return ConstraintReport([ConstraintResult(k, not offending[k], offending[k]) for k in ConstraintKind])
-
-
-def bounded_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
-    """`[fn(x) for x in items]` on at most `jobs` threads, in input order;
-    fewer than one job raises before any call."""
-    if jobs < 1:
-        raise ValueError(f"need jobs >= 1; got {jobs}")
-    workers = max(1, min(jobs, len(items)))
-    if workers == 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def augment_batch(

@@ -28,8 +28,10 @@ from .util import (
     atomic_write,
     atomic_write_json,
     atomic_write_jsonl,
+    bounded_map,
     iter_jsonl,
     parse_annotated,
+    parse_yaml,
     read_jsonl,
     string_fields,
 )
@@ -114,9 +116,7 @@ def load_config(path: Optional[str]) -> dict[str, object]:
     cfg = {key: setting[0] for key, setting in SETTINGS.items()}
     if path is None:
         return cfg
-    import yaml
-
-    doc = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+    doc = parse_yaml(Path(path).read_text(encoding="utf-8")) or {}
     if not isinstance(doc, dict):
         raise CliError(f"config {path} must be a mapping")
     for key, value in doc.items():
@@ -154,13 +154,16 @@ def _read_jsonl(path: str | Path) -> list[dict]:
 
 
 def _chat_client(args: argparse.Namespace) -> ChatClient:
+    """The stub offline; else a client of `--endpoint`, or of
+    $CRASHLENS_CHAT_ENDPOINT without one, sending $CRASHLENS_CHAT_API_KEY."""
     from .augment import HttpChatClient, StubChatClient
 
     if args.offline:
         return StubChatClient()
-    if not args.endpoint and not os.environ.get("CRASHLENS_CHAT_ENDPOINT"):
+    endpoint = args.endpoint or os.environ.get("CRASHLENS_CHAT_ENDPOINT", "")
+    if not endpoint:
         raise CliError("no chat endpoint configured; pass --offline to use the stub client")
-    return HttpChatClient(endpoint=args.endpoint or None)
+    return HttpChatClient(endpoint, os.environ.get("CRASHLENS_CHAT_API_KEY", ""))
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -308,7 +311,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
             spans = tokenizer.encode_with_spans(pair.descriptive)
             context = [refmodel.BOS_ID, *(tid for tid, _, _ in spans)]
             dist = model.distribution(context)  # one forward pass for the label and the scores
-            target = tokenizer.label_id(refmodel.classify(model, tokenizer, context[1:], dist)[0])
+            target = tokenizer.label_id(refmodel.classify(tokenizer, dist)[0])
             scores = attribution.normalize_scores(importance_fn(model, context, target, dist), L, b)
             words = attribution.aggregate_to_words(scores, pair.descriptive, spans, divisor)
             annotated = attribution.annotate_narrative(pair.descriptive, words)
@@ -329,19 +332,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     records = _read_jsonl(args.attributions)
     rules = analytics.load_grouping_rules(args.grouping_rules)
     lexicon = analytics.load_category_lexicon(args.category_lexicon)
-    client = None if args.offline else _chat_client(args)
-    if client is None:  # the rules send no requests for a thread pool to overlap
-        summaries = [
-            analytics.rule_based_factors(parse_annotated(r["annotated"])[1], lexicon, caseno=r["caseno"])
-            for r in records
-        ]
-    else:
-        from .augment import bounded_map
+    if args.offline:  # the rules alone; no chat client
 
         def summarize(rec: dict) -> analytics.FactorSummary:
-            return analytics.summarize_factors(rec["annotated"], client, caseno=rec["caseno"], category_lexicon=lexicon)
+            return analytics.rule_based_factors(parse_annotated(rec["annotated"])[1], lexicon, rec["caseno"])
 
-        summaries = bounded_map(summarize, records, args.jobs)
+    else:
+        client = _chat_client(args)
+
+        def summarize(rec: dict) -> analytics.FactorSummary:
+            return analytics.summarize_factors(rec["annotated"], client, rec["caseno"], lexicon)
+
+    summaries = bounded_map(summarize, records, args.jobs)
     out_records, per_case_grouped = [], []
     for rec, summary in zip(records, summaries):
         top = analytics.extract_top_factors(summary, k=args.top_k)
@@ -370,7 +372,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         {
             "cases": len(out_records),
             # summaries the rules made because the client failed for them
-            "fallbacks": 0 if client is None else sum(s.source == "rules" for s in summaries),
+            "fallbacks": 0 if args.offline else sum(s.source == "rules" for s in summaries),
             "nodes": len(graph.nodes),
             "links": len(graph.links),
             "out": str(args.out),
@@ -417,27 +419,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     pairs = read_pairs(args.narratives)
     kind = StrategyKind(args.strategy)
+    shots: tuple = ()  # few-shot: the first minor and the first severe pair, not evaluated
     if kind is StrategyKind.FEW_SHOT:
         minor = next((p for p in pairs if p.label is Severity.MINOR), None)
         severe = next((p for p in pairs if p.label is Severity.SEVERE), None)
         if minor is None or severe is None:
             raise CliError("few-shot evaluation needs at least one narrative per class")
-        strategy = evaluation.PromptStrategy(
-            kind,
-            (
-                evaluation.Exemplar(minor.descriptive, minor.label),
-                evaluation.Exemplar(severe.descriptive, severe.label),
-            ),
-        )
-        eval_pairs = [p for p in pairs if p.caseno not in (minor.caseno, severe.caseno)]
-    else:
-        strategy = evaluation.PromptStrategy(kind)
-        eval_pairs = pairs
+        shots = (minor, severe)
+    shown = {shot.caseno for shot in shots}
+    eval_pairs = [p for p in pairs if p.caseno not in shown]
     if not eval_pairs:
         raise CliError("no narratives left to evaluate")
     client = _chat_client(args)
     predictions, golds = evaluation.run_evaluation(
-        eval_pairs, strategy, client, temperature=args.temperature, jobs=args.jobs
+        eval_pairs, kind, shots, client, temperature=args.temperature, jobs=args.jobs
     )
     report = evaluation.compute_metrics(predictions, golds)
     atomic_write_jsonl(

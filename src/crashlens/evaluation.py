@@ -2,7 +2,8 @@
 
 Builds zero-shot, chain-of-thought, and few-shot prompts, parses free-text
 completions back into severity labels, scores predictions, and emits masked
-supervised fine-tuning records.
+supervised fine-tuning records. A few-shot prompt shows two narrative pairs
+(`shots`), a minor one and then a severe one; the other strategies show none.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .augment import ChatClient, UnavailableError, _check_temperature, bounded_map
+from .augment import ChatClient, UnavailableError, _check_temperature
 from .records import NarrativePair, Severity
-from .util import CrashlensError
+from .util import CrashlensError, bounded_map
 from .util import StrategyKind  # re-exported; in util so the CLI parser need not import this module
 
 SYSTEM_PROMPT = "You are a professional road safety engineer."
@@ -56,42 +57,31 @@ class ParseStatus(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class Exemplar:
-    narrative: str
-    label: Severity
+def _check_shots(kind: StrategyKind, shots: Sequence[NarrativePair]) -> None:
+    """A few-shot prompt takes a minor pair and then a severe one; the
+    other strategies take none."""
+    wanted = (Severity.MINOR, Severity.SEVERE) if kind is StrategyKind.FEW_SHOT else ()
+    got = tuple(shot.label for shot in shots)
+    if got != wanted:
+        raise EvaluationError(
+            f"{kind.value} takes shots labelled {[s.value for s in wanted]}, not {[s.value for s in got]}"
+        )
 
 
-@dataclass(frozen=True)
-class PromptStrategy:
-    kind: StrategyKind
-    exemplars: tuple[Exemplar, ...] = ()
-
-    def __post_init__(self):
-        if self.kind is StrategyKind.FEW_SHOT:
-            if len(self.exemplars) != 2:
-                raise EvaluationError("few-shot strategy needs exactly two exemplars")
-            if {e.label for e in self.exemplars} != {Severity.MINOR, Severity.SEVERE}:
-                raise EvaluationError("few-shot exemplars must cover both severity classes")
-        elif self.exemplars:
-            raise EvaluationError(f"{self.kind.value} strategy takes no exemplars")
-
-
-def build_prompt(strategy: PromptStrategy, narrative: str) -> tuple[str, str]:
-    """Return (system, user). The narrative is appended after a blank line."""
-    if strategy.kind is StrategyKind.ZERO_SHOT:
+def build_prompt(kind: StrategyKind, shots: Sequence[NarrativePair], narrative: str) -> tuple[str, str]:
+    """Return (system, user). The narrative is appended after a blank line;
+    a few-shot prompt shows its (minor, severe) `shots` before the task."""
+    if kind is StrategyKind.ZERO_SHOT:
         blocks = [_TASK_LINE, _CLASSIFY_LINE, _OUTPUT_LINE]
-    elif strategy.kind is StrategyKind.CHAIN_OF_THOUGHT:
+    elif kind is StrategyKind.CHAIN_OF_THOUGHT:
         blocks = [_TASK_LINE, _COT_CLASSIFY_LINE, _COT_OUTPUT_LINE]
     else:
-        # PromptStrategy guarantees one exemplar per severity class
-        minor = next(e for e in strategy.exemplars if e.label is Severity.MINOR)
-        severe = next(e for e in strategy.exemplars if e.label is Severity.SEVERE)
+        minor, severe = shots
         blocks = [
             _FEW_SHOT_HEADER,
-            minor.narrative,
+            minor.descriptive,
             minor.label.phrase,
-            severe.narrative,
+            severe.descriptive,
             severe.label.phrase,
             _TASK_LINE,
             _CLASSIFY_LINE_SHORT,
@@ -137,9 +127,7 @@ def _phrase_positions(text: str, phrase: str) -> list[int]:
         start = i + 1
 
 
-def parse_label(
-    raw_output: str, kind: StrategyKind = StrategyKind.ZERO_SHOT
-) -> tuple[Optional[Severity], ParseStatus]:
+def parse_label(raw_output: str, kind: StrategyKind) -> tuple[Optional[Severity], ParseStatus]:
     """Two tiers: exact category phrases, then severity keywords.
 
     Chain-of-thought replies restate the categories while reasoning, so for
@@ -258,23 +246,26 @@ def compute_metrics(
 
 def run_evaluation(
     pairs: Sequence[NarrativePair],
-    strategy: PromptStrategy,
+    kind: StrategyKind,
+    shots: Sequence[NarrativePair],
     client: ChatClient,
     temperature: float,
     jobs: int,
 ) -> tuple[list[Prediction], list[Severity]]:
     """One prediction per pair, in order; an unavailable client costs only
     that case, which is recorded as an empty completion (a failed parse).
-    A temperature outside [0, 2] fails before any request, as in `augment`."""
+    A temperature outside [0, 2], as in `augment`, or `shots` that do not
+    fit `kind` fail before any request."""
     _check_temperature(temperature)
+    _check_shots(kind, shots)
 
     def predict(pair: NarrativePair) -> Prediction:
-        system, user = build_prompt(strategy, pair.descriptive)
+        system, user = build_prompt(kind, shots, pair.descriptive)
         try:
             completion = client.send(system, user, temperature)
         except UnavailableError:
             completion = ""
-        label, status = parse_label(completion, strategy.kind)
+        label, status = parse_label(completion, kind)
         return Prediction(caseno=pair.caseno, raw_output=completion, label=label, parse_status=status)
 
     return bounded_map(predict, pairs, jobs), [pair.label for pair in pairs]
@@ -286,30 +277,31 @@ class SftRecord:
     system: str
     user: str
     response: str
-    mask_boundary: int
+
+    @property
+    def mask_boundary(self) -> int:
+        """Where the response starts in `render_sft(self)`: the loss covers
+        only what follows it."""
+        return len(render_sft(self)) - len(self.response)
 
 
 def render_sft(record: SftRecord) -> str:
+    """The one layout of a record: system, user and response, one line break apart."""
     return f"{record.system}\n{record.user}\n{record.response}"
 
 
 def build_sft_dataset(pairs: Sequence[NarrativePair]) -> list[SftRecord]:
     """Question side stays label-free; the category names live in the system
     prompt so the response is the only place a label string appears."""
-    records = []
-    for pair in pairs:
-        user = f"{pair.descriptive}\n\n{SFT_QUESTION}"
-        boundary = len(SFT_SYSTEM_PROMPT) + 1 + len(user) + 1
-        records.append(
-            SftRecord(
-                caseno=pair.caseno,
-                system=SFT_SYSTEM_PROMPT,
-                user=user,
-                response=pair.label.phrase,
-                mask_boundary=boundary,
-            )
+    return [
+        SftRecord(
+            caseno=pair.caseno,
+            system=SFT_SYSTEM_PROMPT,
+            user=f"{pair.descriptive}\n\n{SFT_QUESTION}",
+            response=pair.label.phrase,
         )
-    return records
+        for pair in pairs
+    ]
 
 
 def sft_record_to_dict(record: SftRecord) -> dict:

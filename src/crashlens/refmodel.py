@@ -361,16 +361,12 @@ class DecodeTrace:
     tie: bool
 
 
-def classify(
-    model: TinyLM, tokenizer: Tokenizer, ids: Sequence[int], dist: np.ndarray | None = None
-) -> tuple[Severity, DecodeTrace]:
-    """Constrained decode after a narrative's token ids (without <bos>, which
-    is prepended here): pick the label token with the higher log-prob, both
-    scored from one forward pass, `dist` when the caller has already run it
-    on [<bos>, *ids]. Ties go to the minor-injury label, flagged in the trace.
+def classify(tokenizer: Tokenizer, dist: np.ndarray) -> tuple[Severity, DecodeTrace]:
+    """Constrained decode from one forward pass: `dist` is the model's
+    distribution after `<bos>` and a narrative's token ids. Picks the label
+    token with the higher log-prob; ties go to the minor-injury label,
+    flagged in the trace.
     """
-    if dist is None:
-        dist = model.distribution([BOS_ID, *ids])
     scores = {
         sev: float(np.log(max(float(dist[tokenizer.label_id(sev)]), 1e-300))) for sev in Severity
     }

@@ -370,15 +370,13 @@ def load_tables(
 
 
 def link_segment(
-    crash: CrashRecord,
-    segments: Sequence[RoadSegment],
-    report: Optional[IntegrationReport] = None,
+    crash: CrashRecord, segments: Sequence[RoadSegment], report: IntegrationReport
 ) -> Optional[RoadSegment]:
     """Find the segment covering the crash milepost on its route.
 
     Matching is half-open: from_measure <= milepost < to_measure. Among true
     overlaps the segment with the smallest from_measure wins and an ambiguity
-    warning is recorded on the report when one is given.
+    warning is recorded on `report`.
     """
     matches = [
         seg
@@ -388,7 +386,7 @@ def link_segment(
     if not matches:
         return None
     matches.sort(key=lambda seg: seg.from_measure)
-    if len(matches) > 1 and report is not None:
+    if len(matches) > 1:
         report.ambiguous_links.append(
             f"caseno {crash.caseno}: milepost {crash.milepost} on route {crash.route_id} "
             f"matches {len(matches)} segments; kept from_measure {matches[0].from_measure}"

@@ -10,6 +10,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 # Raw values that mean "no value", compared after strip() and lower().
 NULL_MARKERS = frozenset({"", "nan", "unknown", "n/a"})
@@ -44,26 +45,47 @@ def is_null(raw: str) -> bool:
     return raw.strip().lower() in NULL_MARKERS
 
 
+def parse_yaml(text: str) -> Any:
+    """The YAML document `text` holds, parsed by libyaml when PyYAML is
+    built with it; the data files and the CLI config both read through it."""
+    import yaml
+
+    return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
 def load_yaml_section(name: str, key: str, kind: type, path: Optional[str | Path] = None) -> Any:
     """The one section of a YAML data file: `path`, or the bundled file `name`.
 
     The document must be a mapping whose only key is `key`, holding a `kind`
     (dict or list); anything else raises ValueError.
     """
-    import yaml
-
     if path is None:
         from importlib import resources
 
         raw = resources.files("crashlens.data").joinpath(name).read_text("utf-8")
     else:
         raw = Path(path).read_text("utf-8")
-    doc = yaml.load(raw, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))  # libyaml when built with it
+    doc = parse_yaml(raw)
     if not isinstance(doc, dict) or list(doc) != [key] or not isinstance(doc[key], kind):
         raise ValueError(
             f"{path or name} must be a mapping whose only key is {key!r}, holding a {kind.__name__}"
         )
     return doc[key]
+
+
+def bounded_map(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
+    """`[fn(x) for x in items]` on at most `jobs` threads, in input order;
+    fewer than one job raises before any call. With one worker no thread
+    pool is started."""
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1; got {jobs}")
+    workers = max(1, min(jobs, len(items)))
+    if workers == 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def atomic_write(path: str | Path, chunks: Iterable[str]) -> None:

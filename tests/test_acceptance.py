@@ -27,10 +27,8 @@ from crashlens.attribution import (
 )
 from crashlens.augment import StubChatClient, augment_batch
 from crashlens.evaluation import (
-    Exemplar,
     ParseStatus,
     Prediction,
-    PromptStrategy,
     StrategyKind,
     build_prompt,
     build_sft_dataset,
@@ -38,9 +36,11 @@ from crashlens.evaluation import (
     render_sft,
 )
 from crashlens.narrator import load_lexicon, load_templates, normalize, render
+from crashlens.records import NarrativePair
 from crashlens.refmodel import BOS_ID, TinyLM
 from crashlens.schema import (
     CrashRecord,
+    IntegrationReport,
     RoadSegment,
     Severity,
     integrate,
@@ -97,8 +97,9 @@ def test_c02_taylor_tracks_occlusion(reference_model, corpus_tokenizer):
     for _ in range(50):
         n = int(rng.integers(11, 24))
         seq = [BOS_ID] + [int(t) for t in rng.integers(5, vocab, size=n)]
-        occ = occlusion_importance(reference_model, seq[:-1], seq[-1])
-        tay = taylor_importance(reference_model, seq[:-1], seq[-1])
+        dist = reference_model.distribution(seq[:-1])  # one forward pass serves both routes
+        occ = occlusion_importance(reference_model, seq[:-1], seq[-1], dist)
+        tay = taylor_importance(reference_model, seq[:-1], seq[-1], dist)
         rhos.append(float(spearmanr(occ, tay)[0]))
     lo, q1, med, q3, hi = (float(q) for q in np.percentile(rhos, [0, 25, 50, 75, 100]))
     _report(
@@ -184,12 +185,13 @@ def test_c04_integration_matches_join_oracle():
             hit_and_run=False, severity=Severity.MINOR,
         )
 
-    at_start = link_segment(crash_at(0.0), [segment]) is segment
-    at_end = link_segment(crash_at(10.0), [segment]) is None
+    report = IntegrationReport()
+    at_start = link_segment(crash_at(0.0), [segment], report) is segment
+    at_end = link_segment(crash_at(10.0), [segment], report) is None
     _report(
         4,
         "integration join oracle",
-        at_start and at_end,
+        at_start and at_end and not report.ambiguous_links,
         "100 random table sets match; boundary half-open",
     )
 
@@ -317,19 +319,23 @@ GOLDEN_NARRATIVE = (
     "King, Washington. The crash happened in rainy weather on a wet road "
     "surface under daylight conditions."
 )
-MINOR_EXEMPLAR = Exemplar(
-    narrative=(
+MINOR_SHOT = NarrativePair(
+    caseno="G1",
+    descriptive=(
         "On May 1, 2022, at 2:10 PM, a traffic accident occurred on Route 101 in "
         "Clallam, Washington. The vehicle was slowing or stopping in clear weather."
     ),
+    outcome="",
     label=Severity.MINOR,
 )
-SEVERE_EXEMPLAR = Exemplar(
-    narrative=(
+SEVERE_SHOT = NarrativePair(
+    caseno="G2",
+    descriptive=(
         "On December 12, 2022, at 11:30 PM, a traffic accident occurred on Route "
         "090 in Kittitas, Washington. The driver showed evidence of alcohol "
         "involvement under dark conditions."
     ),
+    outcome="",
     label=Severity.SEVERE,
 )
 
@@ -338,11 +344,11 @@ def test_c09_prompts_match_golden_files():
     plans = [
         (StrategyKind.ZERO_SHOT, "zs", ()),
         (StrategyKind.CHAIN_OF_THOUGHT, "zs-cot", ()),
-        (StrategyKind.FEW_SHOT, "fs", (MINOR_EXEMPLAR, SEVERE_EXEMPLAR)),
+        (StrategyKind.FEW_SHOT, "fs", (MINOR_SHOT, SEVERE_SHOT)),
     ]
     mismatched = []
-    for kind, stem, exemplars in plans:
-        system, user = build_prompt(PromptStrategy(kind, exemplars), GOLDEN_NARRATIVE)
+    for kind, stem, shots in plans:
+        system, user = build_prompt(kind, shots, GOLDEN_NARRATIVE)
         expected = (FIXTURES / f"{stem}.txt").read_text(encoding="utf-8")
         if f"{system}\n===\n{user}" != expected:
             mismatched.append(stem)

@@ -44,6 +44,9 @@ from conftest import WHITESPACE
 from oracles import SANKEY_SCHEMA, parse_annotated_scans, rule_based_factors_loop
 
 
+BUNDLED = load_category_lexicon()
+
+
 def _w(word: str, score: float, pos: int = 0) -> WordAttribution:
     return WordAttribution(word=word, char_span=(pos, pos + len(word)), score=score)
 
@@ -60,7 +63,7 @@ def test_rule_based_category_assignments():
         _w("motorcycle", 2.0, 130),
         _w("shoulder", 1.0, 150),
     ]
-    summary = rule_based_factors(words, caseno="T1")
+    summary = rule_based_factors(words, BUNDLED, "T1")
     got = {
         cat: [t.term for t in block.terms] for cat, block in summary.categories.items()
     }
@@ -80,7 +83,7 @@ def test_rule_based_skips_nonpositive_and_dedupes():
         _w("Dusk,", 5.0, 40),
         _w("dusk", 3.0, 20),
     ]
-    summary = rule_based_factors(words)
+    summary = rule_based_factors(words, BUNDLED, "")
     terms = summary.categories["environmental"].terms
     assert len(terms) == 1
     # max score wins, earliest position is kept
@@ -89,7 +92,7 @@ def test_rule_based_skips_nonpositive_and_dedupes():
 
 
 def test_rule_based_summary_sentences():
-    summary = rule_based_factors([_w("snow", 2.0)])
+    summary = rule_based_factors([_w("snow", 2.0)], BUNDLED, "")
     env = summary.categories["environmental"]
     assert env.summary == "Notable environmental terms: snow."
     assert (
@@ -367,6 +370,7 @@ def test_export_heatmap_colors_by_threshold(tmp_path):
     path = tmp_path / "heat.html"
     export_heatmap(annotated, threshold_hi=3.0, path=path, caseno="C1")
     html = path.read_text()
+    assert "<h3>Case C1</h3>" in html
     assert '<span class="hi" title="4.50">alpha</span>' in html
     assert '<span class="mid" title="1.50">beta</span>' in html
     assert "gamma" in html
@@ -400,7 +404,7 @@ def _llm_payload() -> str:
 def test_summarize_factors_parses_llm_payload():
     annotated = "the driver was speeding[4.00] after alcohol[2.00]"
     client = ScriptedClient([_llm_payload()])
-    summary = summarize_factors(annotated, client, caseno="C7")
+    summary = summarize_factors(annotated, client, "C7", BUNDLED)
     assert summary.source == "llm"
     terms = summary.categories["behavioral"].terms
     assert [t.term for t in terms] == ["speeding", "alcohol"]
@@ -409,14 +413,14 @@ def test_summarize_factors_parses_llm_payload():
 
 def test_summarize_factors_strips_markdown_fence():
     fenced = f"```json\n{_llm_payload()}\n```"
-    summary = summarize_factors("x[1.00]", ScriptedClient([fenced]))
+    summary = summarize_factors("x[1.00]", ScriptedClient([fenced]), "", BUNDLED)
     assert summary.source == "llm"
 
 
 def test_summarize_factors_repairs_once_then_falls_back():
     annotated = "the dusk[3.00] crash"
     client = ScriptedClient(["not json", "still not json"])
-    summary = summarize_factors(annotated, client)
+    summary = summarize_factors(annotated, client, "", BUNDLED)
     assert client.calls == 2
     assert summary.source == "rules"
     env = summary.categories["environmental"].terms
@@ -425,7 +429,7 @@ def test_summarize_factors_repairs_once_then_falls_back():
 
 def test_summarize_factors_repair_can_succeed():
     client = ScriptedClient(["garbage", _llm_payload()])
-    summary = summarize_factors("x[1.00]", client)
+    summary = summarize_factors("x[1.00]", client, "", BUNDLED)
     assert client.calls == 2
     assert summary.source == "llm"
 
@@ -436,7 +440,7 @@ def test_summarize_factors_non_finite_score_is_a_parse_failure(score):
     bad = _llm_payload().replace('"score": 4.0', f'"score": {score}')
     assert bad != _llm_payload()
     client = ScriptedClient([bad, bad])
-    summary = summarize_factors("the dusk[3.00] crash", client)
+    summary = summarize_factors("the dusk[3.00] crash", client, "", BUNDLED)
     assert client.calls == 2
     assert summary.source == "rules"
 
@@ -444,7 +448,7 @@ def test_summarize_factors_non_finite_score_is_a_parse_failure(score):
 def test_summarize_factors_unavailable_client_falls_back_to_rules():
     annotated = "the dusk[3.00] crash"
     client = ScriptedClient([UnavailableError("transport failed after 4 attempts")])
-    summary = summarize_factors(annotated, client)
+    summary = summarize_factors(annotated, client, "", BUNDLED)
     assert client.calls == 1
     assert summary.source == "rules"
     env = summary.categories["environmental"].terms
@@ -453,7 +457,7 @@ def test_summarize_factors_unavailable_client_falls_back_to_rules():
 
 def test_summarize_factors_unavailable_repair_falls_back_to_rules():
     client = ScriptedClient(["not json", UnavailableError("down")])
-    summary = summarize_factors("the dusk[3.00] crash", client)
+    summary = summarize_factors("the dusk[3.00] crash", client, "", BUNDLED)
     assert client.calls == 2
     assert summary.source == "rules"
 
@@ -501,24 +505,13 @@ def test_factor_prompt_names_every_aspect():
         assert f'"{aspect}": {{' in analytics.FACTOR_PROMPT, aspect
 
 
-def test_bundled_category_lexicon_is_read_once(monkeypatch):
-    reads = []
-    load = analytics.load_yaml_section
-    monkeypatch.setattr(analytics, "load_yaml_section", lambda *a: reads.append(a) or load(*a))
-    analytics._bundled_category_lexicon.cache_clear()
-    rule_based_factors([_w("dusk", 2.0)])
-    rule_based_factors([_w("snow", 2.0)])
-    summarize_factors("the dusk[3.00] crash", ScriptedClient([UnavailableError("down")]))
-    assert len(reads) == 1
-
-
 def test_lexicon_memo_matches_keyword_loop_on_chain_records(chain_annotations):
     lexicon = load_category_lexicon()
     for records in chain_annotations.values():
         for annotated in records:
             plain, words = parse_annotated(annotated)
             assert (plain, words) == parse_annotated_scans(annotated)
-            assert rule_based_factors(words, lexicon) == rule_based_factors_loop(words, lexicon.keywords)
+            assert rule_based_factors(words, lexicon, "") == rule_based_factors_loop(words, lexicon.keywords)
 
 
 _annotation_pieces = st.one_of(
@@ -548,7 +541,7 @@ def test_parse_and_rules_match_oracles_on_generated_annotations(annotated):
     plain, words = parse_annotated(annotated)
     assert (plain, words) == parse_annotated_scans(annotated)
     for lexicon in (load_category_lexicon(), _UNANCHORED):
-        assert rule_based_factors(words, lexicon) == rule_based_factors_loop(words, lexicon.keywords)
+        assert rule_based_factors(words, lexicon, "") == rule_based_factors_loop(words, lexicon.keywords)
 
 
 _ODD_VALUES = st.one_of(

@@ -195,8 +195,8 @@ def chat():
     """Makes HttpChatClients, closed at teardown."""
     clients = []
 
-    def make(endpoint, **kwargs) -> HttpChatClient:
-        clients.append(HttpChatClient(endpoint=endpoint, **kwargs))
+    def make(endpoint: str, api_key: str = "") -> HttpChatClient:
+        clients.append(HttpChatClient(endpoint, api_key))
         return clients[-1]
 
     yield make
@@ -285,7 +285,7 @@ def test_non_json_reply_falls_back_without_retrying(chat, sleeps, scripted):
 
 def test_request_carries_the_payload_and_headers(chat, scripted):
     server = scripted()
-    client = chat(server.url + "?api-version=1", api_key="k3y", model_name="m")
+    client = chat(server.url + "?api-version=1", api_key="k3y")
     assert client.send("sys", ORIGINAL, 0.25) == ORIGINAL
     assert server.targets == ["/v1/chat/completions?api-version=1"]
     headers = server.headers[0]
@@ -294,10 +294,10 @@ def test_request_carries_the_payload_and_headers(chat, scripted):
     assert headers["Host"] == server.origin.removeprefix("http://")
 
 
-@pytest.mark.parametrize("endpoint", ["localhost:9/v1", "ftp://host/x", "http:///v1", "http://host:port/v1"])
+@pytest.mark.parametrize("endpoint", ["", "localhost:9/v1", "ftp://host/x", "http:///v1", "http://host:port/v1"])
 def test_endpoint_that_is_not_an_http_url_is_rejected_at_construction(endpoint):
     with pytest.raises(ValueError):
-        HttpChatClient(endpoint=endpoint)
+        HttpChatClient(endpoint, "")
 
 
 def test_sends_of_one_thread_share_one_connection(chat, scripted):
@@ -319,7 +319,7 @@ def test_batch_holds_at_most_one_connection_per_job(chat, scripted):
 
 def test_close_closes_the_connection_of_every_thread(scripted):
     server = scripted()
-    client = HttpChatClient(endpoint=server.url)
+    client = HttpChatClient(server.url, "")
     augment_batch([f"{ORIGINAL} Case {i}." for i in range(6)], client, 0.1, jobs=2)
     client.send("system", ORIGINAL, 0.0)
     opened = server.connections

@@ -131,10 +131,11 @@ def test_attribution_columns_peak_at_exactly_L(pipeline):
     tokenizer = refmodel.Tokenizer.load(d / "tok.json")
     columns = 0
     for pair in narrator.read_pairs(d / "narratives.jsonl"):
-        ids = tokenizer.encode(pair.descriptive)
-        label, _ = refmodel.classify(model, tokenizer, ids)
+        context = [refmodel.BOS_ID, *tokenizer.encode(pair.descriptive)]
+        dist = model.distribution(context)
+        label, _ = refmodel.classify(tokenizer, dist)
         for importance in (attribution.occlusion_importance, attribution.taylor_importance):
-            values = importance(model, [refmodel.BOS_ID] + ids, tokenizer.label_id(label))
+            values = importance(model, context, tokenizer.label_id(label), dist)
             if values.max() > 0:
                 scores = attribution.normalize_scores(values, 100, 1)
                 assert scores.scores.max() == 100, (pair.caseno, importance.__name__)
@@ -789,6 +790,62 @@ def test_eval_endpoint_that_is_not_an_http_url_is_one_json_error(pipeline, tmp_p
     assert not out.exists()
 
 
+def _three_narratives(d: Path, tmp_path: Path) -> Path:
+    path = tmp_path / "narratives.jsonl"
+    path.write_text("".join((d / "narratives.jsonl").read_text().splitlines(keepends=True)[:3]))
+    return path
+
+
+@pytest.mark.parametrize(
+    "flag, key, reached, auth",
+    [
+        (False, "", "env", None),
+        (True, "", "flag", None),
+        (False, "k3y", "env", "Bearer k3y"),
+    ],
+    ids=["env-endpoint", "flag-wins-over-env", "api-key"],
+)
+def test_chat_endpoint_comes_from_the_flag_then_the_environment(
+    pipeline, tmp_path, monkeypatch, scripted, flag, key, reached, auth
+):
+    """Without `--endpoint` a live stage sends to $CRASHLENS_CHAT_ENDPOINT;
+    the flag wins over it. $CRASHLENS_CHAT_API_KEY, when set, reaches the
+    server as a bearer token; unset, no Authorization header is sent."""
+    from crashlens import cli
+
+    d, _ = pipeline
+    # the stage leaves its client open; the test closes it
+    made, make = [], cli._chat_client
+    monkeypatch.setattr(cli, "_chat_client", lambda args: made.append(make(args)) or made[-1])
+    servers = {"env": scripted(), "flag": scripted()}
+    monkeypatch.setenv("CRASHLENS_CHAT_ENDPOINT", servers["env"].url)
+    monkeypatch.delenv("CRASHLENS_CHAT_API_KEY", raising=False)
+    if key:
+        monkeypatch.setenv("CRASHLENS_CHAT_API_KEY", key)
+    argv = ["eval", "--narratives", str(_three_narratives(d, tmp_path)), "--strategy", "zs",
+            "--out", str(tmp_path / "pred.jsonl")]
+    if flag:
+        argv += ["--endpoint", servers["flag"].url]
+    try:
+        assert run_cli(argv)[0] == 0
+    finally:
+        for client in made:
+            client.close()
+    assert {name: server.posts for name, server in servers.items()} == {"env": 0, "flag": 0} | {reached: 3}
+    assert [headers.get("Authorization") for headers in servers[reached].headers] == [auth] * 3
+
+
+def test_no_chat_endpoint_anywhere_is_one_cli_error(pipeline, tmp_path, capsys, monkeypatch):
+    d, _ = pipeline
+    for name in ("CRASHLENS_CHAT_ENDPOINT", "CRASHLENS_CHAT_API_KEY"):
+        monkeypatch.delenv(name, raising=False)
+    out = tmp_path / "pred.jsonl"
+    argv = ["eval", "--narratives", str(_three_narratives(d, tmp_path)), "--strategy", "zs", "--out", str(out)]
+    err = _main_error(argv, capsys)
+    assert err == {"error": "CliError", "detail": "no chat endpoint configured; pass --offline to use the stub client"}
+    assert not out.exists()
+
+
 def test_augment_temperature_out_of_range_is_value_error(pipeline, tmp_path, capsys):
     d, _ = pipeline
     out = tmp_path / "aug.jsonl"
@@ -816,9 +873,11 @@ def test_eval_temperature_out_of_range_is_value_error(pipeline, tmp_path, capsys
     [
         ["augment", "--narratives", "narratives.jsonl"],
         ["analyze", "--attributions", "attr_occ.jsonl"],
+        # the rules run through the same bounded map as the chat client
+        ["analyze", "--attributions", "attr_occ.jsonl", "--offline"],
         ["eval", "--narratives", "narratives.jsonl", "--strategy", "zs"],
     ],
-    ids=["augment", "analyze", "eval"],
+    ids=["augment", "analyze", "analyze-offline", "eval"],
 )
 def test_jobs_below_one_is_value_error(pipeline, tmp_path, capsys, monkeypatch, argv, jobs):
     """Fewer than one job fails before any request instead of running serially."""
@@ -1047,9 +1106,10 @@ def test_attribute_caseno_line_is_the_json_dumps_of_its_record(pipeline, tmp_pat
     model, tokenizer = refmodel.TinyLM.load(d / "model.json"), refmodel.Tokenizer.load(d / "tok.json")
     pair = next(p for p in read_pairs(d / "narratives.jsonl") if p.caseno == caseno)
     spans = tokenizer.encode_with_spans(pair.descriptive)
-    ids = [tid for tid, _, _ in spans]
-    target = tokenizer.label_id(refmodel.classify(model, tokenizer, ids)[0])
-    values = attribution.occlusion_importance(model, [refmodel.BOS_ID, *ids], target)
+    context = [refmodel.BOS_ID, *(tid for tid, _, _ in spans)]
+    dist = model.distribution(context)
+    target = tokenizer.label_id(refmodel.classify(tokenizer, dist)[0])
+    values = attribution.occlusion_importance(model, context, target, dist)
     scores = attribution.normalize_scores(values, 100, 1)
     words = aggregate_to_words_scan(scores, pair.descriptive, 20.0)
     annotated = attribution.annotate_narrative(pair.descriptive, words)
@@ -1582,7 +1642,7 @@ def test_library_parameters_of_settings_have_no_default():
     caller, so `SETTINGS` holds the only default."""
     import inspect
 
-    from crashlens import analytics, attribution, augment, evaluation, refmodel
+    from crashlens import analytics, attribution, augment, evaluation, refmodel, util
 
     pairs = [
         (fn, name)
@@ -1594,7 +1654,7 @@ def test_library_parameters_of_settings_have_no_default():
             (analytics.extract_top_factors, ("k",)),
             (evaluation.run_evaluation, ("temperature", "jobs")),
             (augment.augment_batch, ("jobs",)),
-            (augment.bounded_map, ("jobs",)),
+            (util.bounded_map, ("jobs",)),
         ]
         for name in names
     ]

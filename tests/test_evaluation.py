@@ -13,10 +13,8 @@ from crashlens.evaluation import (
     SFT_SYSTEM_PROMPT,
     SYSTEM_PROMPT,
     EvaluationError,
-    Exemplar,
     ParseStatus,
     Prediction,
-    PromptStrategy,
     SftRecord,
     StrategyKind,
     build_prompt,
@@ -34,6 +32,11 @@ from oracles import normalize_regex
 
 MINOR = Severity.MINOR
 SEVERE = Severity.SEVERE
+ZS = StrategyKind.ZERO_SHOT
+
+
+def _shot(narrative: str, label: Severity) -> NarrativePair:
+    return NarrativePair(caseno=narrative, descriptive=narrative, outcome="", label=label)
 
 
 def _pred(label, status, caseno="k", raw="r"):
@@ -44,7 +47,7 @@ def _pred(label, status, caseno="k", raw="r"):
 
 
 def test_zero_shot_prompt_layout():
-    system, user = build_prompt(PromptStrategy(StrategyKind.ZERO_SHOT), "NARRATIVE HERE")
+    system, user = build_prompt(ZS, (), "NARRATIVE HERE")
     assert system == SYSTEM_PROMPT
     blocks = user.split("\n\n")
     assert blocks[0] == "You are given a detailed description for a traffic crash."
@@ -54,52 +57,66 @@ def test_zero_shot_prompt_layout():
 
 
 def test_cot_prompt_asks_for_reasoning_first():
-    _, user = build_prompt(PromptStrategy(StrategyKind.CHAIN_OF_THOUGHT), "N")
+    _, user = build_prompt(StrategyKind.CHAIN_OF_THOUGHT, (), "N")
     assert "careful reasoning first" in user
     assert "at the end of your answer" in user
 
 
 def test_few_shot_prompt_orders_minor_then_severe():
-    exemplars = (
-        Exemplar(narrative="SEVERE STORY", label=SEVERE),
-        Exemplar(narrative="MINOR STORY", label=MINOR),
-    )
-    _, user = build_prompt(PromptStrategy(StrategyKind.FEW_SHOT, exemplars), "N")
+    shots = (_shot("MINOR STORY", MINOR), _shot("SEVERE STORY", SEVERE))
+    _, user = build_prompt(StrategyKind.FEW_SHOT, shots, "N")
     assert user.index("MINOR STORY") < user.index("SEVERE STORY")
     assert user.index("MINOR STORY") < user.index("No apparent or minor injury")
     assert user.index("SEVERE STORY") < user.index("Serious injury or fatal\n")
     assert user.endswith("N")
 
 
-def test_few_shot_requires_one_exemplar_per_class():
-    both_minor = (
-        Exemplar(narrative="a", label=MINOR),
-        Exemplar(narrative="b", label=MINOR),
-    )
-    with pytest.raises(EvaluationError):
-        PromptStrategy(StrategyKind.FEW_SHOT, both_minor)
+class _CountingClient:
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def send(self, system: str, user: str, temperature: float) -> str:
+        self.calls += 1
+        return "No apparent or minor injury"
 
 
-def test_non_few_shot_strategies_reject_exemplars():
-    with pytest.raises(EvaluationError):
-        PromptStrategy(StrategyKind.ZERO_SHOT, (Exemplar("a", MINOR),))
+@pytest.mark.parametrize(
+    "kind, shots",
+    [
+        # few-shot: one minor pair, then one severe pair
+        (StrategyKind.FEW_SHOT, (_shot("a", MINOR), _shot("b", MINOR))),
+        (StrategyKind.FEW_SHOT, (_shot("a", SEVERE), _shot("b", MINOR))),
+        (StrategyKind.FEW_SHOT, (_shot("a", MINOR),)),
+        (StrategyKind.FEW_SHOT, (_shot("a", MINOR), _shot("b", SEVERE), _shot("c", SEVERE))),
+        (StrategyKind.FEW_SHOT, ()),
+        # the other strategies show no shots
+        (ZS, (_shot("a", MINOR),)),
+        (StrategyKind.CHAIN_OF_THOUGHT, (_shot("a", MINOR), _shot("b", SEVERE))),
+    ],
+    ids=["both-minor", "severe-first", "one", "three", "none", "zs-with-one", "zs-cot-with-two"],
+)
+def test_shots_that_do_not_fit_the_strategy_fail_before_any_request(kind, shots):
+    client = _CountingClient()
+    with pytest.raises(EvaluationError, match=f"^{kind.value} takes shots labelled"):
+        run_evaluation(_pairs(), kind, shots, client, 0.0, jobs=1)
+    assert client.calls == 0
 
 
 # --- label parsing ---
 
 
 def test_parse_exact_phrases():
-    assert parse_label("No apparent or minor injury") == (MINOR, ParseStatus.EXACT)
-    assert parse_label("Serious injury or fatal") == (SEVERE, ParseStatus.EXACT)
-    assert parse_label("  serious INJURY or fatal.  ") == (SEVERE, ParseStatus.EXACT)
-    assert parse_label("The answer is: 'No apparent or minor injury'.") == (
+    assert parse_label("No apparent or minor injury", ZS) == (MINOR, ParseStatus.EXACT)
+    assert parse_label("Serious injury or fatal", ZS) == (SEVERE, ParseStatus.EXACT)
+    assert parse_label("  serious INJURY or fatal.  ", ZS) == (SEVERE, ParseStatus.EXACT)
+    assert parse_label("The answer is: 'No apparent or minor injury'.", ZS) == (
         MINOR,
         ParseStatus.EXACT,
     )
 
 
 def test_parse_exact_beats_fuzzy():
-    label, status = parse_label("Although it sounds serious, I say no apparent or minor injury")
+    label, status = parse_label("Although it sounds serious, I say no apparent or minor injury", ZS)
     assert (label, status) == (MINOR, ParseStatus.EXACT)
 
 
@@ -120,10 +137,10 @@ def test_parse_last_occurrence_wins_for_cot():
 
 
 def test_parse_fuzzy_keywords():
-    assert parse_label("this was clearly a serious crash") == (SEVERE, ParseStatus.FUZZY)
-    assert parse_label("probably fatal") == (SEVERE, ParseStatus.FUZZY)
-    assert parse_label("just minor damage") == (MINOR, ParseStatus.FUZZY)
-    assert parse_label("there was no apparent harm") == (MINOR, ParseStatus.FUZZY)
+    assert parse_label("this was clearly a serious crash", ZS) == (SEVERE, ParseStatus.FUZZY)
+    assert parse_label("probably fatal", ZS) == (SEVERE, ParseStatus.FUZZY)
+    assert parse_label("just minor damage", ZS) == (MINOR, ParseStatus.FUZZY)
+    assert parse_label("there was no apparent harm", ZS) == (MINOR, ParseStatus.FUZZY)
 
 
 @settings(max_examples=300, deadline=None)
@@ -142,9 +159,9 @@ def test_normalize_matches_the_regex_oracle(text):
 
 
 def test_parse_failure_modes():
-    assert parse_label("I cannot tell") == (None, ParseStatus.FAILED)
-    assert parse_label("serious but also minor") == (None, ParseStatus.FAILED)
-    assert parse_label("") == (None, ParseStatus.FAILED)
+    assert parse_label("I cannot tell", ZS) == (None, ParseStatus.FAILED)
+    assert parse_label("serious but also minor", ZS) == (None, ParseStatus.FAILED)
+    assert parse_label("", ZS) == (None, ParseStatus.FAILED)
 
 
 def test_prediction_invariant():
@@ -274,7 +291,7 @@ def test_run_evaluation_collects_predictions_and_golds():
             "crash three": "hard to say",
         }
     )
-    predictions, golds = run_evaluation(_pairs(), PromptStrategy(StrategyKind.ZERO_SHOT), client, 0.0, jobs=1)
+    predictions, golds = run_evaluation(_pairs(), ZS, (), client, 0.0, jobs=1)
     assert [p.caseno for p in predictions] == ["A", "B", "C"]
     assert golds == [MINOR, SEVERE, SEVERE]
     assert predictions[0].label is MINOR
@@ -292,7 +309,7 @@ def test_run_evaluation_unavailable_case_costs_only_that_case():
         return "Serious injury or fatal"
 
     predictions, golds = run_evaluation(
-        _pairs(), PromptStrategy(StrategyKind.ZERO_SHOT), StubChatClient(transform=answer), 0.0, jobs=1
+        _pairs(), ZS, (), StubChatClient(transform=answer), 0.0, jobs=1
     )
     assert [p.caseno for p in predictions] == ["A", "B", "C"]
     assert predictions[1].raw_output == ""
@@ -311,10 +328,10 @@ def test_run_evaluation_parallel_matches_serial(pairs):
             raise UnavailableError("down")
         return "Serious injury or fatal" if len(user) % 2 else "no apparent injury, I think"
 
-    strategy = PromptStrategy(StrategyKind.CHAIN_OF_THOUGHT)
-    serial = run_evaluation(pairs, strategy, StubChatClient(transform=answer), 0.0, jobs=1)
+    cot = StrategyKind.CHAIN_OF_THOUGHT
+    serial = run_evaluation(pairs, cot, (), StubChatClient(transform=answer), 0.0, jobs=1)
     probe = OverlapProbe(StubChatClient(transform=answer))
-    parallel = run_evaluation(pairs, strategy, probe, 0.0, jobs=4)
+    parallel = run_evaluation(pairs, cot, (), probe, 0.0, jobs=4)
     assert parallel == serial
     assert probe.overlapped
     assert {p.parse_status for p in serial[0]} == set(ParseStatus)
@@ -343,12 +360,12 @@ def test_sft_mask_boundary_splits_exactly_before_response():
 
 
 def sft_record_from_dict(doc: dict) -> SftRecord:
+    """The record of a dict; its mask boundary follows from the layout."""
     return SftRecord(
         caseno=str(doc["caseno"]),
         system=str(doc["system"]),
         user=str(doc["user"]),
         response=str(doc["response"]),
-        mask_boundary=int(doc["mask_boundary"]),
     )
 
 
@@ -356,3 +373,4 @@ def test_sft_record_dict_round_trip():
     record = build_sft_dataset(_pairs())[0]
     doc = sft_record_to_dict(record)
     assert sft_record_from_dict(doc) == record
+    assert sft_record_to_dict(sft_record_from_dict(doc)) == doc

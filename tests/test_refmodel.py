@@ -287,7 +287,7 @@ def test_classify_tie_goes_to_minor_and_is_flagged():
     model.position_weights[:] = 0.0
     model.output_weights[:] = 0.0
     model.output_bias[:] = 0.0
-    winner, trace = classify(model, tokenizer, tokenizer.encode("a b"))
+    winner, trace = classify(tokenizer, model.distribution([BOS_ID, *tokenizer.encode("a b")]))
     assert winner is Severity.MINOR
     assert isinstance(trace, DecodeTrace)
     assert trace.tie is True
@@ -304,8 +304,8 @@ def test_classify_learns_labels_from_training(pairs, corpus_tokenizer):
     model = TinyLM.init(corpus_tokenizer.size, dim=cfg["dim"], window=cfg["window"], seed=7)
     trained = train(model, examples, TrainConfig(lr=cfg["lr"], epochs=cfg["epochs"], seed=7))
     hits = sum(
-        classify(trained, corpus_tokenizer, corpus_tokenizer.encode(p.descriptive))[0] is p.label
-        for p in pairs
+        classify(corpus_tokenizer, trained.distribution(ex.context))[0] is p.label
+        for p, ex in zip(pairs, examples)
     )
     assert hits / len(pairs) >= 0.9
 

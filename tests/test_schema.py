@@ -171,12 +171,16 @@ def test_synth_reproduces_the_bundled_corpus(tmp_path):
 
 
 def test_segment_match_is_half_open():
+    from crashlens.schema import IntegrationReport
+
     segments = [_segment("A", 0.0, 10.0), _segment("A", 10.0, 20.0)]
-    assert link_segment(_crash("k", "A", 0.0), segments).to_measure == 10.0
+    report = IntegrationReport()
+    assert link_segment(_crash("k", "A", 0.0), segments, report).to_measure == 10.0
     # exactly at the shared boundary: the upper segment owns it
-    assert link_segment(_crash("k", "A", 10.0), segments).from_measure == 10.0
-    assert link_segment(_crash("k", "A", 20.0), segments) is None
-    assert link_segment(_crash("k", "B", 5.0), segments) is None
+    assert link_segment(_crash("k", "A", 10.0), segments, report).from_measure == 10.0
+    assert link_segment(_crash("k", "A", 20.0), segments, report) is None
+    assert link_segment(_crash("k", "B", 5.0), segments, report) is None
+    assert report.ambiguous_links == []  # adjacent segments do not overlap
 
 
 def test_overlapping_segments_pick_smallest_start_and_warn():
