@@ -1,20 +1,31 @@
 """Constraint-checked narrative rewriting, demonstrated without a live API.
 
-The stub client echoes (or deliberately mangles) the narrative so the
-fact-preservation checks can be watched doing their job: a rewrite that
-drops a number, a date, or a place name is rejected and the original
-text is kept byte for byte.
+The stub client echoes the narrative, and a scripted rewriter mangles it
+on purpose, so the fact-preservation checks can be watched doing their
+job: a rewrite that drops a number, a date, or a place name is rejected
+and the original text is kept byte for byte.
 """
 from __future__ import annotations
 
-from crashlens.augment import SYSTEM_PROMPT, StubChatClient, augment_batch
+from crashlens.augment import SYSTEM_PROMPT, augment_batch
 from crashlens.cli import load_config
+from crashlens.util import StubChatClient
 
 NARRATIVE = (
     "On June 29, 2022, at 8:00 PM, a traffic accident occurred on Alternate "
     "Route 097ARi in Chelan, Washington. The crash site was at milepost 22.4. "
     "The posted speed limit was 60 mph. By 9:15 PM the road had been cleared."
 )
+
+
+class Rewriter:
+    """A chat client whose completion is `rewrite(user)`."""
+
+    def __init__(self, rewrite):
+        self.rewrite = rewrite
+
+    def send(self, system: str, user: str, temperature: float) -> str:
+        return self.rewrite(user)
 
 
 def main() -> None:
@@ -34,7 +45,7 @@ def main() -> None:
             " in Chelan, Washington", ""
         )
 
-    text, report = augment_batch([NARRATIVE], StubChatClient(transform=sloppy), temperature, jobs)[0]
+    text, report = augment_batch([NARRATIVE], Rewriter(sloppy), temperature, jobs)[0]
     print(f"sloppy rewrite:   passed={report.passed}, fell back to original={text == NARRATIVE}")
     for failure in report.failures:
         print(f"  {failure.kind.name}: {failure.offending}")
@@ -43,7 +54,7 @@ def main() -> None:
     def military(user: str) -> str:
         return user.replace("8:00 PM", "20:00").replace("9:15 PM", "21:15")
 
-    text, report = augment_batch([NARRATIVE], StubChatClient(transform=military), temperature, jobs)[0]
+    text, report = augment_batch([NARRATIVE], Rewriter(military), temperature, jobs)[0]
     print(f"24h restatement:  passed={report.passed}")
 
 

@@ -15,19 +15,18 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .util import (
+    ChatClient,
     CrashlensError,
+    UnavailableError,
     WordAttribution,
     atomic_write_json,
     atomic_write_text,
     load_yaml_section,
     parse_annotated,
 )
-
-if TYPE_CHECKING:  # the rules path runs without `augment`; a live client has loaded it
-    from .augment import ChatClient
 
 
 # aspect name -> (summary label, Sankey color), in Sankey column order; the
@@ -269,8 +268,6 @@ def summarize_factors(annotated: str, client: ChatClient, caseno: str, lexicon: 
     """LLM factor summary with one repair request; falls back to the rules,
     with `lexicon`, when the reply cannot be repaired or the client is
     unavailable."""
-    from .augment import UnavailableError
-
     user = annotated
     try:
         for _ in range(2):

@@ -8,18 +8,20 @@ text so factual integrity never regresses.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import os
 import re
 import threading
 import time
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Sequence
 from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
-from .util import NULL_MARKERS, CrashlensError, bounded_map
+from .util import NULL_MARKERS, ChatClient, UnavailableError, bounded_map, check_temperature
 
 # A pattern led by `\b` gives `re` no first character to skip ahead to, so
 # each pattern below opens with a digit or a lookahead on its first letters.
@@ -71,24 +73,6 @@ Requirements:
 - Relate events in the same chronological order as the original report."""
 
 
-class AugmentError(CrashlensError):
-    pass
-
-
-class UnavailableError(AugmentError):
-    pass
-
-
-class EmptyCompletionError(AugmentError):
-    pass
-
-
-class ChatClient(Protocol):
-    """`send` returns the completion or raises UnavailableError."""
-
-    def send(self, system: str, user: str, temperature: float) -> str: ...
-
-
 # HttpChatClient's transport retries: attempts, sleeping BACKOFF_BASE_S * 2**k between them
 MAX_ATTEMPTS = 4
 BACKOFF_BASE_S = 0.5
@@ -99,38 +83,25 @@ MODEL_NAME = "gpt-4o"
 TIMEOUT_S = 60.0
 
 
-class StubChatClient:
-    """Deterministic offline client: the reply is `transform(user)`.
-
-    Without a transform it echoes the user message, which by construction
-    satisfies every preservation constraint.
-    """
-
-    def __init__(self, transform: Optional[Callable[[str], str]] = None):
-        self.transform = transform
-
-    def send(self, system: str, user: str, temperature: float) -> str:
-        if self.transform is not None:
-            return self.transform(user)
-        return user
-
-
 class HttpChatClient:
     """Minimal chat-completion client (system/user roles, temperature) over
     the standard library's `http.client`.
 
-    Each thread keeps one keep-alive connection for all its sends, so a
-    `bounded_map` over `jobs` threads holds at most `jobs` connections.
-    Transport failures and 5xx replies are retried MAX_ATTEMPTS times in all;
-    a 4xx reply or a malformed body fails at once, since a retry would get
-    the same answer. A reused connection that the server closed while idle
-    fails before any reply; the request then goes again at once on a fresh
-    connection, and that is not an attempt. Once BREAKER_AFTER sends in a
-    row have used up their attempts, the endpoint counts as dead and each
-    later send fails at once; any reply below 500 ends a row. The
-    `*_proxy` environment variables are honoured: an http endpoint is
-    reached through its proxy in absolute form, an https one through a
-    CONNECT tunnel. An empty `api_key` sends no Authorization header.
+    A send takes an idle keep-alive connection or opens one, puts it back
+    after a whole reply and closes it on a transport failure, so a
+    `bounded_map` over `jobs` threads holds at most `jobs` connections;
+    `close()`, the client's collection and the interpreter's exit close the
+    idle ones. Transport failures and 5xx replies are retried MAX_ATTEMPTS
+    times in all; a 4xx reply or a malformed body fails at once, since a
+    retry would get the same answer. A reused connection that the server
+    closed while idle fails before any reply; the request then goes again
+    at once on a fresh connection, and that is not an attempt. Once
+    BREAKER_AFTER sends in a row have used up their attempts, the endpoint
+    counts as dead and each later send fails at once; any reply below 500
+    ends a row. The `*_proxy` environment variables are honoured: an http
+    endpoint is reached through its proxy in absolute form, an https one
+    through a CONNECT tunnel. An empty `api_key` sends no Authorization
+    header.
     """
 
     def __init__(self, endpoint: str, api_key: str):
@@ -150,52 +121,38 @@ class HttpChatClient:
             (self._tunnel_headers if self._https else self._headers).update(auth)
             if not self._https:
                 self._target = urlunsplit((url.scheme, url.netloc, url.path or "/", url.query, ""))
-        self._local = threading.local()  # .conn: the thread's connection
-        self._open: set = set()  # every thread's connection, for `close`
-        self._lock = threading.Lock()
+        self._idle: list = []  # keep-alive connections no send holds
+        weakref.finalize(self, _close_all, self._idle)
+        self._lock = threading.Lock()  # guards the breaker's count
         self._exhausted = 0  # sends in a row that used up their attempts
         self._last_failure = ""
 
     def close(self) -> None:
-        """Close the connection of every thread; call it with no send in
-        flight. A later send opens a new one."""
-        with self._lock:
-            conns, self._open = self._open, set()
-            self._local = threading.local()
-        for conn in conns:
-            conn.close()
+        """Close the idle connections; a later send opens a new one."""
+        _close_all(self._idle)
 
     def _connect(self):
-        """A new connection to the endpoint or to its proxy, this thread's from now on."""
+        """A new connection to the endpoint or to its proxy."""
         import http.client
 
         cls = http.client.HTTPSConnection if self._https else http.client.HTTPConnection
         if self._proxy is None:
-            conn = cls(*self._address, timeout=TIMEOUT_S)
-        else:
-            conn = cls(self._proxy.hostname, self._proxy.port, timeout=TIMEOUT_S)
-            if self._https:
-                conn.set_tunnel(*self._address, headers=self._tunnel_headers)
-        with self._lock:
-            self._open.add(conn)
-        self._local.conn = conn
+            return cls(*self._address, timeout=TIMEOUT_S)
+        conn = cls(self._proxy.hostname, self._proxy.port, timeout=TIMEOUT_S)
+        if self._https:
+            conn.set_tunnel(*self._address, headers=self._tunnel_headers)
         return conn
 
-    def _drop(self, conn) -> None:
-        conn.close()
-        self._local.conn = None
-        with self._lock:
-            self._open.discard(conn)
-
     def _post(self, body: bytes) -> tuple[int, bytes]:
-        """One POST on this thread's connection: (status, body). A transport
-        error closes and drops the connection."""
+        """One POST on an idle connection, or on a new one: (status, body).
+        After the whole reply the connection is idle again; a transport
+        error closes it."""
         import http.client
 
-        conn = getattr(self._local, "conn", None)
-        reused = conn is not None
-        if conn is None:
-            conn = self._connect()
+        try:
+            conn, reused = self._idle.pop(), True
+        except IndexError:
+            conn, reused = self._connect(), False
         try:
             try:
                 conn.request("POST", self._target, body, self._headers)
@@ -206,14 +163,16 @@ class HttpChatClient:
             except (ConnectionResetError, BrokenPipeError):
                 if not reused:
                     raise
-                self._drop(conn)
+                conn.close()
                 conn = self._connect()
                 conn.request("POST", self._target, body, self._headers)
                 resp = conn.getresponse()
-            return resp.status, resp.read()
+            reply = resp.status, resp.read()
         except (OSError, http.client.HTTPException):
-            self._drop(conn)
+            conn.close()
             raise
+        self._idle.append(conn)
+        return reply
 
     def send(self, system: str, user: str, temperature: float) -> str:
         import http.client
@@ -249,13 +208,23 @@ class HttpChatClient:
             if status >= 400:
                 raise UnavailableError(f"request rejected: {status} {data.decode('utf-8', errors='replace')[:200]}")
             try:
-                return json.loads(data)["choices"][0]["message"]["content"]
+                content = json.loads(data)["choices"][0]["message"]["content"]
+                if not isinstance(content, str):
+                    raise TypeError(f"content is {type(content).__name__}, not a string")
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise UnavailableError(f"malformed completion payload: {exc}") from exc
+            return content
         with self._lock:
             self._exhausted += 1
             self._last_failure = failure
         raise UnavailableError(f"transport failed after {MAX_ATTEMPTS} attempts: {failure}")
+
+
+def _close_all(conns: list) -> None:
+    """Close and remove every connection in `conns`."""
+    with contextlib.suppress(IndexError):  # a pop, unlike a test then a pop, is atomic
+        while True:
+            conns.pop().close()
 
 
 def _split_url(text: str, what: str, schemes: tuple[str, ...]) -> SplitResult:
@@ -292,22 +261,6 @@ def _proxy_auth(proxy: SplitResult) -> dict[str, str]:
 
     credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
     return {"Proxy-Authorization": "Basic " + base64.b64encode(credentials.encode("latin-1")).decode("ascii")}
-
-
-def _check_temperature(temperature: float) -> None:
-    if not 0.0 <= temperature <= 2.0:
-        raise ValueError(f"temperature {temperature} outside [0, 2]")
-
-
-def augment(narrative: str, client: ChatClient, temperature: float) -> str:
-    """One constrained rewrite; UnavailableError from the client passes through."""
-    _check_temperature(temperature)
-    if not narrative.strip():
-        raise ValueError("narrative is empty")
-    completion = client.send(SYSTEM_PROMPT, narrative, temperature)
-    if not completion or not completion.strip():
-        raise EmptyCompletionError("model returned an empty completion")
-    return completion
 
 
 @dataclass
@@ -484,20 +437,24 @@ def augment_batch(
 ) -> list[tuple[str, ConstraintReport]]:
     """Rewrite a batch, order-preserving.
 
-    Any record whose rewrite fails verification (or whose request fails
-    outright, or that is blank) comes back as the byte-identical original
-    with the report flagging why. A temperature outside [0, 2] raises
-    before any request.
+    A record that is blank (sent no request), whose request fails, whose
+    completion is blank or whose rewrite fails verification comes back as
+    the byte-identical original, with the report flagging why. A
+    temperature outside [0, 2] raises before any request.
     """
-    _check_temperature(temperature)
+    check_temperature(temperature)
 
     def one(narrative: str) -> tuple[str, ConstraintReport]:
-        if not narrative.strip():  # `augment` rejects it; the rest of the batch goes on
+        if not narrative.strip():
             return narrative, ConstraintReport(results=[], error="ValueError: narrative is empty")
         try:
-            completion = augment(narrative, client, temperature)
-        except (UnavailableError, EmptyCompletionError) as exc:
-            return narrative, ConstraintReport(results=[], error=f"{type(exc).__name__}: {exc}")
+            completion = client.send(SYSTEM_PROMPT, narrative, temperature)
+        except UnavailableError as exc:
+            return narrative, ConstraintReport(results=[], error=f"UnavailableError: {exc}")
+        if not completion.strip():
+            return narrative, ConstraintReport(
+                results=[], error="EmptyCompletionError: model returned an empty completion"
+            )
         report = verify_preservation(narrative, completion)
         return (completion, report) if report.passed else (narrative, report)
 

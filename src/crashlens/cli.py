@@ -20,11 +20,13 @@ import os
 import sys
 from contextlib import closing
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .util import (
+    ChatClient,
     CrashlensError,
     StrategyKind,
+    StubChatClient,
     atomic_write,
     atomic_write_json,
     atomic_write_jsonl,
@@ -35,9 +37,6 @@ from .util import (
     read_jsonl,
     string_fields,
 )
-
-if TYPE_CHECKING:
-    from .augment import ChatClient
 
 DEFAULT_TARGET_RATIO = 2654 / 1779
 
@@ -156,13 +155,13 @@ def _read_jsonl(path: str | Path) -> list[dict]:
 def _chat_client(args: argparse.Namespace) -> ChatClient:
     """The stub offline; else a client of `--endpoint`, or of
     $CRASHLENS_CHAT_ENDPOINT without one, sending $CRASHLENS_CHAT_API_KEY."""
-    from .augment import HttpChatClient, StubChatClient
-
     if args.offline:
         return StubChatClient()
     endpoint = args.endpoint or os.environ.get("CRASHLENS_CHAT_ENDPOINT", "")
     if not endpoint:
         raise CliError("no chat endpoint configured; pass --offline to use the stub client")
+    from .augment import HttpChatClient
+
     return HttpChatClient(endpoint, os.environ.get("CRASHLENS_CHAT_API_KEY", ""))
 
 

@@ -12,9 +12,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .augment import ChatClient, UnavailableError, _check_temperature
 from .records import NarrativePair, Severity
-from .util import CrashlensError, bounded_map
+from .util import ChatClient, CrashlensError, UnavailableError, bounded_map, check_temperature
 from .util import StrategyKind  # re-exported; in util so the CLI parser need not import this module
 
 SYSTEM_PROMPT = "You are a professional road safety engineer."
@@ -256,7 +255,7 @@ def run_evaluation(
     that case, which is recorded as an empty completion (a failed parse).
     A temperature outside [0, 2], as in `augment`, or `shots` that do not
     fit `kind` fail before any request."""
-    _check_temperature(temperature)
+    check_temperature(temperature)
     _check_shots(kind, shots)
 
     def predict(pair: NarrativePair) -> Prediction:

@@ -7,7 +7,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Protocol, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -30,6 +30,29 @@ class StrategyKind(enum.Enum):
 class CrashlensError(Exception):
     """Base of the package's own errors: the CLI reports each as one JSON
     line on stderr with exit 1."""
+
+
+class UnavailableError(CrashlensError):
+    """A chat request that got no usable completion."""
+
+
+class ChatClient(Protocol):
+    """`send` returns the completion or raises UnavailableError."""
+
+    def send(self, system: str, user: str, temperature: float) -> str: ...
+
+
+class StubChatClient:
+    """Offline client: the reply echoes the user message, so it passes every preservation check."""
+
+    def send(self, system: str, user: str, temperature: float) -> str:
+        return user
+
+
+def check_temperature(temperature: float) -> None:
+    """A chat temperature outside [0, 2] raises ValueError."""
+    if not 0.0 <= temperature <= 2.0:
+        raise ValueError(f"temperature {temperature} outside [0, 2]")
 
 
 class ParseError(ValueError):

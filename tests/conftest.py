@@ -130,6 +130,17 @@ class OverlapProbe:
         return self.inner.send(system, user, temperature)
 
 
+class ReplyClient:
+    """Chat client whose completion is `reply(user)`; `reply` may raise
+    UnavailableError for a request that fails."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def send(self, system: str, user: str, temperature: float) -> str:
+        return self.reply(user)
+
+
 DROP = "drop"  # a scripted outcome: close the connection without replying
 
 

@@ -18,14 +18,14 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from conftest import corpus_path, run_cli
+from conftest import ReplyClient, corpus_path, run_cli
 from crashlens.analytics import ASPECTS, cooccurrence, graph_from_json, graph_to_json, validate_sankey
 from crashlens.attribution import (
     normalize_scores,
     occlusion_importance,
     taylor_importance,
 )
-from crashlens.augment import StubChatClient, augment_batch
+from crashlens.augment import augment_batch
 from crashlens.evaluation import (
     ParseStatus,
     Prediction,
@@ -266,7 +266,7 @@ def test_c07_augmentation_falls_back_on_adversaries():
     fallbacks = 0
     flagged = 0
     for name, adversary in adversaries.items():
-        text, report = augment_batch([ORIGINAL], StubChatClient(transform=adversary), 0.1, jobs=1)[0]
+        text, report = augment_batch([ORIGINAL], ReplyClient(adversary), 0.1, jobs=1)[0]
         fallbacks += text == ORIGINAL
         flagged += not report.passed and bool(report.failures)
     n = len(adversaries)

@@ -38,8 +38,7 @@ from crashlens.analytics import (
     validate_sankey,
 )
 from crashlens.attribution import WordAttribution, annotate_narrative
-from crashlens.augment import UnavailableError
-from crashlens.util import parse_annotated
+from crashlens.util import UnavailableError, parse_annotated
 from conftest import WHITESPACE
 from oracles import SANKEY_SCHEMA, parse_annotated_scans, rule_based_factors_loop
 

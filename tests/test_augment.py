@@ -7,24 +7,15 @@ import sys
 import time
 
 import pytest
-from conftest import DROP
+from conftest import DROP, ReplyClient
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from crashlens import augment as augment_module
-from crashlens.augment import (
-    SYSTEM_PROMPT,
-    ConstraintKind,
-    EmptyCompletionError,
-    HttpChatClient,
-    StubChatClient,
-    UnavailableError,
-    augment,
-    augment_batch,
-    verify_preservation,
-)
+from crashlens.augment import SYSTEM_PROMPT, ConstraintKind, HttpChatClient, augment_batch, verify_preservation
 from crashlens.augment import _canonical_times, _proper_noun_runs
+from crashlens.util import StubChatClient, UnavailableError
 
 ORIGINAL = (
     "On June 29, 2022, at 8:00 PM, a traffic accident occurred on Alternate "
@@ -147,15 +138,16 @@ def test_system_prompt_lists_requirements():
 
 
 def test_stub_echo_round_trip():
-    out = augment(ORIGINAL, StubChatClient(), 0.1)
-    assert out == ORIGINAL
+    [(text, report)] = augment_batch([ORIGINAL], StubChatClient(), 0.1, jobs=1)
+    assert text == ORIGINAL
+    assert report.passed and report.error is None
 
 
 def test_batch_falls_back_to_byte_identical_original():
     def adversary(user: str) -> str:
         return user.replace("60 mph", "65 mph").replace("22.4", "23")
 
-    results = augment_batch([ORIGINAL], StubChatClient(transform=adversary), 0.1, jobs=1)
+    results = augment_batch([ORIGINAL], ReplyClient(adversary), 0.1, jobs=1)
     text, report = results[0]
     assert text == ORIGINAL
     assert not report.passed
@@ -171,7 +163,7 @@ def test_batch_preserves_order_and_mixes_outcomes():
             return user.replace("milepost 3.0", "milepost 4.0")
         return user
 
-    results = augment_batch([good, other], StubChatClient(transform=adversary), 0.1, jobs=1)
+    results = augment_batch([good, other], ReplyClient(adversary), 0.1, jobs=1)
     assert results[0][0] == good and results[0][1].passed
     assert results[1][0] == other and not results[1][1].passed
 
@@ -266,10 +258,12 @@ def test_transport_exhaustion_is_flagged_not_raised_in_batch(chat, sleeps, down)
     assert len(tried) == 4
 
 
-def test_transport_exhaustion_raises_for_single_call(chat, sleeps, down):
-    client = chat(down[0])
-    with pytest.raises(UnavailableError):
-        augment(ORIGINAL, client, 0.1)
+def test_transport_exhaustion_error_is_the_record_error(chat, sleeps, down):
+    """The UnavailableError a send raises is the record's `error`, word for word."""
+    with pytest.raises(UnavailableError) as info:
+        chat(down[0]).send(SYSTEM_PROMPT, ORIGINAL, 0.1)
+    [(text, report)] = augment_batch([ORIGINAL], chat(down[0]), 0.1, jobs=1)
+    assert (text, report.results, report.error) == (ORIGINAL, [], f"UnavailableError: {info.value}")
 
 
 def test_non_json_reply_falls_back_without_retrying(chat, sleeps, scripted):
@@ -317,7 +311,7 @@ def test_batch_holds_at_most_one_connection_per_job(chat, scripted):
     assert 1 <= server.connections <= 2
 
 
-def test_close_closes_the_connection_of_every_thread(scripted):
+def test_close_closes_every_idle_connection(scripted):
     server = scripted()
     client = HttpChatClient(server.url, "")
     augment_batch([f"{ORIGINAL} Case {i}." for i in range(6)], client, 0.1, jobs=2)
@@ -368,7 +362,7 @@ def test_breaker_and_connections_hold_under_many_workers(chat, sleeps, scripted)
         sys.setswitchinterval(interval)
     exhausted = sum(report.error.startswith("UnavailableError: transport failed") for _, report in results)
     assert augment_module.BREAKER_AFTER <= exhausted <= augment_module.BREAKER_AFTER + jobs - 1
-    assert server.posts == 4 * exhausted
+    assert server.posts == 4 * exhausted and server.connections <= jobs
     client.close()
     deadline = time.monotonic() + 5.0
     while server.closed < server.connections and time.monotonic() < deadline:
@@ -425,18 +419,20 @@ def test_no_proxy_sends_direct(chat, scripted, monkeypatch):
 
 
 def test_empty_completion_rejected():
-    with pytest.raises(EmptyCompletionError):
-        augment(ORIGINAL, StubChatClient(transform=lambda _: "   "), 0.1)
+    for completion in ("", "   "):
+        [(text, report)] = augment_batch([ORIGINAL], ReplyClient(lambda _: completion), 0.1, jobs=1)
+        assert (text, report.results) == (ORIGINAL, [])
+        assert report.error == "EmptyCompletionError: model returned an empty completion"
 
 
-def test_blank_narrative_falls_back_in_a_batch_but_raises_alone():
-    results = augment_batch([ORIGINAL, " \t\n", ORIGINAL], StubChatClient(), 0.1, jobs=1)
+def test_blank_narrative_falls_back_without_a_request():
+    sent = []
+    results = augment_batch([ORIGINAL, " \t\n", ORIGINAL], ReplyClient(lambda u: sent.append(u) or u), 0.1, jobs=1)
     assert [text for text, _ in results] == [ORIGINAL, " \t\n", ORIGINAL]
+    assert sent == [ORIGINAL, ORIGINAL]
     blank = results[1][1]
-    assert not blank.passed and blank.results == [] and "narrative is empty" in blank.error
+    assert not blank.passed and blank.results == [] and blank.error == "ValueError: narrative is empty"
     assert results[0][1].passed and results[2][1].passed
-    with pytest.raises(ValueError, match="narrative is empty"):
-        augment("   ", StubChatClient(), 0.1)
 
 
 # Texts made of what the verifier reads: clock forms (one inside a word,

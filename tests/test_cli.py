@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import corpus_path, python_cli, run_cli
+from conftest import ReplyClient, corpus_path, python_cli, run_cli
 from crashlens.util import atomic_write_jsonl, parse_annotated
 
 
@@ -441,7 +441,7 @@ def _factor_reply(user: str) -> str:
     (so the repair request runs) for others, else a factor JSON."""
     from crashlens.analytics import ASPECTS
     from crashlens.attribution import parse_annotated
-    from crashlens.augment import UnavailableError
+    from crashlens.util import UnavailableError
 
     if len(user) % 11 == 0:
         raise UnavailableError("transport failed after 4 attempts")
@@ -456,14 +456,13 @@ def _factor_reply(user: str) -> str:
 def test_analyze_jobs_match_serial_and_fall_back_per_record(pipeline, tmp_path, monkeypatch):
     from conftest import OverlapProbe
     from crashlens import cli
-    from crashlens.augment import StubChatClient
 
     d, _ = pipeline
     probes = []
 
     def client(args):
         # a serial run sends no second request for the probe's first to wait for
-        stub = StubChatClient(transform=_factor_reply)
+        stub = ReplyClient(_factor_reply)
         probes.append(OverlapProbe(stub) if args.jobs > 1 else stub)
         return probes[-1]
 
@@ -490,7 +489,7 @@ def test_analyze_jobs_match_serial_and_fall_back_per_record(pipeline, tmp_path, 
 
 def test_eval_unavailable_case_costs_only_that_case(pipeline, tmp_path, monkeypatch):
     from crashlens import cli, narrator
-    from crashlens.augment import StubChatClient, UnavailableError
+    from crashlens.util import UnavailableError
 
     d, _ = pipeline
     pairs = narrator.read_pairs(d / "narratives.jsonl")
@@ -501,7 +500,7 @@ def test_eval_unavailable_case_costs_only_that_case(pipeline, tmp_path, monkeypa
             raise UnavailableError("transport failed after 4 attempts")
         return "Serious injury or fatal"
 
-    monkeypatch.setattr(cli, "_chat_client", lambda args: StubChatClient(transform=answer))
+    monkeypatch.setattr(cli, "_chat_client", lambda args: ReplyClient(answer))
     out = tmp_path / "pred.jsonl"
     code, summary = run_cli(
         ["eval", "--narratives", str(d / "narratives.jsonl"), "--strategy", "zs", "--out", str(out)]
@@ -658,8 +657,8 @@ def test_live_eval_loads_no_requests(pipeline, tmp_path, scripted):
         ("analyze", ["analytics", "yaml"]),
         ("export", ["analytics"]),
         ("export-sankey", ["analytics"]),
-        ("eval", ["records", "augment", "evaluation"]),
-        ("build-sft", ["records", "augment", "evaluation"]),
+        ("eval", ["records", "evaluation"]),
+        ("build-sft", ["records", "evaluation"]),
     ],
 )
 def test_each_stage_loads_only_the_modules_it_runs(pipeline, tmp_path, stage, loaded):
@@ -811,12 +810,7 @@ def test_chat_endpoint_comes_from_the_flag_then_the_environment(
     """Without `--endpoint` a live stage sends to $CRASHLENS_CHAT_ENDPOINT;
     the flag wins over it. $CRASHLENS_CHAT_API_KEY, when set, reaches the
     server as a bearer token; unset, no Authorization header is sent."""
-    from crashlens import cli
-
     d, _ = pipeline
-    # the stage leaves its client open; the test closes it
-    made, make = [], cli._chat_client
-    monkeypatch.setattr(cli, "_chat_client", lambda args: made.append(make(args)) or made[-1])
     servers = {"env": scripted(), "flag": scripted()}
     monkeypatch.setenv("CRASHLENS_CHAT_ENDPOINT", servers["env"].url)
     monkeypatch.delenv("CRASHLENS_CHAT_API_KEY", raising=False)
@@ -826,13 +820,64 @@ def test_chat_endpoint_comes_from_the_flag_then_the_environment(
             "--out", str(tmp_path / "pred.jsonl")]
     if flag:
         argv += ["--endpoint", servers["flag"].url]
-    try:
-        assert run_cli(argv)[0] == 0
-    finally:
-        for client in made:
-            client.close()
+    assert run_cli(argv)[0] == 0
     assert {name: server.posts for name, server in servers.items()} == {"env": 0, "flag": 0} | {reached: 3}
     assert [headers.get("Authorization") for headers in servers[reached].headers] == [auth] * 3
+
+
+@pytest.mark.parametrize("content", [None, 5, ["x"]], ids=["null", "number", "list"])
+@pytest.mark.parametrize("stage", ["augment", "analyze", "eval"])
+def test_non_string_completion_falls_back_per_record(pipeline, tmp_path, scripted, stage, content):
+    """A reply whose `content` is not a string is a malformed payload: each
+    record falls back as for any unusable reply, and the stage exits 0."""
+    from conftest import completion_body
+
+    d, _ = pipeline
+    server = scripted(rest=(200, completion_body(content)))
+    narratives = str(_three_narratives(d, tmp_path))
+    attributions = tmp_path / "attr.jsonl"
+    attributions.write_text("".join((d / "attr_occ.jsonl").read_text().splitlines(keepends=True)[:3]))
+    inputs = {
+        "augment": ["--narratives", narratives],
+        "analyze": ["--attributions", str(attributions)],
+        "eval": ["--narratives", narratives, "--strategy", "zs"],
+    }[stage]
+    out = tmp_path / "out.jsonl"
+    code, summary = run_cli([stage, *inputs, "--endpoint", server.url, "--out", str(out)])
+    assert code == 0
+    doc = json.loads(summary)
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert server.posts == len(records) == 3
+    if stage == "augment":
+        error = f"UnavailableError: malformed completion payload: content is {type(content).__name__}, not a string"
+        assert doc["fallbacks"] == 3 and [r["error"] for r in records] == [error] * 3
+    elif stage == "analyze":
+        assert doc["fallbacks"] == 3 and [r["source"] for r in records] == ["rules"] * 3
+    else:
+        assert doc["failed_parses"] == 3 and [r["raw_output"] for r in records] == [""] * 3
+
+
+def test_live_stage_leaves_no_connection_open(pipeline, tmp_path, scripted):
+    """A stage drops its client when it returns, and the client closes its
+    keep-alive connections then: no socket is left to the garbage collector."""
+    import gc
+    import time
+    import warnings
+
+    d, _ = pipeline
+    server = scripted()
+    argv = ["eval", "--narratives", str(_three_narratives(d, tmp_path)), "--strategy", "zs",
+            "--endpoint", server.url, "--jobs", "2", "--out", str(tmp_path / "pred.jsonl")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(argv)[0] == 0
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert server.posts == 3 and 1 <= server.connections <= 2
+    deadline = time.monotonic() + 5.0
+    while server.closed < server.connections and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert server.closed == server.connections
 
 
 def test_no_chat_endpoint_anywhere_is_one_cli_error(pipeline, tmp_path, capsys, monkeypatch):
@@ -882,11 +927,10 @@ def test_eval_temperature_out_of_range_is_value_error(pipeline, tmp_path, capsys
 def test_jobs_below_one_is_value_error(pipeline, tmp_path, capsys, monkeypatch, argv, jobs):
     """Fewer than one job fails before any request instead of running serially."""
     from crashlens import cli
-    from crashlens.augment import StubChatClient
 
     d, _ = pipeline
     sent = []
-    monkeypatch.setattr(cli, "_chat_client", lambda args: StubChatClient(transform=lambda u: sent.append(u) or u))
+    monkeypatch.setattr(cli, "_chat_client", lambda args: ReplyClient(lambda u: sent.append(u) or u))
     out = tmp_path / "out.jsonl"
     argv = [argv[0], argv[1], str(d / argv[2]), *argv[3:], "--jobs", jobs, "--out", str(out)]
     err = _main_error(argv, capsys)
@@ -1277,14 +1321,14 @@ def test_summaries_count_what_a_dead_endpoint_cost(pipeline, tmp_path, monkeypat
     and every analyze summary falls back to the rules, and both summary
     lines say so. Offline, analyze has no client to fall back from."""
     from crashlens import cli
-    from crashlens.augment import StubChatClient, UnavailableError
+    from crashlens.util import UnavailableError
 
     d, summaries = pipeline
 
     def down(user: str) -> str:
         raise UnavailableError("transport failed after 4 attempts")
 
-    monkeypatch.setattr(cli, "_chat_client", lambda args: StubChatClient(transform=down))
+    monkeypatch.setattr(cli, "_chat_client", lambda args: ReplyClient(down))
     code, out = run_cli(
         ["eval", "--narratives", str(d / "narratives.jsonl"), "--strategy", "zs", "--out", str(tmp_path / "p.jsonl")]
     )
@@ -1327,12 +1371,11 @@ def test_augment_summary_counts_failed_constraints(tmp_path, monkeypatch):
     """A rewrite that drops one record's milepost fails NumbersPreserved
     alone, and the summary counts it there and nowhere else."""
     from crashlens import cli
-    from crashlens.augment import StubChatClient
 
     narratives, out = tmp_path / "narratives.jsonl", tmp_path / "aug.jsonl"
     texts = ["The crash was at milepost 22.4 on a dry road.", "The crash was at milepost 7 on a wet road."]
     _write_narratives(narratives, texts)
-    drop = StubChatClient(transform=lambda user: user.replace("milepost 22.4", "the milepost"))
+    drop = ReplyClient(lambda user: user.replace("milepost 22.4", "the milepost"))
     monkeypatch.setattr(cli, "_chat_client", lambda args: drop)
     code, summary = run_cli(["augment", "--narratives", str(narratives), "--out", str(out)])
     assert code == 0

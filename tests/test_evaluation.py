@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OverlapProbe
-from crashlens.augment import StubChatClient, UnavailableError
+from conftest import OverlapProbe, ReplyClient
 from crashlens.evaluation import (
     SFT_QUESTION,
     SFT_SYSTEM_PROMPT,
@@ -28,6 +27,7 @@ from crashlens.evaluation import (
 )
 from crashlens.narrator import NarrativePair
 from crashlens.schema import Severity
+from crashlens.util import UnavailableError
 from oracles import normalize_regex
 
 MINOR = Severity.MINOR
@@ -309,7 +309,7 @@ def test_run_evaluation_unavailable_case_costs_only_that_case():
         return "Serious injury or fatal"
 
     predictions, golds = run_evaluation(
-        _pairs(), ZS, (), StubChatClient(transform=answer), 0.0, jobs=1
+        _pairs(), ZS, (), ReplyClient(answer), 0.0, jobs=1
     )
     assert [p.caseno for p in predictions] == ["A", "B", "C"]
     assert predictions[1].raw_output == ""
@@ -329,8 +329,8 @@ def test_run_evaluation_parallel_matches_serial(pairs):
         return "Serious injury or fatal" if len(user) % 2 else "no apparent injury, I think"
 
     cot = StrategyKind.CHAIN_OF_THOUGHT
-    serial = run_evaluation(pairs, cot, (), StubChatClient(transform=answer), 0.0, jobs=1)
-    probe = OverlapProbe(StubChatClient(transform=answer))
+    serial = run_evaluation(pairs, cot, (), ReplyClient(answer), 0.0, jobs=1)
+    probe = OverlapProbe(ReplyClient(answer))
     parallel = run_evaluation(pairs, cot, (), probe, 0.0, jobs=4)
     assert parallel == serial
     assert probe.overlapped
