@@ -7,7 +7,8 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from crashlens.narrator import load_lexicon, load_templates, normalize, pair_to_dict, render
+from crashlens.narrator import load_lexicon, load_templates, normalize, render
+from crashlens.records import pair_to_dict
 from crashlens.schema import Severity, integrate, load_tables, stratified_downsample
 from crashlens.util import atomic_write_jsonl
 

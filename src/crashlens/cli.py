@@ -115,7 +115,9 @@ def load_config(path: Optional[str]) -> dict[str, object]:
     cfg = {key: setting[0] for key, setting in SETTINGS.items()}
     if path is None:
         return cfg
-    doc = parse_yaml(Path(path).read_text(encoding="utf-8")) or {}
+    doc = parse_yaml(Path(path).read_text(encoding="utf-8"))
+    if doc is None:  # an empty document; a `0`, `false`, `""` or `[]` is no mapping
+        doc = {}
     if not isinstance(doc, dict):
         raise CliError(f"config {path} must be a mapping")
     for key, value in doc.items():
@@ -160,7 +162,7 @@ def _chat_client(args: argparse.Namespace) -> ChatClient:
     endpoint = args.endpoint or os.environ.get("CRASHLENS_CHAT_ENDPOINT", "")
     if not endpoint:
         raise CliError("no chat endpoint configured; pass --offline to use the stub client")
-    from .augment import HttpChatClient
+    from .chat import HttpChatClient
 
     return HttpChatClient(endpoint, os.environ.get("CRASHLENS_CHAT_API_KEY", ""))
 
@@ -194,18 +196,30 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_narrate(args: argparse.Namespace) -> int:
     from . import narrator, schema
+    from .records import pair_to_dict
 
     cases = schema.deserialize_cases(args.cases)
     lexicon = narrator.load_lexicon(args.lexicon)
     templates = narrator.load_templates(args.templates)
-    pairs = []
+    pairs, skipped = [], []
     n_warnings = 0
     for case in cases:
         normalized = narrator.normalize(case, lexicon)
         n_warnings += len(normalized.warnings)
-        pairs.append(narrator.render(normalized, templates))
-    atomic_write_jsonl(args.out, [narrator.pair_to_dict(p) for p in pairs])
-    _emit({"narratives": len(pairs), "warnings": n_warnings, "out": str(args.out)})
+        try:  # a case whose template cannot be filled is skipped, not the batch
+            pairs.append(narrator.render(normalized, templates))
+        except narrator.MissingRequiredSlotError as exc:
+            skipped.append({"caseno": exc.caseno, "reason": str(exc)})
+    atomic_write_jsonl(args.out, [pair_to_dict(p) for p in pairs])
+    _emit(
+        {
+            "narratives": len(pairs),
+            "warnings": n_warnings,
+            "skipped_cases": len(skipped),
+            "skipped": skipped,
+            "out": str(args.out),
+        }
+    )
     return 0
 
 

@@ -311,12 +311,3 @@ def render(case: NormalizedCase, templates: Sequence[NarrativeTemplate]) -> Narr
         outcome=" ".join(sections["outcome"]),
         label=case.severity,
     )
-
-
-def pair_to_dict(pair: NarrativePair) -> dict:
-    return {
-        "caseno": pair.caseno,
-        "descriptive": pair.descriptive,
-        "outcome": pair.outcome,
-        "label": pair.label.value,
-    }

@@ -1,5 +1,5 @@
-"""The severity label and the narrative pair, the records every stage after
-`narrate` reads.
+"""The severity label and the narrative pair: `narrate` writes each pair
+with `pair_to_dict`, and every stage after it reads them with `read_pairs`.
 
 They live apart from `schema` and `narrator` so that a stage which only
 reads narratives (augment, train-ref, attribute, eval, build-sft) loads
@@ -48,3 +48,12 @@ def read_pairs(path: str | Path) -> list[NarrativePair]:
         return NarrativePair(caseno, descriptive, outcome, Severity(d["label"]))
 
     return read_jsonl(path, pair)
+
+
+def pair_to_dict(pair: NarrativePair) -> dict:
+    return {
+        "caseno": pair.caseno,
+        "descriptive": pair.descriptive,
+        "outcome": pair.outcome,
+        "label": pair.label.value,
+    }

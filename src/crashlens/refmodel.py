@@ -81,6 +81,8 @@ class Tokenizer:
 
     tokens: list[str]
     vocab: dict[str, int] = field(init=False, repr=False)
+    # a word's id: its vocabulary id, but `<unk>` for a word that spells a special
+    _word_ids: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if tuple(self.tokens[: len(_SPECIALS)]) != _SPECIALS:
@@ -88,13 +90,16 @@ class Tokenizer:
         self.vocab = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self.vocab) != len(self.tokens):
             raise ValueError("duplicate token in vocabulary")
+        self._word_ids = self.vocab | dict.fromkeys(_SPECIALS, self.vocab[UNK])
 
     @classmethod
     def from_texts(cls, texts: Sequence[str]) -> "Tokenizer":
         """The specials, then the sorted words (`text.split()`, as `encode`
-        reads them) seen at least MIN_WORD_COUNT times."""
+        reads them) seen at least MIN_WORD_COUNT times; a word that spells a
+        special is never counted."""
         counts = Counter(w for text in texts for w in text.split())
-        return cls(tokens=list(_SPECIALS) + sorted(w for w, n in counts.items() if n >= MIN_WORD_COUNT))
+        words = (w for w, n in counts.items() if n >= MIN_WORD_COUNT and w not in _SPECIALS)
+        return cls(tokens=list(_SPECIALS) + sorted(words))
 
     @property
     def size(self) -> int:
@@ -111,8 +116,9 @@ class Tokenizer:
 
     def encode_with_spans(self, text: str) -> list[tuple[int, int, int]]:
         """Token ids with (start, end) character spans into `text`, one per
-        word of `text.split()`, the rule `from_texts` reads words by."""
-        get, unk = self.vocab.get, self.vocab[UNK]
+        word of `text.split()`, the rule `from_texts` reads words by. A word
+        that spells a special token, such as a label, reads as `<unk>`."""
+        get, unk = self._word_ids.get, self.vocab[UNK]
         spans, end = [], 0
         for word in text.split():
             start = text.find(word, end)  # only whitespace lies between the last word and this one

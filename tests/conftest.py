@@ -15,6 +15,13 @@ from crashlens.schema import integrate, load_tables
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# a report that voices every kind of fact the rewrite verifier checks
+ORIGINAL = (
+    "On June 29, 2022, at 8:00 PM, a traffic accident occurred on Alternate "
+    "Route 097ARi in Chelan, Washington. The crash site was at milepost 22.4. "
+    "The posted speed limit was 60 mph. By 9:15 PM the road had been cleared."
+)
+
 # separators that str.split() and re's \s both take for whitespace, ASCII and not
 WHITESPACE = [" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c", "\u2028"]
 

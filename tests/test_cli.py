@@ -112,6 +112,25 @@ def test_narrate_produces_jsonl(pipeline):
     assert set(first) == {"caseno", "descriptive", "outcome", "label"}
 
 
+def test_narrate_skips_a_case_it_cannot_render_and_writes_the_rest(tmp_path):
+    """A case with no value for a required slot is reported as `ingest`
+    reports a rejected row; every other case is narrated."""
+    crashes = corpus_path("crashes").read_text(encoding="utf-8")
+    row = "C0005,2022-08-03,02:00,Chelan,"
+    assert crashes.count(row) == 1
+    code, out = run_cli(_ingest_with_crashes(tmp_path, crashes.replace(row, "C0005,2022-08-03,02:00,unknown,")))
+    assert code == 0 and json.loads(out)["cases"] == 50
+    narratives = tmp_path / "narratives.jsonl"
+    code, out = run_cli(["narrate", "--cases", str(tmp_path / "out"), "--out", str(narratives)])
+    assert code == 0
+    summary = json.loads(out)
+    reason = "required slot 'county' has no value for case C0005"
+    assert summary["narratives"] == 49
+    assert (summary["skipped_cases"], summary["skipped"]) == (1, [{"caseno": "C0005", "reason": reason}])
+    casenos = [json.loads(line)["caseno"] for line in narratives.read_text().splitlines()]
+    assert casenos == [f"C{i:04d}" for i in range(1, 51) if i != 5]
+
+
 def test_attribute_both_methods_cover_all_cases(pipeline):
     d, _ = pipeline
     for name, method in [("attr_occ.jsonl", "occlusion"), ("attr_tay.jsonl", "taylor")]:
@@ -263,6 +282,21 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert "no_such_option" in err["detail"]
+
+
+@pytest.mark.parametrize("text", ["0\n", "false\n", '""\n', "[]\n"], ids=["zero", "false", "empty-string", "empty-list"])
+def test_config_document_that_is_not_a_mapping_is_rejected(pipeline, tmp_path, capsys, text):
+    """Only an empty document reads as an empty config; any other document
+    that is not a mapping is a CliError, even one that is falsy."""
+    d, _ = pipeline
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "sft.jsonl"
+    argv = ["build-sft", "--narratives", str(d / "narratives.jsonl"), "--out", str(out), "--config", str(cfg)]
+    assert _main_error(argv, capsys) == {"error": "CliError", "detail": f"config {cfg} must be a mapping"}
+    assert not out.exists()
+    cfg.write_text("")
+    assert run_cli(argv)[0] == 0
 
 
 def test_config_supplies_defaults_and_flags_win(tmp_path):
@@ -541,7 +575,7 @@ def test_non_object_jsonl_line_is_one_json_error(pipeline, tmp_path, command, fl
 
 STAGE_MODULES = tuple(
     f"crashlens.{m}"
-    for m in ("records", "schema", "narrator", "augment", "analytics", "evaluation", "refmodel", "attribution")
+    for m in ("records", "schema", "narrator", "augment", "chat", "analytics", "evaluation", "refmodel", "attribution")
 )
 
 
@@ -643,6 +677,21 @@ def test_live_eval_loads_no_requests(pipeline, tmp_path, scripted):
     modules = ("requests", "urllib3", "urllib.request", "http.client", "ssl")
     assert _loaded_after(_main_probe(argv), modules) == ["http.client", *with_http_client]
     assert server.posts == 5
+
+
+@pytest.mark.parametrize("stage", ["analyze", "eval"])
+def test_live_chat_stage_loads_the_transport_and_not_the_verifier(pipeline, tmp_path, scripted, stage):
+    """The live client comes from `chat`; the rewrite verifier in `augment`
+    is loaded only by the stage that runs it."""
+    d, _ = pipeline
+    server = scripted()
+    inputs = {
+        "analyze": ["--attributions", str(d / "attr_occ.jsonl")],
+        "eval": ["--narratives", str(_three_narratives(d, tmp_path)), "--strategy", "zs"],
+    }[stage]
+    argv = [stage, *inputs, "--endpoint", server.url, "--out", str(tmp_path / "out.jsonl")]
+    assert _loaded_after(_main_probe(argv), ("crashlens.augment", "crashlens.chat")) == ["crashlens.chat"]
+    assert server.posts > 0
 
 
 @pytest.mark.parametrize(
@@ -780,7 +829,7 @@ def test_config_value_of_wrong_type_rejected(pipeline, tmp_path, capsys, text, c
 @pytest.mark.parametrize("endpoint", ["localhost:9/v1", "ftp://host/x"])
 def test_eval_endpoint_that_is_not_an_http_url_is_one_json_error(pipeline, tmp_path, capsys, monkeypatch, endpoint):
     # a client that sent anyway would sleep through its retries
-    monkeypatch.setattr("crashlens.augment.time.sleep", lambda s: None)
+    monkeypatch.setattr("crashlens.chat.time.sleep", lambda s: None)
     d, _ = pipeline
     out = tmp_path / "pred.jsonl"
     argv = ["eval", "--strategy", "zs", "--narratives", str(d / "narratives.jsonl"), "--endpoint", endpoint]

@@ -17,10 +17,10 @@ from crashlens.narrator import (
     load_lexicon,
     load_templates,
     normalize,
-    pair_to_dict,
     read_pairs,
     render,
 )
+from crashlens.records import pair_to_dict
 from crashlens.schema import Severity
 from crashlens.util import ParseError, atomic_write_jsonl, is_null
 from oracles import fact_values

@@ -343,6 +343,16 @@ def test_tokenizer_keeps_the_words_seen_at_least_min_word_count_times():
     assert [tok.tokens[i] for i in tok.encode("a c b")] == ["a", "<unk>", "b"]
 
 
+def test_a_word_that_spells_a_special_token_is_never_counted_and_reads_as_unk():
+    """A text may spell a special: the vocabulary does not take it as a word,
+    and it encodes as `<unk>`, so a narrative cannot hand the model its label."""
+    tok = Tokenizer.from_texts(["a <unk> b", "a <unk> b"] + [f"a {special} b" for special in _SPECIALS] * 2)
+    assert tok.tokens == [*_SPECIALS, "a", "b"]
+    a, b, unk = tok.id_of("a"), tok.id_of("b"), tok.id_of("<unk>")
+    text = f"a {label_token(Severity.SEVERE)}  <bos> b"
+    assert tok.encode_with_spans(text) == [(a, 0, 1), (unk, 2, 24), (unk, 26, 31), (b, 32, 33)]
+
+
 def test_tokenizer_unknown_word_is_unk():
     tok = Tokenizer.from_texts(["alpha beta", "alpha beta"])
     unk = tok.id_of("never-seen")
