@@ -85,6 +85,7 @@ class FactorSummary:
     caseno: str
     categories: dict[str, CategorySummary]
     source: str = "llm"
+    repairs: int = 0  # repair requests the summary cost
 
     def __post_init__(self):
         for aspect in ASPECTS:
@@ -240,12 +241,31 @@ def rule_based_factors(words: Sequence[WordAttribution], lexicon: CategoryLexico
     return summary
 
 
-def _parse_factor_payload(completion: str, caseno: str) -> FactorSummary:
+_FENCE = re.compile(r"```(?:json)?\s*(.*?)\s*```", re.DOTALL)
+
+
+def _factor_document(completion: str):
+    """The JSON a reply holds: the whole reply, else its first fenced block,
+    else the first JSON object in it. ValueError when none of them parses."""
     text = completion.strip()
-    fence = re.match(r"^```(?:json)?\s*(.*?)\s*```$", text, re.DOTALL)
+    try:
+        return json.loads(text)
+    except ValueError:
+        pass
+    fence = _FENCE.search(text)
     if fence:
-        text = fence.group(1)
-    doc = json.loads(text)
+        try:
+            return json.loads(fence.group(1))
+        except ValueError:
+            pass
+    start = text.find("{")
+    if start < 0:
+        raise ValueError("completion holds no JSON object")
+    return json.JSONDecoder().raw_decode(text, start)[0]
+
+
+def _parse_factor_payload(completion: str, caseno: str) -> FactorSummary:
+    doc = _factor_document(completion)
     if not isinstance(doc, dict):
         raise ValueError("completion is not a JSON object")
     categories = {}
@@ -267,19 +287,22 @@ def _parse_factor_payload(completion: str, caseno: str) -> FactorSummary:
 def summarize_factors(annotated: str, client: ChatClient, caseno: str, lexicon: CategoryLexicon) -> FactorSummary:
     """LLM factor summary with one repair request; falls back to the rules,
     with `lexicon`, when the reply cannot be repaired or the client is
-    unavailable."""
-    user = annotated
+    unavailable. A reply whose JSON `_factor_document` finds needs no repair."""
+    user, repairs, summary = annotated, 0, None
     try:
-        for _ in range(2):
+        for repairs in range(2):
             completion = client.send(FACTOR_PROMPT, user, 0.0)
             try:
-                return _parse_factor_payload(completion, caseno)
+                summary = _parse_factor_payload(completion, caseno)
+                break
             except (ValueError, KeyError, TypeError, IndexError):
                 user = f"{annotated}\n\n{_REPAIR_PROMPT}"
     except UnavailableError:
         pass
-    _, words = parse_annotated(annotated)
-    return rule_based_factors(words, lexicon, caseno)
+    if summary is None:
+        summary = rule_based_factors(parse_annotated(annotated)[1], lexicon, caseno)
+    summary.repairs = repairs
+    return summary
 
 
 def extract_top_factors(summary: FactorSummary, k: int) -> dict[str, list[str]]:

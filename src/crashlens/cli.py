@@ -386,6 +386,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "cases": len(out_records),
             # summaries the rules made because the client failed for them
             "fallbacks": 0 if args.offline else sum(s.source == "rules" for s in summaries),
+            # repair requests the summaries sent after a reply that held no factor JSON
+            "repairs": sum(s.repairs for s in summaries),
             "nodes": len(graph.nodes),
             "links": len(graph.links),
             "out": str(args.out),
@@ -579,7 +581,17 @@ def _handled() -> tuple[type[BaseException], ...]:
     return (OSError, ValueError, KeyError, CrashlensError) + ((yaml.YAMLError,) if yaml else ())
 
 
+# the variables a BLAS library reads its thread count from when it loads
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # TinyLM's products are at most d x V, too small for a second BLAS thread
+    # to pay for its wake-ups: it doubles the CPU time and adds wall time. So
+    # a CLI process runs BLAS on one thread, unless the environment names a
+    # count or numpy (and with it BLAS) was loaded before this call
+    if "numpy" not in sys.modules and not any(var in os.environ for var in _BLAS_THREAD_VARS):
+        os.environ["OMP_NUM_THREADS"] = "1"
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -112,7 +112,9 @@ class Tokenizer:
         return self.vocab[label_token(severity)]
 
     def encode(self, text: str) -> list[int]:
-        return [tid for tid, _, _ in self.encode_with_spans(text)]
+        """The ids of `encode_with_spans`, without locating the words."""
+        get, unk = self._word_ids.get, self.vocab[UNK]
+        return [get(word, unk) for word in text.split()]
 
     def encode_with_spans(self, text: str) -> list[tuple[int, int, int]]:
         """Token ids with (start, end) character spans into `text`, one per
@@ -296,13 +298,30 @@ def grad_prob_wrt_hidden(model: TinyLM, p: np.ndarray, target: int) -> np.ndarra
 def _corpus_nll(model: TinyLM, windows: Sequence[np.ndarray], targets: np.ndarray) -> float:
     """Mean NLL of each window's target, scored NLL_CHUNK windows per output
     matmul; one mean over all N target probabilities, so N <= NLL_CHUNK
-    scores exactly as one matmul over them all."""
+    scores exactly as one matmul over them all.
+
+    A chunk pools its windows of one length k together: one gather of their
+    rows and one product with the first k slot weights, the product
+    `TinyLM.hidden` takes for each of them, so every pooled vector is the
+    same to the bit. A gather holds at most the chunk's n x V values, the
+    size of its probability block.
+    """
     p = np.empty(len(targets))
     for lo in range(0, len(targets), NLL_CHUNK):
-        chunk = slice(lo, lo + NLL_CHUNK)
-        hidden = np.stack([model.hidden(window) for window in windows[chunk]])
+        chunk = windows[lo : lo + NLL_CHUNK]
+        n = len(chunk)
+        by_length: dict[int, list[int]] = {}
+        for i, window in enumerate(chunk):
+            by_length.setdefault(len(window), []).append(i)
+        hidden = np.empty((n, model.dim))
+        for k, rows in by_length.items():
+            per_gather = max(1, n * model.vocab_size // (k * model.dim))
+            for start in range(0, len(rows), per_gather):
+                part = rows[start : start + per_gather]
+                ids = np.concatenate([chunk[i] for i in part]).reshape(len(part), k)
+                hidden[part] = model.position_weights[:k] @ model.embeddings.take(ids, axis=0)
         # one expression, so a chunk's probabilities are freed before the next chunk's
-        p[chunk] = model._softmax_rows(hidden)[np.arange(len(hidden)), targets[chunk]]
+        p[lo : lo + n] = model._softmax_rows(hidden)[np.arange(n), targets[lo : lo + n]]
     return float(-np.log(np.maximum(p, 1e-300)).mean())
 
 
@@ -317,7 +336,8 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
     if not examples:
         raise ValueError("no training examples")
     for ex in examples:
-        if not all(0 <= t < model.vocab_size for t in (*ex.context, ex.target)):
+        ids = (*ex.context, ex.target)
+        if min(ids) < 0 or max(ids) >= model.vocab_size:
             raise ValueError("example token id outside model vocabulary")
 
     m = model.copy()
@@ -340,16 +360,21 @@ def train(model: TinyLM, examples: Sequence[TrainingExample], config: TrainConfi
             for idx in order:
                 window = windows[idx]
                 slots = slot_w[: len(window)]
-                embs = emb[window]
+                embs = emb.take(window, axis=0)  # emb[window], without fancy indexing's set-up
                 hidden = slots @ embs
-                dz = m._softmax_rows(hidden[None])[0]
+                # the softmax of `TinyLM._softmax_rows`, on the one row
+                dz = hidden @ out_w
+                dz += out_b
+                dz -= dz.max()
+                np.exp(dz, out=dz)
+                dz /= dz.sum()
                 dz[targets[idx]] -= 1.0  # dNLL/dlogits = p - onehot
                 dz *= lr  # so dh and both output updates come out scaled by lr
                 dh = out_w @ dz
                 # dNLL/de = a_j dh for each slot: a row gets the sum of its slots' a_j, in slot order
                 # and before the slot update below, times dh
                 rows, slot_rows = uniques[idx]
-                emb[rows] -= np.bincount(slot_rows, slots, len(rows))[:, None] * dh
+                emb[rows] = emb.take(rows, axis=0) - np.bincount(slot_rows, slots, len(rows))[:, None] * dh
                 slots -= embs @ dh  # dNLL/da_j = e_j . dh
                 np.dot(hidden[:, None], dz[None], out=grad_u)
                 out_w -= grad_u

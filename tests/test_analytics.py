@@ -416,12 +416,37 @@ def test_summarize_factors_strips_markdown_fence():
     assert summary.source == "llm"
 
 
+@pytest.mark.parametrize(
+    "reply",
+    [
+        "Here is the factor summary you asked for:\n```json\n{}\n```",
+        "```json\n{}\n```\nEach term is scored by its attribution.",
+        "```\n{}\n```",
+        "The factors follow. {} Let me know if you need more.",
+    ],
+    ids=["prose-then-fence", "fence-then-prose", "bare-fence", "object-after-prose"],
+)
+def test_summarize_factors_finds_the_json_around_prose_without_a_repair(reply):
+    client = ScriptedClient([reply.format(_llm_payload())])
+    summary = summarize_factors("x[1.00]", client, "C1", BUNDLED)
+    assert client.calls == 1
+    assert (summary.source, summary.repairs) == ("llm", 0)
+    assert [t.term for t in summary.categories["behavioral"].terms] == ["speeding", "alcohol"]
+
+
+def test_summarize_factors_fenced_bad_json_costs_exactly_one_repair():
+    client = ScriptedClient(["Here it is:\n```json\n{behavioral: speeding}\n```", _llm_payload()])
+    summary = summarize_factors("x[1.00]", client, "", BUNDLED)
+    assert client.calls == 2
+    assert (summary.source, summary.repairs) == ("llm", 1)
+
+
 def test_summarize_factors_repairs_once_then_falls_back():
     annotated = "the dusk[3.00] crash"
     client = ScriptedClient(["not json", "still not json"])
     summary = summarize_factors(annotated, client, "", BUNDLED)
     assert client.calls == 2
-    assert summary.source == "rules"
+    assert (summary.source, summary.repairs) == ("rules", 1)
     env = summary.categories["environmental"].terms
     assert [t.term for t in env] == ["dusk"]
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -501,10 +502,10 @@ def test_analyze_jobs_match_serial_and_fall_back_per_record(pipeline, tmp_path, 
         return probes[-1]
 
     monkeypatch.setattr(cli, "_chat_client", client)
-    outputs = []
+    outputs, repairs = [], []
     for jobs in ("1", "4"):
         out, graph = tmp_path / f"factors{jobs}.jsonl", tmp_path / f"graph{jobs}.json"
-        code, _ = run_cli(
+        code, summary = run_cli(
             [
                 "analyze", "--jobs", jobs,
                 "--attributions", str(d / "attr_occ.jsonl"),
@@ -514,7 +515,9 @@ def test_analyze_jobs_match_serial_and_fall_back_per_record(pipeline, tmp_path, 
         )
         assert code == 0
         outputs.append((out.read_bytes(), graph.read_bytes()))
+        repairs.append(json.loads(summary)["repairs"])
     assert outputs[0] == outputs[1]
+    assert repairs[0] == repairs[1] > 0
     assert probes[1].overlapped
     records = [json.loads(line) for line in outputs[0][0].decode().splitlines()]
     assert len(records) == len((d / "attr_occ.jsonl").read_text().splitlines())
@@ -731,6 +734,60 @@ def test_train_ref_and_occlusion_load_no_numpy_random(pipeline, tmp_path):
     probe = f"{_main_probe(_stage_argv(d, tmp_path, 'train-ref'))}\nassert main({attribute!r}) == 0"
     assert _loaded_after(probe, ("numpy", "numpy.random")) == ["numpy"]
     assert (tmp_path / "attr.jsonl").read_text().count("\n") == 1
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# prints the thread variables and the thread count of the OpenBLAS numpy
+# ships (its own `openblas_get_num_threads`; null when numpy ships none)
+_BLAS_THREADS_PROBE = f"""
+import ctypes, glob, json, os, numpy
+threads = None
+for path in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+        if hasattr(lib, name):
+            threads = getattr(lib, name)()
+print(json.dumps({{"env": {{v: os.environ.get(v) for v in {BLAS_THREAD_VARS!r}}}, "threads": threads}}))
+"""
+
+
+def _blas_after_train_ref(pipeline, tmp_path, monkeypatch, **env: str) -> dict:
+    """Thread variables and BLAS thread count after `train-ref` in a fresh
+    interpreter whose environment gives `env` and no other thread variable."""
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    probe = _main_probe(_stage_argv(pipeline[0], tmp_path, "train-ref")) + _BLAS_THREADS_PROBE
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_runs_blas_on_one_thread_by_default(pipeline, tmp_path, monkeypatch):
+    blas = _blas_after_train_ref(pipeline, tmp_path, monkeypatch)
+    assert blas["env"] == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": None}
+    assert blas["threads"] in (1, None)
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_cli_keeps_the_blas_thread_count_the_environment_names(pipeline, tmp_path, monkeypatch, var):
+    blas = _blas_after_train_ref(pipeline, tmp_path, monkeypatch, **{var: "2"})
+    assert blas["env"] == {v: "2" if v == var else None for v in BLAS_THREAD_VARS}
+    assert blas["threads"] in (2, None)
+
+
+def test_cli_in_a_process_that_loaded_numpy_leaves_the_environment_alone(pipeline, tmp_path, monkeypatch):
+    """BLAS read its thread count when numpy loaded, so `main` sets none."""
+    import numpy  # noqa: F401  (loaded, as in any caller that ran numpy already)
+
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    before = dict(os.environ)
+    code, _ = run_cli(_stage_argv(pipeline[0], tmp_path, "train-ref"))
+    assert code == 0
+    assert dict(os.environ) == before
 
 
 def _main_error(argv: list[str], capsys) -> dict:

@@ -23,6 +23,7 @@ from crashlens.refmodel import (
     TrainConfig,
     TrainingDivergedError,
     TrainingExample,
+    UNK,
     _SPECIALS,
     _corpus_nll,
     classify,
@@ -169,6 +170,49 @@ def test_corpus_nll_memory_is_bounded_by_its_chunk():
     assert _corpus_nll(model, windows[:NLL_CHUNK], targets[:NLL_CHUNK]) == _nll_in_one_matmul(
         model, windows[:NLL_CHUNK], targets[:NLL_CHUNK]
     )
+
+
+def _nll_window_by_window(model: TinyLM, windows, targets) -> float:
+    """The per-epoch NLL with each window pooled alone by `TinyLM.hidden`,
+    scored NLL_CHUNK windows per output matmul."""
+    p = []
+    for lo in range(0, len(targets), NLL_CHUNK):
+        chunk = windows[lo : lo + NLL_CHUNK]
+        probs = model._softmax_rows(np.stack([model.hidden(window) for window in chunk]))
+        p.extend(probs[np.arange(len(chunk)), targets[lo : lo + NLL_CHUNK]])
+    return float(-np.log(np.maximum(np.array(p), 1e-300)).mean())
+
+
+def test_corpus_nll_pools_each_window_as_hidden_does_exactly():
+    """Over more than NLL_CHUNK windows of mixed length (an empty context,
+    read as `<bos>`, windows shorter than W and full W windows, more of them
+    in a chunk than one gather holds) the grouped per-epoch NLL equals the
+    window-by-window one to the bit, chunk by chunk and over them all. A
+    gather holds at most a chunk's n x V values, so the peak is two such
+    blocks and the chunk's pooled vectors, not every full window's rows."""
+    rng = np.random.default_rng(5)
+    vocab, window, n = 20, 40, 2 * NLL_CHUNK + 37
+    model = TinyLM.init(vocab, dim=16, window=window, seed=5)
+    contexts = [[]] + [rng.integers(0, vocab, size=int(rng.integers(0, 2 * window))).tolist() for _ in range(n - 1)]
+    windows = [model.window_of(context) for context in contexts]
+    targets = rng.integers(0, vocab, size=n)
+    lengths = [len(w) for w in windows]
+    assert windows[0].tolist() == [BOS_ID] and min(lengths) == 1
+    assert lengths.count(window) > NLL_CHUNK * vocab // (window * model.dim)
+    for lo in range(0, n, NLL_CHUNK):
+        chunk = slice(lo, lo + NLL_CHUNK)
+        assert _corpus_nll(model, windows[chunk], targets[chunk]) == _nll_window_by_window(
+            model, windows[chunk], targets[chunk]
+        )
+    tracemalloc.start()
+    try:
+        nll = _corpus_nll(model, windows, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nll == _nll_window_by_window(model, windows, targets)
+    block, pooled = NLL_CHUNK * vocab * 8, NLL_CHUNK * model.dim * 8
+    assert peak <= 2 * block + pooled + 2**16
 
 
 def test_batch_probs_matches_loop():
@@ -334,6 +378,18 @@ def test_encode_with_spans_matches_an_s_plus_scan(text):
     scan = [(tok.id_of(m[0]), m.start(), m.end()) for m in re.finditer(r"\S+", text)]
     assert tok.encode_with_spans(text) == scan
     assert tok.encode(text) == [tid for tid, _, _ in scan]
+
+
+def test_encode_is_the_ids_of_encode_with_spans(pairs, corpus_tokenizer):
+    """`encode` maps the words to ids without locating them: the same ids
+    over the bundled narratives, a word that spells a label and words split
+    by Unicode whitespace."""
+    label = label_token(Severity.SEVERE)
+    texts = [p.descriptive for p in pairs]
+    texts += [f"the {label} crash", f"{label}", "".join(f"the{ws}crash" for ws in [*WHITESPACE, "\x85"])]
+    for text in texts:
+        assert corpus_tokenizer.encode(text) == [i for i, _, _ in corpus_tokenizer.encode_with_spans(text)]
+    assert corpus_tokenizer.encode(label) == [corpus_tokenizer.id_of(UNK)]
 
 
 def test_tokenizer_keeps_the_words_seen_at_least_min_word_count_times():
